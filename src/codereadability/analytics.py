@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,6 +25,8 @@ from .profiles import LanguageProfile
 from .vectorizer import featurize
 
 EXACT_TEST_MAX_PAIRS = 25
+# largest n whose 2^n sign-assignment counts stay exact in int64
+EXACT_TEST_LIMIT = 62
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class ScoreTable:
     ids: tuple[str, ...]
     linear_scores: tuple[float, ...]
     probabilities: tuple[float, ...]
-    model_ref: str = ""
     corpus_label: str = ""
 
     def __len__(self) -> int:
@@ -44,23 +44,13 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
                  p: LanguageProfile | None = None,
                  d: DictionaryProvider | None = None,
                  config: AnalysisConfig | None = None,
-                 label: str = "", jobs: int = 1) -> ScoreTable:
-    """Score snippets in input order; fan-out never changes the output."""
+                 label: str = "") -> ScoreTable:
+    """Score snippets in input order."""
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-
-    def one(snippet: Snippet) -> tuple[float, float]:
-        vec = featurize(snippet, p, d, config)
-        return predict(model, vec)
-
-    if jobs > 1 and len(snippets) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, snippets))
-    else:
-        results = [one(s) for s in snippets]
-
+    results = [predict(model, featurize(s, p, d, config)) for s in snippets]
     return ScoreTable(
         ids=tuple(s.id for s in snippets),
         linear_scores=tuple(linear for _, linear in results),
@@ -100,7 +90,7 @@ def _exact_two_sided_p(w_plus: float, ranks: np.ndarray) -> float:
     """Exact p over all 2^n sign assignments, via the rank-sum distribution.
 
     Average ranks can be half-integers, so everything is doubled to stay
-    integral; counts are exact int64 (safe for n <= 62).
+    integral; counts are exact int64 (safe for n <= EXACT_TEST_LIMIT).
     """
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     total = int(doubled.sum())
@@ -128,7 +118,14 @@ class WilcoxonResult:
 
 
 def wilcoxon_signed_rank(differences, exact_max: int = EXACT_TEST_MAX_PAIRS) -> WilcoxonResult:
-    """Two-sided test on paired differences; zeros dropped."""
+    """Two-sided test on paired differences; zeros dropped.
+
+    ``exact_max`` above EXACT_TEST_LIMIT is rejected: the exact counts
+    would overflow int64 and give silently wrong p-values.
+    """
+    if exact_max > EXACT_TEST_LIMIT:
+        raise ValueError(f"exact_max={exact_max} exceeds {EXACT_TEST_LIMIT}, "
+                         "the largest n the exact test counts without overflow")
     diffs = np.asarray(differences, dtype=np.float64)
     nonzero = diffs[diffs != 0.0]
     n = len(nonzero)
@@ -185,10 +182,8 @@ class ComparisonReport:
         return cls(**doc)
 
 
-def paired_compare(a: ScoreTable, b: ScoreTable, join_key: str = "id") -> ComparisonReport:
+def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
     """Compare two score tables over their shared snippet ids."""
-    if join_key != "id":
-        raise ValueError(f"unsupported join key {join_key!r}; score tables join on id")
     if len(set(a.ids)) != len(a.ids):
         raise ValueError("duplicate ids in table a")
     index_b = {sid: i for i, sid in enumerate(b.ids)}

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
 Every command logs its fully resolved configuration so runs can be
 reproduced exactly; outputs are byte-identical for identical
-(inputs, seed) regardless of ``--jobs``.
+(inputs, seed).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def cmd_featurize(args) -> int:
     if not snippets:
         log.warning("no snippets found in %s; writing header-only matrix", args.in_path)
     d = load_dictionary(cfg.dictionary_path)
-    matrix = featurize_corpus(snippets, d, cfg, jobs=args.jobs)
+    matrix = featurize_corpus(snippets, d, cfg)
     write_feature_matrix(args.out, [s.id for s in snippets], matrix)
     log.info("wrote %d rows to %s", len(snippets), args.out)
     return EXIT_DATA if errors else EXIT_OK
@@ -139,7 +139,7 @@ def cmd_score(args) -> int:
         return EXIT_DATA
     d = load_dictionary(cfg.dictionary_path)
     table = analytics.score_corpus(trained, snippets, d=d, config=cfg,
-                                   label=args.in_path, jobs=args.jobs)
+                                   label=args.in_path)
     analytics.write_score_table(table, args.out)
     log.info("scored %d snippets to %s", len(table), args.out)
     return EXIT_DATA if errors else EXIT_OK
@@ -149,7 +149,7 @@ def cmd_compare(args) -> int:
     _resolve_config(args)
     table_a = analytics.read_score_table(args.a)
     table_b = analytics.read_score_table(args.b)
-    report = analytics.paired_compare(table_a, table_b, join_key=args.join)
+    report = analytics.paired_compare(table_a, table_b)
     rendered = analytics.render_report(report, format=args.format)
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     feat.add_argument("--out", required=True, help="output matrix CSV")
     feat.add_argument("--keep-going", action="store_true",
                       help="skip unreadable files but still exit nonzero")
-    feat.add_argument("--jobs", type=int, default=1, help="parallel featurization degree")
     feat.set_defaults(func=cmd_featurize)
 
     def add_train_eval_flags(p):
@@ -211,13 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--out", required=True, help="output score-table CSV")
     score.add_argument("--keep-going", action="store_true",
                        help="skip unreadable files but still exit nonzero")
-    score.add_argument("--jobs", type=int, default=1, help="parallel scoring degree")
     score.set_defaults(func=cmd_score)
 
     compare = sub.add_parser("compare", help="paired comparison of two score tables")
     compare.add_argument("--a", required=True, help="score table CSV (side A)")
     compare.add_argument("--b", required=True, help="score table CSV (side B)")
-    compare.add_argument("--join", default="id", help="join key (id)")
     compare.add_argument("--format", default="table", choices=["table", "json", "csv"])
     compare.add_argument("--out", help="write the report here instead of stdout")
     compare.set_defaults(func=cmd_compare)

@@ -13,9 +13,9 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-log = logging.getLogger(__name__)
+from .profiles import get_profile
 
-SUPPORTED_LANGUAGES = ("python", "java", "cuda", "generic")
+log = logging.getLogger(__name__)
 
 
 class SnippetDecodeError(ValueError):
@@ -49,7 +49,6 @@ class LabeledDataset:
     """Snippets paired with binary readability labels (1 readable, 0 not)."""
 
     entries: tuple[tuple[str, Snippet, int], ...]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -68,10 +67,10 @@ def load_snippet(source_text: str, language: str, id: str) -> Snippet:
 
     Newlines terminate lines ("x=1\\n\\n\\n" is three lines). No further
     preprocessing happens here; trailing blank lines survive until
-    :func:`preprocess`.
+    :func:`preprocess`. The language needs a profile, built in or
+    registered from an INI file.
     """
-    if language not in SUPPORTED_LANGUAGES:
-        raise ValueError(f"unsupported language {language!r}; expected one of {SUPPORTED_LANGUAGES}")
+    get_profile(language)  # raises ValueError for an unsupported language
     text = source_text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -149,7 +148,7 @@ def load_labeled_dataset(manifest_path: str | Path) -> LabeledDataset:
 
     if not entries:
         log.warning("manifest %s contains no rows", manifest_path)
-    return LabeledDataset(entries=tuple(entries), provenance=str(manifest_path))
+    return LabeledDataset(entries=tuple(entries))
 
 
 def save_labeled_dataset(dataset: LabeledDataset, directory: str | Path) -> Path:

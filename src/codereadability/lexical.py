@@ -90,14 +90,9 @@ class LineStats:
 class LexicalProfile:
     """All lexical evidence extracted from one snippet."""
 
-    snippet_ref: str
-    language: str
     lines: tuple[str, ...] = ()
     m: int = 0
     m_ne: int = 0
-    m_code: int = 0
-    m_val: int = 0
-    tokens: list[str] = field(default_factory=list)
     line_tokens: list[list[str]] = field(default_factory=list)
     identifiers: list[str] = field(default_factory=list)
     identifiers_user: list[str] = field(default_factory=list)
@@ -113,7 +108,6 @@ class LexicalProfile:
     comment_chars: int = 0
     total_chars: int = 0
     char_counts: Counter = field(default_factory=Counter)
-    line_char_vocabs: list[frozenset[str]] = field(default_factory=list)
     assign_columns: list[int] = field(default_factory=list)
     bracket_columns: list[int] = field(default_factory=list)
 
@@ -406,14 +400,13 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
     cmp_set = set(p.comparison_ops)
     open_brackets = {"(", "[", "{"}
 
-    prof = LexicalProfile(snippet_ref=s.id, language=p.name, lines=s.lines)
+    prof = LexicalProfile(lines=s.lines)
     prof.m = len(s.lines)
     state = _ScanState()
 
     for lineno, line in enumerate(s.lines):
         prof.total_chars += len(line)
         prof.char_counts.update(line)
-        prof.line_char_vocabs.append(frozenset(line))
 
         segments = _scan_line(line, p, state)
         is_blank = line.strip() == ""
@@ -456,9 +449,7 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
 
         prof.identifiers.extend(idents)
         prof.identifiers_user.extend(t for t in idents if t not in p.builtin_names)
-        texts = [t.text for t in line_toks]
-        prof.tokens.extend(texts)
-        prof.line_tokens.append(texts)
+        prof.line_tokens.append([t.text for t in line_toks])
         prof.line_identifier_terms.append(normalize_terms(idents))
 
         word_toks = {t.text for t in code_toks if t.kind in (TokenKind.IDENT, TokenKind.KEYWORD)}
@@ -486,10 +477,6 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
 
         if not is_blank:
             prof.m_ne += 1
-            if not stats.is_comment_only:
-                prof.m_code += 1
-                if line_toks:
-                    prof.m_val += 1
 
     comment_words = _WORD_SPLIT_RE.findall(" ".join(c.text for c in prof.comments))
     prof.terms_comment = frozenset(normalize_terms(comment_words))

@@ -14,8 +14,6 @@ import keyword
 from dataclasses import dataclass
 from pathlib import Path
 
-IDENTIFIER_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
-
 
 @dataclass(frozen=True)
 class LanguageProfile:
@@ -24,8 +22,6 @@ class LanguageProfile:
     line_comment_markers: tuple[str, ...]
     block_comment_delims: tuple[tuple[str, str], ...]
     string_delims: tuple[str, ...]
-    # identifier lexeme: letter/underscore then letters/digits/underscores
-    identifier_pattern: str = IDENTIFIER_PATTERN
     builtin_names: frozenset[str] = frozenset()
     branch_keywords: frozenset[str] = frozenset()
     loop_keywords: frozenset[str] = frozenset()
@@ -140,7 +136,7 @@ def get_profile(language: str) -> LanguageProfile:
     try:
         return _BUILTIN_PROFILES[language]
     except KeyError:
-        raise ValueError(f"no profile for language {language!r}") from None
+        raise ValueError(f"unsupported language {language!r}") from None
 
 
 def register_profiles(profiles: dict[str, LanguageProfile]) -> None:

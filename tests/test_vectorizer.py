@@ -77,12 +77,6 @@ class TestFeaturize:
 
 
 class TestCorpusMatrix:
-    def test_jobs_do_not_change_output(self, bundled_dict):
-        snippets = [snip(f"value_{i} = {i}  # item", id=f"s{i}") for i in range(8)]
-        serial = featurize_corpus(snippets, d=bundled_dict, jobs=1)
-        parallel = featurize_corpus(snippets, d=bundled_dict, jobs=4)
-        assert np.array_equal(serial, parallel)
-
     def test_empty_corpus(self, bundled_dict):
         assert featurize_corpus([], d=bundled_dict).shape == (0, 61)
 
