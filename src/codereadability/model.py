@@ -3,12 +3,20 @@ feature selection, stratified cross-validation, and model persistence.
 
 The training objective is mean logistic loss plus ``lambda_l2/2 * ||w||^2``
 (intercept unpenalized), minimized by damped Newton iteration to a
-1e-8 gradient-norm tolerance. Everything is deterministic under a seed.
+1e-8 gradient-norm tolerance. One kernel, ``_newton``, fits a stack of
+independent problems in lockstep: batched matmuls build every gradient and
+Hessian, one batched solve gives every Newton step, and per-problem masks
+retire converged problems and halve only the steps whose own objective
+rose. Forward selection hands it every remaining candidate of an inner
+fold at once; ``train_logreg`` is the batch of one. Each problem takes the
+same iterates, bit for bit, as it would alone, so no result depends on
+the batch. Everything is deterministic under a seed.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +25,8 @@ from scipy.special import expit
 from scipy.stats import rankdata
 
 from .vectorizer import N_FEATURES, SCHEMA_VERSION, FeatureVector, family_indices
+
+log = logging.getLogger(__name__)
 
 
 class ModelError(ValueError):
@@ -50,24 +60,105 @@ def transform(scaler: ScalerParams, X: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# L2 logistic regression (damped Newton)
+# L2 logistic regression (damped Newton, many problems in lockstep)
 # --------------------------------------------------------------------------
+
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 10000
+
+
+def _objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+               lambda_l2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Objective (c,) and gradient (c, d+1) of c problems sharing labels ``y``;
+    ``params`` is (c, d+1) with the intercept last, ``X`` is (c, n, d)."""
+    w, b = params[:, :-1], params[:, -1:]
+    z = (X @ w[:, :, None])[:, :, 0] + b
+    # mean log-loss via logaddexp for numerical stability
+    loss = (np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
+            + 0.5 * lambda_l2 * (w[:, None, :] @ w[:, :, None])[:, 0, 0])
+    resid = (expit(z) - y) / y.shape[0]
+    grad = np.concatenate([(X.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0] + lambda_l2 * w,
+                           resid.sum(axis=1, keepdims=True)], axis=1)
+    return loss, grad
+
 
 def logloss_and_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                      lambda_l2: float) -> tuple[float, np.ndarray]:
     """Objective and gradient; ``params`` is weights with the intercept last."""
-    w, b = params[:-1], params[-1]
-    z = X @ w + b
-    # mean log-loss via logaddexp for numerical stability
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lambda_l2 * float(w @ w)
-    p = expit(z)
-    resid = (p - y) / len(y)
-    grad = np.concatenate([X.T @ resid + lambda_l2 * w, [resid.sum()]])
-    return loss, grad
+    loss, grad = _objective(np.asarray(params, dtype=np.float64)[None],
+                            np.asarray(X, dtype=np.float64)[None],
+                            np.asarray(y, dtype=np.float64), lambda_l2)
+    return float(loss[0]), grad[0]
 
 
-def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0,
-                 tol: float = 1e-8, max_iter: int = 10000) -> tuple[np.ndarray, float]:
+def _solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton steps of a stack of systems; a singular one falls back to
+    least squares on its own."""
+    try:
+        return np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(grad)
+        for i, (h, g) in enumerate(zip(hessian, grad)):
+            try:
+                step[i] = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                step[i] = np.linalg.lstsq(h, g, rcond=None)[0]
+        return step
+
+
+def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float, tol: float,
+            max_iter: int) -> tuple[np.ndarray, int]:
+    """Fit c independent problems on a (c, n, d) stack of features sharing
+    labels ``y``. Returns the (c, d+1) parameters, intercept last, and the
+    number of problems whose gradient is still above ``tol`` after
+    ``max_iter`` steps.
+
+    Each problem follows exactly the iterates it would follow alone: a
+    converged problem leaves the stack, and each line search halves only
+    the steps that have not yet stopped increasing their own objective.
+    """
+    # C order: X.T @ resid on a strided view would round differently
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    c, n, d = X.shape
+    Xa = np.concatenate([X, np.ones((c, n, 1))], axis=2)
+    reg = np.diag(np.append(np.full(d, lambda_l2), 0.0))
+    fitted = np.zeros((c, d + 1))
+    live = np.arange(c)
+    params = np.zeros((c, d + 1))
+    loss, grad = _objective(params, X, y, lambda_l2)
+    for _ in range(max_iter):
+        moving = ~(np.max(np.abs(grad), axis=1) <= tol)
+        if not moving.all():
+            fitted[live[~moving]] = params[~moving]
+            live, Xa, X, params, loss, grad = (
+                a[moving] for a in (live, Xa, X, params, loss, grad))
+            if live.size == 0:
+                break
+        p = expit((Xa @ params[:, :, None])[:, :, 0])
+        weights = np.maximum(p * (1.0 - p), 1e-12)
+        # F-ordered slices, so each slice's gemm rounds as 2-D (Xa.T * weights) @ Xa does
+        hessian = (Xa * weights[:, :, None]).transpose(0, 2, 1) @ Xa / n + reg
+        step = _solve(hessian, grad)
+        # damped update: halve each step until its objective stops increasing
+        trial = params - step
+        new_loss, new_grad = _objective(trial, X, y, lambda_l2)
+        scale = np.ones(len(live))
+        searching = np.flatnonzero(~(new_loss <= loss + 1e-15))
+        for _ in range(59):
+            if searching.size == 0:
+                break
+            scale[searching] *= 0.5
+            candidate = params[searching] - scale[searching, None] * step[searching]
+            c_loss, c_grad = _objective(candidate, X[searching], y, lambda_l2)
+            trial[searching], new_loss[searching], new_grad[searching] = candidate, c_loss, c_grad
+            searching = searching[~(c_loss <= loss[searching] + 1e-15)]
+        params, loss, grad = trial, new_loss, new_grad
+    fitted[live] = params
+    return fitted, int(np.count_nonzero(~(np.max(np.abs(grad), axis=1) <= tol)))
+
+
+def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0, tol: float = NEWTON_TOL,
+                 max_iter: int = NEWTON_MAX_ITER) -> tuple[np.ndarray, float]:
     """Fit (w, b) on already-scaled features. Requires both classes."""
     Xn = np.asarray(Xn, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -75,49 +166,31 @@ def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0,
     if len(classes) < 2:
         raise ValueError("training labels contain a single class")
 
-    n, d = Xn.shape
-    params = np.zeros(d + 1)
-    Xa = np.hstack([Xn, np.ones((n, 1))])
-    reg_diag = np.append(np.full(d, lambda_l2), 0.0)
-
-    loss, grad = logloss_and_grad(params, Xn, y, lambda_l2)
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) <= tol:
-            break
-        p = expit(Xa @ params)
-        weights = np.maximum(p * (1.0 - p), 1e-12)
-        hessian = (Xa.T * weights) @ Xa / n + np.diag(reg_diag)
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
-        # damped update: halve until the objective stops increasing
-        scale = 1.0
-        for _ in range(60):
-            candidate = params - scale * step
-            new_loss, new_grad = logloss_and_grad(candidate, Xn, y, lambda_l2)
-            if new_loss <= loss + 1e-15:
-                break
-            scale *= 0.5
-        params, loss, grad = candidate, new_loss, new_grad
-    return params[:-1], float(params[-1])
+    params, unconverged = _newton(Xn[None], y, lambda_l2, tol, max_iter)
+    if unconverged:
+        log.warning("train_logreg: the fit stopped at max_iter=%d above tol=%g",
+                    max_iter, tol)
+    return params[0, :-1], float(params[0, -1])
 
 
 # --------------------------------------------------------------------------
 # Metrics
 # --------------------------------------------------------------------------
 
-def auc(scores, labels) -> float:
-    """Rank-based AUC: P(score_pos > score_neg) + 0.5 P(equal)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = labels == 1
+def _auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """AUC of each row of ``scores`` against one label vector."""
+    pos = np.asarray(labels) == 1
     n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
+    n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes")
-    ranks = rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    ranks = rankdata(scores, axis=1)
+    return (ranks[:, pos].sum(axis=1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def auc(scores, labels) -> float:
+    """Rank-based AUC: P(score_pos > score_neg) + 0.5 P(equal)."""
+    return float(_auc_rows(np.asarray(scores, dtype=np.float64)[None], labels)[0])
 
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:
@@ -140,23 +213,21 @@ def stratified_folds(labels, k: int, seed: int) -> np.ndarray:
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
-            raise ValueError(f"class {cls!r} has {len(idx)} members, fewer than k={k}")
+            raise ValueError(f"class {cls:g} has {len(idx)} members, fewer than k={k}")
         rng.shuffle(idx)
         for fold in range(k):
             assignment[idx[fold::k]] = fold
     return assignment
 
 
-def _cv_auc(Xn: np.ndarray, y: np.ndarray, cols: list[int], folds: np.ndarray,
-            k: int, lambda_l2: float) -> float:
-    """Mean held-out AUC of logistic regression on a column subset."""
-    total = 0.0
-    sub = Xn[:, cols]
-    for fold in range(k):
-        test = folds == fold
-        w, b = train_logreg(sub[~test], y[~test], lambda_l2)
-        total += auc(sub[test] @ w + b, y[test])
-    return total / k
+def _candidate_stack(Xn: np.ndarray, selected: list[int], remaining: list[int]) -> np.ndarray:
+    """(c, n, s+1) stack, one slice per remaining candidate: the selected
+    columns, then the candidate."""
+    s = len(selected)
+    stack = np.empty((len(remaining), len(Xn), s + 1))
+    stack[:, :, :s] = Xn[:, selected]
+    stack[:, :, s] = Xn[:, remaining].T
+    return stack
 
 
 def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
@@ -166,7 +237,8 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
 
     At every step the feature maximizing inner-CV AUC joins the set (ties
     go to the lower column index). Returns the selection order and the
-    criterion value at each prefix size.
+    criterion value at each prefix size. Per inner fold, every remaining
+    candidate is fitted at once by the lockstep Newton kernel.
     """
     Xn = np.asarray(Xn, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -177,21 +249,29 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
     smallest = min(int((y == cls).sum()) for cls in np.unique(y))
     inner_cv = max(2, min(inner_cv, smallest))
     folds = stratified_folds(y, inner_cv, seed)
+    splits = [(folds != fold, folds == fold) for fold in range(inner_cv)]
 
     selected: list[int] = []
     score_path: list[float] = []
-    remaining = list(pool)
+    remaining = list(pool)  # ascending, so the first argmax is the lowest index
+    fits = unconverged = 0
     while len(selected) < k_max:
-        best_feature = None
-        best_score = -np.inf
-        for feature in remaining:  # ascending order makes ties deterministic
-            score = _cv_auc(Xn, y, selected + [feature], folds, inner_cv, lambda_l2)
-            if score > best_score:
-                best_score = score
-                best_feature = feature
-        selected.append(best_feature)
-        remaining.remove(best_feature)
-        score_path.append(best_score)
+        total = np.zeros(len(remaining))
+        for train, test in splits:  # summed in fold order
+            params, missed = _newton(_candidate_stack(Xn[train], selected, remaining),
+                                     y[train], lambda_l2, NEWTON_TOL, NEWTON_MAX_ITER)
+            fits += len(remaining)
+            unconverged += missed
+            held_out = _candidate_stack(Xn[test], selected, remaining)
+            total += _auc_rows((held_out @ params[:, :-1, None])[:, :, 0] + params[:, -1:],
+                               y[test])
+        scores = total / inner_cv
+        best = int(np.argmax(scores))
+        selected.append(remaining.pop(best))
+        score_path.append(float(scores[best]))
+    if unconverged:
+        log.warning("sfs_path: %d of %d fits stopped at max_iter=%d above tol=%g",
+                    unconverged, fits, NEWTON_MAX_ITER, NEWTON_TOL)
     return selected, score_path
 
 

@@ -145,6 +145,17 @@ class TestTrainEvaluateCommands:
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
 
+    def test_too_small_class_names_label_plainly(self, tmp_path, caplog):
+        manifest = write_labeled_dataset(tmp_path / "data", n_each=9)
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        # keep one readable snippet (label 1) and all nine cryptic ones
+        kept = [r for r in rows if not r.startswith("good") or r.startswith("good0,")]
+        manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--data", str(manifest), "--folds", "2",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "class 1 has 1 members, fewer than k=2" in caplog.text
+
 
 class TestScoreCompareCommands:
     @pytest.fixture()
