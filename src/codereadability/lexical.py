@@ -5,8 +5,31 @@ consume: token multisets, identifier terms, comment segments, per-line
 category counts, Halstead operator/operand tallies, character vocabularies,
 and the column positions of assignment operators and opening brackets.
 
-Scanning is regex/state-machine based, never a full parse, so incomplete
-or syntactically broken snippets still produce a best-effort profile.
+Scanning is regex based, never a full parse, so incomplete or
+syntactically broken snippets still produce a best-effort profile.
+
+Each language profile gets one scanner, compiled the first time the
+profile is used and cached by profile value (so an INI profile named
+``generic`` does not share the built-in one). It holds two alternations:
+
+* Markers: the line-comment markers, block-comment openers, docstring
+  delimiters and string delimiters, in that group order and in profile
+  order within a group. ``search`` finds the next marker on a line; the
+  text before it is code. A block comment ends at the next occurrence of
+  its closer (``str.find``). A string or docstring ends at the next
+  delimiter that is not backslash-escaped, matched by one compiled
+  pattern per delimiter that steps over backslash pairs. A string
+  prefix (``r``, ``b``, ``f``, ``u``) just before the opener belongs to
+  the literal.
+* Code tokens: ``IDENT_RE``, ``NUMBER_RE``, the profile's operator
+  symbols longest first, then any other character as an unknown
+  operator, each after a run of blanks. ``finditer`` over the code
+  between markers yields the tokens.
+
+Only a block comment or triple-quoted string left open at the end of a
+line crosses lines. ``_ScanState.mode`` then holds its closing
+delimiter, whether backslashes escape it and whether it counts as a
+comment, and the next line starts by looking for that closer.
 """
 
 from __future__ import annotations
@@ -14,7 +37,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import lru_cache
+from itertools import chain
 
 from .corpus import Snippet
 from .profiles import LanguageProfile, get_profile
@@ -30,21 +54,6 @@ _WORD_SPLIT_RE = re.compile(r"[A-Za-z]+|\d+")
 _CAMEL_RE = re.compile(
     r"[A-Z]+(?![a-z])|[A-Z][a-z]+|[a-z]+|\d+"
 )
-
-
-class TokenKind(Enum):
-    IDENT = "ident"
-    KEYWORD = "keyword"
-    NUMBER = "number"
-    OP = "op"
-    STRING = "string"
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    text: str
-    col: int  # 0-based column in the raw line
 
 
 @dataclass(frozen=True)
@@ -147,340 +156,294 @@ def split_identifier(ident: str) -> list[str]:
     return terms
 
 
+@lru_cache(maxsize=1 << 13)
+def _word_terms(token: str) -> tuple[str, ...]:
+    """The non-digit terms of one identifier or word; bounded memo, since
+    the same identifiers recur on most lines of a snippet."""
+    return tuple(t for t in split_identifier(token) if not t.isdigit())
+
+
 def normalize_terms(tokens) -> list[str]:
     """Shared term pipeline for comment text, identifiers, and line groups:
     split, lowercase, drop pure-number terms."""
     out: list[str] = []
     for tok in tokens:
-        out.extend(t for t in split_identifier(tok) if not t.isdigit())
+        out.extend(_word_terms(tok))
     return out
 
 
 # --------------------------------------------------------------------------
-# Line segmentation
+# The compiled scanner of one profile
 # --------------------------------------------------------------------------
 
-_CODE, _COMMENT, _STRING = "code", "comment", "string"
+# marker groups, in alternation order
+_LINE_COMMENT, _BLOCK_COMMENT, _DOCSTRING, _QUOTE = range(4)
+# segment kinds: (_CODE, start, end), (_COMMENT, col, raw, text),
+# (_STRING, col, raw, opens); opens is False on continuation fragments
+_CODE, _COMMENT, _STRING = range(3)
+# code-token kinds
+_IDENT, _KEYWORD, _NUMBER, _OP = range(4)
 
-
-@dataclass
-class _Segment:
-    kind: str
-    col: int
-    raw: str
-    text: str = ""       # comments: marker-stripped text
-    opens: bool = True   # strings: False on continuation fragments
+_OPEN_BRACKETS = frozenset("([{")
 
 
 @dataclass
 class _ScanState:
-    # ("comment", close) or ("string", close, as_comment) while a block
-    # construct spans lines; None otherwise
-    mode: tuple | None = None
+    # (close, escaped, as_comment) while a block comment or triple-quoted
+    # string spans lines; None otherwise
+    mode: tuple[str, bool, bool] | None = None
 
 
-def _find_close(line: str, start: int, close: str, escaped: bool) -> int:
-    """Index just past the closing delimiter, or -1. Honors backslash escapes."""
-    i = start
-    while i <= len(line) - len(close):
-        if escaped and line[i] == "\\":
-            i += 2
-            continue
-        if line.startswith(close, i):
-            return i + len(close)
-        i += 1
-    return -1
+def _escaped_close_re(delim: str) -> re.Pattern:
+    """Matches from a literal's body to just past its first delimiter that is
+    not escaped: a backslash always takes the next character with it."""
+    if delim.startswith("\\"):
+        return re.compile(r"(?!)")  # every backslash is an escape: never closes
+    return re.compile(r"(?:[^\\]|\\.)*?" + re.escape(delim), re.DOTALL)
 
 
-def _scan_line(line: str, profile: LanguageProfile, state: _ScanState) -> list[_Segment]:
-    segments: list[_Segment] = []
-    i = 0
-    n = len(line)
+def _literal(as_comment: bool, col: int, raw: str, text: str, opens: bool) -> tuple:
+    return (_COMMENT, col, raw, text) if as_comment else (_STRING, col, raw, opens)
 
-    if state.mode is not None:
-        kind = state.mode[0]
-        if kind == "comment":
-            close = state.mode[1]
-            end = _find_close(line, 0, close, escaped=False)
+
+class _Scanner:
+    """The compiled marker and code-token alternations of one profile."""
+
+    def __init__(self, p: LanguageProfile):
+        self.markers = (
+            [(_LINE_COMMENT, m, "") for m in p.line_comment_markers]
+            + [(_BLOCK_COMMENT, o, c) for o, c in p.block_comment_delims]
+            + [(_DOCSTRING, d, d) for d in p.docstring_delims]
+            + [(_QUOTE, d, d) for d in p.string_delims]
+        )
+        # one group per marker: lastindex names the marker that matched
+        alternation = "|".join(f"({re.escape(m)})" for _, m, _ in self.markers)
+        self.marker_re = re.compile(alternation) if self.markers else None
+        self.escaped_close = {d: _escaped_close_re(d)
+                              for d in p.docstring_delims + p.string_delims}
+        symbols = "".join(re.escape(s) + "|" for s in p.all_operator_symbols())
+        self.code_re = re.compile(
+            rf"[ \t]*(?:({IDENT_RE.pattern})|({NUMBER_RE.pattern})|({symbols}[^ \t]))"
+        )
+        self.keywords = p.keyword_set
+        self.builtins = p.builtin_names
+        self.branch = p.branch_keywords
+        self.loop = p.loop_keywords
+        self.assign = frozenset(p.assignment_ops)
+        self.arith = frozenset(p.arithmetic_ops)
+        self.cmp = frozenset(p.comparison_ops)
+
+    def scan(self, line: str, state: _ScanState) -> list[tuple]:
+        """Split one line into code, comment and string segments, in order."""
+        segments: list[tuple] = []
+        i = 0
+        if state.mode is not None:
+            close, escaped, as_comment = state.mode
+            end = self._close(line, 0, close, escaped)
             if end == -1:
-                segments.append(_Segment(_COMMENT, 0, line, text=line))
+                segments.append(_literal(as_comment, 0, line, line, False))
                 return segments
-            segments.append(_Segment(_COMMENT, 0, line[:end], text=line[: end - len(close)]))
+            segments.append(_literal(as_comment, 0, line[:end], line[:end - len(close)], False))
             state.mode = None
             i = end
-        else:
-            close, as_comment = state.mode[1], state.mode[2]
-            end = _find_close(line, 0, close, escaped=True)
-            seg_kind = _COMMENT if as_comment else _STRING
+
+        had_code = False  # a docstring is a comment only with no code before it
+        while self.marker_re is not None:
+            m = self.marker_re.search(line, i)
+            if m is None:
+                break
+            j = m.start()
+            group, opener, close = self.markers[m.lastindex - 1]
+            body = j + len(opener)
+            if group == _LINE_COMMENT or group == _BLOCK_COMMENT:
+                if j > i:
+                    segments.append((_CODE, i, j))
+                    had_code = True
+                end = -1 if group == _LINE_COMMENT else self._close(line, body, close, False)
+                if end == -1:
+                    segments.append((_COMMENT, j, line[j:], line[body:]))
+                    if group == _BLOCK_COMMENT:
+                        state.mode = (close, False, True)
+                    return segments
+                segments.append((_COMMENT, j, line[j:end], line[body:end - len(close)]))
+                i = end
+                continue
+
+            # a trailing r/b/f/u prefix of the code belongs to the literal; the
+            # prefix and the character before it lie in the code's last three
+            start = j
+            prefix = STRING_PREFIX_RE.search(line[max(i, j - 3):j])
+            if prefix:
+                start -= len(prefix.group(1))
+            as_comment = group == _DOCSTRING and not had_code and not line[i:start].strip()
+            if start > i:
+                segments.append((_CODE, i, start))
+                had_code = True
+            end = self._close(line, body, close, True)
             if end == -1:
-                segments.append(_Segment(seg_kind, 0, line, text=line, opens=False))
+                segments.append(_literal(as_comment, start, line[start:], line[body:], True))
+                if group == _DOCSTRING:
+                    state.mode = (close, True, as_comment)
                 return segments
             segments.append(
-                _Segment(seg_kind, 0, line[:end], text=line[: end - len(close)], opens=False)
+                _literal(as_comment, start, line[start:end], line[body:end - len(close)], True)
             )
-            state.mode = None
             i = end
 
-    code_start = i
-    code_chars: list[str] = []
+        if i < len(line):
+            segments.append((_CODE, i, len(line)))
+        return segments
 
-    def flush_code() -> None:
-        nonlocal code_chars
-        if code_chars:
-            segments.append(_Segment(_CODE, code_start, "".join(code_chars)))
-            code_chars = []
+    def _close(self, line: str, start: int, close: str, escaped: bool) -> int:
+        """Index just past the closing delimiter, or -1."""
+        if escaped:
+            m = self.escaped_close[close].match(line, start)
+            return m.end() if m else -1
+        k = line.find(close, start)
+        return -1 if k == -1 else k + len(close)
 
-    def begin_string(delim: str, start: int) -> tuple[int, int]:
-        """Pull a trailing string prefix (r/b/f/u) out of the code buffer."""
-        raw_start = start
-        buffered = "".join(code_chars)
-        mt = STRING_PREFIX_RE.search(buffered)
-        if mt:
-            prefix = mt.group(1)
-            del code_chars[len(code_chars) - len(prefix):]
-            raw_start = start - len(prefix)
-        return raw_start, start + len(delim)
 
-    while i < n:
-        matched = False
-
-        for marker in profile.line_comment_markers:
-            if line.startswith(marker, i):
-                flush_code()
-                segments.append(
-                    _Segment(_COMMENT, i, line[i:], text=line[i + len(marker):])
-                )
-                return segments
-
-        if not matched:
-            for opener, close in profile.block_comment_delims:
-                if line.startswith(opener, i):
-                    flush_code()
-                    end = _find_close(line, i + len(opener), close, escaped=False)
-                    if end == -1:
-                        segments.append(
-                            _Segment(_COMMENT, i, line[i:], text=line[i + len(opener):])
-                        )
-                        state.mode = ("comment", close)
-                        return segments
-                    segments.append(
-                        _Segment(
-                            _COMMENT, i, line[i:end],
-                            text=line[i + len(opener): end - len(close)],
-                        )
-                    )
-                    i = end
-                    code_start = i
-                    matched = True
-                    break
-
-        if not matched:
-            for delim in profile.docstring_delims:
-                if line.startswith(delim, i):
-                    # statement position (nothing but whitespace, or a string
-                    # prefix like r/b/f, before it on the line) makes a
-                    # triple-quoted string a docstring, counted as a comment
-                    before = "".join(code_chars)
-                    mt = STRING_PREFIX_RE.search(before)
-                    rest = before[: len(before) - len(mt.group(1))] if mt else before
-                    as_comment = not rest.strip() and not any(s.kind == _CODE for s in segments)
-                    raw_start, scan_from = begin_string(delim, i)
-                    flush_code()
-                    end = _find_close(line, scan_from, delim, escaped=True)
-                    seg_kind = _COMMENT if as_comment else _STRING
-                    if end == -1:
-                        segments.append(
-                            _Segment(seg_kind, raw_start, line[raw_start:], text=line[scan_from:])
-                        )
-                        state.mode = ("string", delim, as_comment)
-                        return segments
-                    segments.append(
-                        _Segment(
-                            seg_kind, raw_start, line[raw_start:end],
-                            text=line[scan_from: end - len(delim)],
-                        )
-                    )
-                    i = end
-                    code_start = i
-                    matched = True
-                    break
-
-        if not matched:
-            for delim in profile.string_delims:
-                if line.startswith(delim, i):
-                    raw_start, scan_from = begin_string(delim, i)
-                    flush_code()
-                    end = _find_close(line, scan_from, delim, escaped=True)
-                    if end == -1:
-                        # unterminated single-line literal: best effort to EOL
-                        segments.append(
-                            _Segment(_STRING, raw_start, line[raw_start:], text=line[scan_from:])
-                        )
-                        return segments
-                    segments.append(
-                        _Segment(
-                            _STRING, raw_start, line[raw_start:end],
-                            text=line[scan_from: end - len(delim)],
-                        )
-                    )
-                    i = end
-                    code_start = i
-                    matched = True
-                    break
-
-        if not matched:
-            if not code_chars:
-                code_start = i
-            code_chars.append(line[i])
-            i += 1
-
-    flush_code()
-    return segments
+@lru_cache(maxsize=32)
+def _scanner(p: LanguageProfile) -> _Scanner:
+    """The scanner of a profile, keyed by its value, built on first use."""
+    return _Scanner(p)
 
 
 # --------------------------------------------------------------------------
 # Tokenization
 # --------------------------------------------------------------------------
 
-def _tokenize_code(text: str, base_col: int, profile: LanguageProfile,
-                   symbols: tuple[str, ...]) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            mt = IDENT_RE.match(text, i)
-            if mt:  # identifiers are ASCII; other alphabetics fall through
-                lexeme = mt.group(0)
-                kind = TokenKind.KEYWORD if lexeme in profile.keyword_set else TokenKind.IDENT
-                tokens.append(Token(kind, lexeme, base_col + i))
-                i = mt.end()
-                continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            mt = NUMBER_RE.match(text, i)
-            if mt:
-                tokens.append(Token(TokenKind.NUMBER, mt.group(0), base_col + i))
-                i = mt.end()
-                continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                tokens.append(Token(TokenKind.OP, sym, base_col + i))
-                i += len(sym)
-                break
-        else:
-            # unknown printable symbol: still an operator occurrence
-            tokens.append(Token(TokenKind.OP, ch, base_col + i))
-            i += 1
-    return tokens
-
-
 def _indent_width(line: str, tab_width: int) -> int:
-    width = 0
-    for ch in line:
-        if ch == " ":
-            width += 1
-        elif ch == "\t":
-            width += tab_width
+    lead = line[: len(line) - len(line.lstrip(" \t"))]
+    return len(lead) + lead.count("\t") * (tab_width - 1)
+
+
+def _line_stats(line: str, tab_width: int, sc: _Scanner, code: list[tuple[int, str]],
+                idents: int, has_comment: bool, has_string: bool) -> LineStats:
+    """Per-line counts from one Counter over the line's (kind, text) code tokens."""
+    keywords = numbers = parens = brackets = periods = commas = 0
+    assignments = branches = loops = arith_ops = cmp_ops = 0
+    for (kind, text), n in Counter(code).items():
+        if kind == _OP:
+            if text == "(" or text == ")":
+                parens += n
+            elif text in ("[", "]", "{", "}"):
+                brackets += n
+            elif text == ".":
+                periods += n
+            elif text == ",":
+                commas += n
+            if text in sc.assign:
+                assignments += n
+            if text in sc.arith:
+                arith_ops += n
+            if text in sc.cmp:
+                cmp_ops += n
+        elif kind == _NUMBER:
+            numbers += n
         else:
-            break
-    return width
+            if kind == _KEYWORD:
+                keywords += n
+            if text in sc.branch:
+                branches += n
+            if text in sc.loop:
+                loops += n
+    is_blank = not line.strip()
+    return LineStats(
+        length=len(line),
+        indent=_indent_width(line, tab_width),
+        spaces=line.count(" "),
+        identifiers=idents,
+        keywords=keywords,
+        numbers=numbers,
+        parens=parens,
+        brackets=brackets,
+        periods=periods,
+        commas=commas,
+        assignments=assignments,
+        branches=branches,
+        loops=loops,
+        arith_ops=arith_ops,
+        cmp_ops=cmp_ops,
+        is_blank=is_blank,
+        has_comment=has_comment,
+        is_comment_only=(not is_blank) and has_comment and not code and not has_string,
+    )
 
 
 def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -> LexicalProfile:
     """Extract the full lexical profile of a preprocessed snippet."""
     if p is None:
         p = get_profile(s.language)
-    symbols = p.all_operator_symbols()
-    assign_set = set(p.assignment_ops)
-    arith_set = set(p.arithmetic_ops)
-    cmp_set = set(p.comparison_ops)
-    open_brackets = {"(", "[", "{"}
+    sc = _scanner(p)
+    code_tokens = sc.code_re.finditer
 
     prof = LexicalProfile(lines=s.lines)
     prof.m = len(s.lines)
+    text = "".join(s.lines)
+    prof.total_chars = len(text)
+    prof.char_counts.update(text)
+    operators, operands = prof.operators, prof.operands
     state = _ScanState()
 
     for lineno, line in enumerate(s.lines):
-        prof.total_chars += len(line)
-        prof.char_counts.update(line)
-
-        segments = _scan_line(line, p, state)
-        is_blank = line.strip() == ""
-
-        line_toks: list[Token] = []
-        has_comment = False
-        has_string = False
-        for seg in segments:
-            if seg.kind == _COMMENT:
+        tokens: list[str] = []               # every token of the line, literals too
+        code: list[tuple[int, str]] = []     # (kind, text) of its code tokens
+        idents: list[str] = []
+        code_operands: list[str] = []        # follow the line's string operands
+        has_comment = has_string = False
+        for seg in sc.scan(line, state):
+            kind = seg[0]
+            if kind == _CODE:
+                for m in code_tokens(line, seg[1], seg[2]):
+                    group = m.lastindex
+                    tok = m.group(group)
+                    tokens.append(tok)
+                    if group == 1:
+                        if tok in sc.keywords:
+                            code.append((_KEYWORD, tok))
+                            operators.append(tok)
+                            prof.keyword_chars += len(tok)
+                        else:
+                            code.append((_IDENT, tok))
+                            idents.append(tok)
+                            code_operands.append(tok)
+                    elif group == 2:
+                        code.append((_NUMBER, tok))
+                        code_operands.append(tok)
+                    else:
+                        code.append((_OP, tok))
+                        operators.append(tok)
+                        if tok in sc.assign:
+                            prof.assign_columns.append(m.start(3))
+                        if tok in _OPEN_BRACKETS:
+                            prof.bracket_columns.append(m.start(3))
+            elif kind == _COMMENT:
+                _, col, raw, body = seg
                 has_comment = True
-                prof.comment_chars += len(seg.raw)
-                prof.comments.append(
-                    CommentSegment(line=lineno, col=seg.col, raw=seg.raw, text=seg.text)
-                )
-            elif seg.kind == _STRING:
+                prof.comment_chars += len(raw)
+                prof.comments.append(CommentSegment(line=lineno, col=col, raw=raw, text=body))
+            else:
+                _, col, raw, opens = seg
                 has_string = True
-                prof.string_chars += len(seg.raw)
-                line_toks.append(Token(TokenKind.STRING, seg.raw, seg.col))
-                if seg.opens:
-                    prof.operands.append(seg.raw)
-            else:
-                line_toks.extend(_tokenize_code(seg.raw, seg.col, p, symbols))
-        line_toks.sort(key=lambda t: t.col)
-
-        code_toks = [t for t in line_toks if t.kind is not TokenKind.STRING]
-        idents = [t.text for t in line_toks if t.kind is TokenKind.IDENT]
-
-        for tok in code_toks:
-            if tok.kind is TokenKind.KEYWORD:
-                prof.operators.append(tok.text)
-                prof.keyword_chars += len(tok.text)
-            elif tok.kind is TokenKind.OP:
-                prof.operators.append(tok.text)
-                if tok.text in assign_set:
-                    prof.assign_columns.append(tok.col)
-                if tok.text in open_brackets:
-                    prof.bracket_columns.append(tok.col)
-            else:
-                prof.operands.append(tok.text)
+                prof.string_chars += len(raw)
+                tokens.append(raw)
+                if opens:
+                    operands.append(raw)
+        operands.extend(code_operands)
 
         prof.identifiers.extend(idents)
-        prof.identifiers_user.extend(t for t in idents if t not in p.builtin_names)
-        prof.line_tokens.append([t.text for t in line_toks])
+        prof.identifiers_user.extend(t for t in idents if t not in sc.builtins)
+        prof.line_tokens.append(tokens)
         prof.line_identifier_terms.append(normalize_terms(idents))
-
-        word_toks = {t.text for t in code_toks if t.kind in (TokenKind.IDENT, TokenKind.KEYWORD)}
-        stats = LineStats(
-            length=len(line),
-            indent=_indent_width(line, tab_width),
-            spaces=line.count(" "),
-            identifiers=len(idents),
-            keywords=sum(1 for t in code_toks if t.kind is TokenKind.KEYWORD),
-            numbers=sum(1 for t in code_toks if t.kind is TokenKind.NUMBER),
-            parens=sum(1 for t in code_toks if t.text in ("(", ")")),
-            brackets=sum(1 for t in code_toks if t.text in ("[", "]", "{", "}")),
-            periods=sum(1 for t in code_toks if t.kind is TokenKind.OP and t.text == "."),
-            commas=sum(1 for t in code_toks if t.text == ","),
-            assignments=sum(1 for t in code_toks if t.kind is TokenKind.OP and t.text in assign_set),
-            branches=sum(1 for t in code_toks if t.text in p.branch_keywords and t.kind in (TokenKind.KEYWORD, TokenKind.IDENT)),
-            loops=sum(1 for t in code_toks if t.text in p.loop_keywords and t.kind in (TokenKind.KEYWORD, TokenKind.IDENT)),
-            arith_ops=sum(1 for t in code_toks if t.kind is TokenKind.OP and t.text in arith_set),
-            cmp_ops=sum(1 for t in code_toks if t.kind is TokenKind.OP and t.text in cmp_set),
-            is_blank=is_blank,
-            has_comment=has_comment,
-            is_comment_only=(not is_blank) and has_comment and not code_toks and not has_string,
-        )
+        stats = _line_stats(line, tab_width, sc, code, len(idents), has_comment, has_string)
         prof.per_line.append(stats)
-
-        if not is_blank:
+        if not stats.is_blank:
             prof.m_ne += 1
 
     comment_words = _WORD_SPLIT_RE.findall(" ".join(c.text for c in prof.comments))
     prof.terms_comment = frozenset(normalize_terms(comment_words))
-    prof.terms_identifier = frozenset(normalize_terms(prof.identifiers))
+    prof.terms_identifier = frozenset(chain.from_iterable(prof.line_identifier_terms))
     return prof
 
 
