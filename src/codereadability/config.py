@@ -6,8 +6,8 @@ INI layout mirrors the dotted key names used throughout the docs::
     path = /opt/wordnet/dict
 
     [tf.dbscan]
-    eps = 0.5
-    min_samples = 2
+    eps = 0.5          ; finite, >= 0
+    min_samples = 2    ; >= 1
 
     [bwf]
     tab_width = 4
@@ -20,6 +20,7 @@ INI layout mirrors the dotted key names used throughout the docs::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,6 +34,13 @@ class AnalysisConfig:
     lambda_l2: float = 1.0
     inner_cv: int = 5
     profiles_path: str | None = None
+
+    def __post_init__(self):
+        # NaN would compare false everywhere and silently zero every NOC
+        if not (math.isfinite(self.dbscan_eps) and self.dbscan_eps >= 0):
+            raise ValueError(f"[tf.dbscan] eps must be finite and >= 0, got {self.dbscan_eps}")
+        if self.dbscan_min_samples < 1:
+            raise ValueError(f"[tf.dbscan] min_samples must be >= 1, got {self.dbscan_min_samples}")
 
     def to_dict(self) -> dict:
         return asdict(self)

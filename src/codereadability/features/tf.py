@@ -4,14 +4,29 @@ prose readability, block coherence, and concept counting.
 All sixteen values land in [0, 1] except CR (a Flesch score) and the two
 NMI/NM groups (depth sums and sense means). Missing evidence defaults to
 zero so the feature block stays fixed-width.
+
+Block coherence (TC) and the concept count (NOC) look at every pair of
+blocks or lines, but neither holds an m×m matrix:
+
+* TC streams the block pairs in (i, j) order, one row at a time, through
+  one builtin ``sum`` and tracks min and max on the way.
+* NOC counts DBSCAN clusters of valid lines under the token-overlap
+  distance, i.e. the connected components among core lines. Lines with
+  the same token set are one point carrying their count. For
+  0 <= eps < 1 an exact Jaccard self-join with prefix and size filtering
+  (:func:`similar_pairs`) yields only the pairs within reach, and a
+  union-find joins them as they come; eps >= 1 (one neighbourhood) and
+  eps < 0 (none) have closed forms. Memory grows with the number of
+  distinct lines, not its square.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter, defaultdict
 from dataclasses import astuple, dataclass
-
-import numpy as np
+from itertools import chain
 
 from ..dictionary import DictionaryProvider, count_syllables
 from ..lexical import LexicalProfile, TextBlock
@@ -99,15 +114,31 @@ def comment_readability(profile: LexicalProfile) -> float:
 
 
 def text_coherence(blocks: list[TextBlock]) -> tuple[float, float, float]:
-    """Min/avg/max pairwise Jaccard between block token sets."""
-    if len(blocks) < 2:
+    """Min/avg/max pairwise Jaccard between block token sets.
+
+    The pairs stream in (i, j) order, one row of values at a time, through
+    one builtin ``sum``: the same sequence into the same ``sum`` keeps the
+    average's bits on every Python version.
+    """
+    n = len(blocks)
+    if n < 2:
         return 0.0, 0.0, 0.0
-    values = [
-        jaccard(blocks[i].tokens, blocks[j].tokens)
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-    ]
-    return min(values), sum(values) / len(values), max(values)
+    sets = [b.tokens for b in blocks]
+    sizes = [len(s) for s in sets]
+    lo, hi = 1.0, 0.0  # every value lies in [0, 1]
+
+    def rows():
+        nonlocal lo, hi
+        for i in range(n - 1):
+            a, la = sets[i], sizes[i]
+            row = [inter / (la + lb - inter) if la + lb else 0.0
+                   for b, lb in zip(sets[i + 1:], sizes[i + 1:])
+                   for inter in (len(a & b),)]
+            lo, hi = min(lo, min(row)), max(hi, max(row))
+            yield row
+
+    total = sum(chain.from_iterable(rows()))
+    return lo, total / (n * (n - 1) // 2), hi
 
 
 def token_overlap_distance(a: frozenset | set, b: frozenset | set) -> float:
@@ -116,58 +147,93 @@ def token_overlap_distance(a: frozenset | set, b: frozenset | set) -> float:
     return 1.0 - jaccard(a, b)
 
 
-def pairwise_overlap_distances(token_sets: list[frozenset]) -> np.ndarray:
-    """Full matrix of token-overlap distances, via a binary incidence
-    matrix so large snippets stay fast."""
-    vocab = {tok: j for j, tok in enumerate(sorted(set().union(*token_sets)))}
-    incidence = np.zeros((len(token_sets), len(vocab)), dtype=np.float64)
-    for i, toks in enumerate(token_sets):
-        for tok in toks:
-            incidence[i, vocab[tok]] = 1.0
-    intersection = incidence @ incidence.T
-    sizes = incidence.sum(axis=1)
-    union = sizes[:, None] + sizes[None, :] - intersection
-    with np.errstate(invalid="ignore"):
-        dist = 1.0 - intersection / union
-    return np.where(union > 0, dist, 0.0)  # two empty sets sit at distance 0
+def similar_pairs(token_sets: list[frozenset], eps: float):
+    """Yield every pair ``(i, j)``, ``i < j``, of non-empty sets with
+    ``token_overlap_distance <= eps``, for ``0 <= eps < 1``.
+
+    An exact Jaccard self-join at t = 1 - eps with prefix and size
+    filtering (Bayardo, Ma and Srikant, WWW 2007): tokens are ordered
+    rarest first and sets are visited in ascending size. A probe x and an
+    earlier set y within reach have |y| >= t|x| and share at least t|x|
+    and at least 2t/(1+t)|y| tokens, so their rarest common token lies
+    both in the probe's first |x| - ceil(t|x|) + 1 tokens and in y's first
+    |y| - ceil(2t/(1+t)|y|) + 1, the prefix that is indexed (Xiao et al.,
+    WWW 2008). Each candidate is checked with the exact distance.
+    """
+    t = 1.0 - eps - 1e-9  # below the threshold, so rounding only adds candidates
+    t_index = 2.0 * t / (1.0 + t)
+    freq = Counter(chain.from_iterable(token_sets))
+    rank = {tok: r for r, tok in enumerate(sorted(freq, key=freq.__getitem__))}.__getitem__
+    sizes = [len(s) for s in token_sets]
+    index = defaultdict(list)
+    for i in sorted(range(len(token_sets)), key=sizes.__getitem__):
+        a, la = token_sets[i], sizes[i]
+        min_size = t * la
+        ordered = sorted(a, key=rank)
+        candidates = set()
+        for tok in ordered[:la - math.ceil(min_size) + 1]:
+            candidates.update(index[tok])
+        for tok in ordered[:la - math.ceil(t_index * la) + 1]:
+            index[tok].append(i)
+        for j in candidates:
+            lb = sizes[j]
+            if lb < min_size:
+                continue
+            inter = len(a & token_sets[j])
+            if 1.0 - inter / (la + lb - inter) <= eps:
+                yield (j, i) if j < i else (i, j)
 
 
-def _dbscan_cluster_count(adjacency: np.ndarray, min_samples: int) -> int:
-    """Number of non-noise density clusters given the eps-neighborhood
-    adjacency matrix. Neighborhoods include the point itself."""
-    n = len(adjacency)
-    neighborhoods = [np.flatnonzero(row) for row in adjacency]
-    is_core = [len(nb) >= min_samples for nb in neighborhoods]
-    labels = [-1] * n
-    clusters = 0
-    for seed in range(n):
-        if labels[seed] != -1 or not is_core[seed]:
-            continue
-        labels[seed] = clusters
-        frontier = [seed]
-        while frontier:
-            point = frontier.pop()
-            for neighbor in neighborhoods[point]:
-                if labels[neighbor] == -1:
-                    labels[neighbor] = clusters
-                    if is_core[neighbor]:
-                        frontier.append(neighbor)
-        clusters += 1
-    return clusters
+def _cluster_count(multiplicity: list[int], pairs, min_samples: int) -> int:
+    """DBSCAN cluster count over weighted points: the connected components
+    among core points (Ester et al., KDD 1996).
+
+    A point's degree is its own multiplicity plus its neighbours'. A pair
+    is joined as soon as both ends are core; the others wait, and each
+    point keeps fewer than ``min_samples`` of them while it is not core.
+    """
+    degree = list(multiplicity)
+    parent = list(range(len(degree)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    waiting = []
+    for i, j in pairs:
+        degree[i] += multiplicity[j]
+        degree[j] += multiplicity[i]
+        if degree[i] >= min_samples and degree[j] >= min_samples:
+            parent[find(i)] = find(j)
+        else:
+            waiting.append((i, j))
+    for i, j in waiting:
+        if degree[i] >= min_samples and degree[j] >= min_samples:
+            parent[find(i)] = find(j)
+    return sum(1 for i, d in enumerate(degree) if d >= min_samples and find(i) == i)
 
 
 def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 2) -> tuple[float, float]:
-    """Cluster valid lines by token-set overlap; count non-noise clusters."""
-    token_sets = [
+    """Cluster valid lines by token-set overlap; count non-noise clusters.
+
+    Lines with the same token set are one point carrying their count; a
+    line's neighbourhood includes itself.
+    """
+    lines = Counter(
         frozenset(toks)
         for stats, toks in zip(profile.per_line, profile.line_tokens)
         if not stats.is_blank and not stats.is_comment_only and toks
-    ]
-    m_val = len(token_sets)
+    )
+    m_val = sum(lines.values())
     if m_val == 0:
         return 0.0, 0.0
-    dist = pairwise_overlap_distances(token_sets)
-    noc = _dbscan_cluster_count(dist <= eps, min_samples)
+    if eps >= 1:  # every pair is within reach: one cluster, or all noise
+        noc = 1 if m_val >= min_samples else 0
+    elif not eps >= 0:  # not even a line itself is within reach (NaN too)
+        noc = m_val if min_samples <= 0 else 0
+    else:
+        noc = _cluster_count(list(lines.values()), similar_pairs(list(lines), eps), min_samples)
     return float(noc), noc / m_val
 
 

@@ -238,6 +238,34 @@ class TestCliContract:
         main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out_wide)])
         assert out_default.read_text() != out_wide.read_text()
 
+    @pytest.mark.parametrize("section", [
+        "eps = nan", "eps = inf", "eps = -inf", "eps = -0.5", "min_samples = 0", "min_samples = -1",
+    ])
+    def test_invalid_dbscan_settings_exit_3(self, tmp_path, caplog, section):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[tf.dbscan]\n{section}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\nx = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "[tf.dbscan]" in caplog.text
+
+    @pytest.mark.parametrize("section", ["eps = 0.5\nmin_samples = 2", "eps = 0\nmin_samples = 1",
+                                         "eps = 1.5"])
+    def test_valid_dbscan_settings_featurize(self, tmp_path, section):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[tf.dbscan]\n{section}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\nx = 1\n")
+        out, default = tmp_path / "m.csv", tmp_path / "default.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 0
+        main(["featurize", "--in", str(src), "--out", str(default)])
+        if section.startswith("eps = 0.5"):  # the defaults, spelled out
+            assert out.read_bytes() == default.read_bytes()
+
 
 _TRACED_FEATURIZE = """
 import json, sys

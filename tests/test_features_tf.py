@@ -162,14 +162,6 @@ class TestJaccardProperties:
     def test_jaccard_bounds(self, a, b):
         assert 0.0 <= jaccard(a, b) <= 1.0
 
-    @given(st.lists(sets, min_size=1, max_size=8))
-    def test_matrix_matches_scalar_distance(self, token_sets):
-        from codereadability.features.tf import pairwise_overlap_distances
-        dist = pairwise_overlap_distances(token_sets)
-        for i, a in enumerate(token_sets):
-            for j, b in enumerate(token_sets):
-                assert dist[i, j] == pytest.approx(token_overlap_distance(a, b), abs=1e-12)
-
 
 class TestConceptCount:
     def test_two_identical_lines_cluster(self):

@@ -1,0 +1,218 @@
+"""Differential oracle for the block-coherence and concept-count kernels.
+
+The reference below is the dense version they replaced: an m×m float64
+distance matrix from a binary incidence matrix, a breadth-first DBSCAN
+over its thresholded rows, and a list of every block-pair Jaccard value.
+``concept_count`` and ``text_coherence`` must return equal tuples (same
+floats, bit for bit) on every sample, window, long snippet and generated
+case, over the whole ``eps``/``min_samples`` range.
+"""
+
+import math
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codereadability.corpus import load_snippet, preprocess
+from codereadability.dictionary import DictionaryProvider
+from codereadability.features.tf import (
+    compute_tf,
+    concept_count,
+    similar_pairs,
+    text_coherence,
+    token_overlap_distance,
+)
+from codereadability.lexical import extract_blocks, tokenize
+from lexer_samples import fixture_snippets, ini_profile, ini_snippet
+
+from conftest import snip
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EPS_VALUES = (-0.1, 0.0, 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.999, 1.0, 1.5,
+              math.inf, -math.inf)
+MIN_SAMPLES = (-1, 0, 1, 2, 3, 5)
+
+
+# --------------------------------------------------------------------------
+# Reference: the dense kernels
+# --------------------------------------------------------------------------
+
+def ref_jaccard(a, b):
+    union = len(a | b)
+    if union == 0:
+        return 0.0
+    return len(a & b) / union
+
+
+def ref_text_coherence(blocks):
+    if len(blocks) < 2:
+        return 0.0, 0.0, 0.0
+    values = [
+        ref_jaccard(blocks[i].tokens, blocks[j].tokens)
+        for i in range(len(blocks))
+        for j in range(i + 1, len(blocks))
+    ]
+    return min(values), sum(values) / len(values), max(values)
+
+
+def ref_pairwise_overlap_distances(token_sets):
+    vocab = {tok: j for j, tok in enumerate(sorted(set().union(*token_sets)))}
+    incidence = np.zeros((len(token_sets), len(vocab)), dtype=np.float64)
+    for i, toks in enumerate(token_sets):
+        for tok in toks:
+            incidence[i, vocab[tok]] = 1.0
+    intersection = incidence @ incidence.T
+    sizes = incidence.sum(axis=1)
+    union = sizes[:, None] + sizes[None, :] - intersection
+    with np.errstate(invalid="ignore"):
+        dist = 1.0 - intersection / union
+    return np.where(union > 0, dist, 0.0)
+
+
+def ref_dbscan_cluster_count(adjacency, min_samples):
+    n = len(adjacency)
+    neighborhoods = [np.flatnonzero(row) for row in adjacency]
+    is_core = [len(nb) >= min_samples for nb in neighborhoods]
+    labels = [-1] * n
+    clusters = 0
+    for seed in range(n):
+        if labels[seed] != -1 or not is_core[seed]:
+            continue
+        labels[seed] = clusters
+        frontier = [seed]
+        while frontier:
+            point = frontier.pop()
+            for neighbor in neighborhoods[point]:
+                if labels[neighbor] == -1:
+                    labels[neighbor] = clusters
+                    if is_core[neighbor]:
+                        frontier.append(neighbor)
+        clusters += 1
+    return clusters
+
+
+def ref_concept_count(profile, eps=0.5, min_samples=2):
+    token_sets = [
+        frozenset(toks)
+        for stats, toks in zip(profile.per_line, profile.line_tokens)
+        if not stats.is_blank and not stats.is_comment_only and toks
+    ]
+    m_val = len(token_sets)
+    if m_val == 0:
+        return 0.0, 0.0
+    dist = ref_pairwise_overlap_distances(token_sets)
+    noc = ref_dbscan_cluster_count(dist <= eps, min_samples)
+    return float(noc), noc / m_val
+
+
+# --------------------------------------------------------------------------
+# Inputs
+# --------------------------------------------------------------------------
+
+def _repo_python_lines():
+    lines = []
+    for folder in ("src", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            lines += path.read_text(encoding="utf-8").splitlines()
+    return lines
+
+
+REPO_LINES = _repo_python_lines()
+
+
+def repo_snippet(start, n_lines):
+    """``n_lines`` consecutive lines of the repo's Python sources, wrapping around."""
+    lines = (REPO_LINES * (1 + (start + n_lines) // len(REPO_LINES)))[start:start + n_lines]
+    return preprocess(load_snippet("\n".join(lines), "python", f"repo{start}+{n_lines}"))
+
+
+def assert_same(s, p=None, cases=((0.5, 2),)):
+    prof = tokenize(s, p)
+    blocks = extract_blocks(s, profile=prof)
+    assert text_coherence(blocks) == ref_text_coherence(blocks)
+    for eps, min_samples in cases:
+        assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
+
+
+ALL_CASES = tuple((eps, k) for eps in EPS_VALUES for k in MIN_SAMPLES)
+
+
+# --------------------------------------------------------------------------
+# Tests
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("snippet", fixture_snippets(), ids=lambda s: s.id)
+def test_fixture_snippets(snippet):
+    assert_same(snippet, cases=ALL_CASES)
+
+
+def test_ini_profile_sample():
+    assert_same(ini_snippet(), ini_profile(), cases=ALL_CASES)
+
+
+def test_windows_of_repo_sources():
+    for start in range(0, len(REPO_LINES) - 30, 97):
+        assert_same(repo_snippet(start, 30), cases=((0.5, 2), (0.25, 3), (0.75, 1)))
+
+
+@pytest.mark.parametrize("n_lines", [1000, 2500, 4000])
+def test_long_snippets_of_repo_sources(n_lines):
+    assert_same(repo_snippet(n_lines // 3, n_lines), cases=((0.5, 2), (1 / 3, 5)))
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "=", "1", "(", ")"])
+_LINES = st.lists(_TOKENS, min_size=0, max_size=5).map(" ".join)
+
+
+@st.composite
+def token_lines(draw):
+    """Lines over a small alphabet; repeats drawn from a small pool, blanks split blocks."""
+    pool = draw(st.lists(_LINES, min_size=1, max_size=6))
+    picks = st.one_of(st.sampled_from(pool), _LINES, st.just(""), st.just("# note"))
+    return draw(st.lists(picks, min_size=0, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_lines(), st.sampled_from(EPS_VALUES), st.sampled_from(MIN_SAMPLES))
+def test_generated_lines_match_reference(lines, eps, min_samples):
+    assert_same(snip("\n".join(lines)), cases=((eps, min_samples),))
+
+
+class TestJaccardProperties:
+    sets = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=5)
+
+    @given(st.lists(sets, min_size=1, max_size=12),
+           st.sampled_from([e for e in EPS_VALUES if 0 <= e < 1]))
+    def test_join_pairs_match_scalar_distance(self, token_sets, eps):
+        brute = {(i, j)
+                 for i in range(len(token_sets)) for j in range(i + 1, len(token_sets))
+                 if token_overlap_distance(token_sets[i], token_sets[j]) <= eps}
+        found = list(similar_pairs(token_sets, eps))
+        assert len(found) == len(set(found))
+        assert set(found) == brute
+
+
+def test_no_neighbour_at_nan_eps():
+    prof = tokenize(snip("a = 1\na = 1\nb = 2"))
+    assert concept_count(prof, math.nan, 2) == ref_concept_count(prof, math.nan, 2) == (0.0, 0.0)
+    assert concept_count(prof, math.nan, 0) == ref_concept_count(prof, math.nan, 0) == (3.0, 1.0)
+
+
+def test_compute_tf_memory_is_bounded():
+    """20k lines: the dense kernels needed gigabytes here; never run them at this size."""
+    s = repo_snippet(0, 20_000)
+    prof = tokenize(s)
+    blocks = extract_blocks(s, profile=prof)
+    d = DictionaryProvider.bundled()
+    tracemalloc.start()
+    try:
+        compute_tf(prof, blocks, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"compute_tf peaked at {peak / 2**20:.1f} MB"
