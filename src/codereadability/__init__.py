@@ -5,16 +5,14 @@ textual, formatting, information-theoretic, and visual signals; trains
 and evaluates a logistic-regression readability classifier with forward
 feature selection; scores corpora; and compares paired corpora with a
 Wilcoxon signed-rank test.
+
+The scoring and statistics names (``analytics`` and ``model``) are
+imported on first access, so code that only featurizes never loads them
+or scipy.
 """
 
-from .analytics import (
-    ComparisonReport,
-    ScoreTable,
-    paired_compare,
-    render_report,
-    score_corpus,
-    wilcoxon_signed_rank,
-)
+import importlib
+
 from .config import AnalysisConfig, load_config
 from .corpus import (
     LabeledDataset,
@@ -26,20 +24,6 @@ from .corpus import (
 )
 from .dictionary import DictionaryProvider, count_syllables, load_dictionary
 from .lexical import extract_blocks, split_identifier, tokenize
-from .model import (
-    EvaluationReport,
-    ReadabilityModel,
-    auc,
-    evaluate,
-    fit_scaler,
-    load_model,
-    predict,
-    save_model,
-    sfs,
-    stratified_folds,
-    train_logreg,
-    train_model,
-)
 from .profiles import LanguageProfile, get_profile, load_profiles, register_profiles
 from .vectorizer import (
     FeatureVector,
@@ -50,6 +34,16 @@ from .vectorizer import (
     schema,
     schema_names,
 )
+
+# the submodules and the names taken from them, resolved on first access (PEP 562)
+_LAZY_MODULES = ("analytics", "model")
+_LAZY = {
+    **dict.fromkeys(("ComparisonReport", "ScoreTable", "paired_compare", "render_report",
+                     "score_corpus", "wilcoxon_signed_rank"), "analytics"),
+    **dict.fromkeys(("EvaluationReport", "ReadabilityModel", "auc", "evaluate", "fit_scaler",
+                     "load_model", "predict", "save_model", "sfs", "stratified_folds",
+                     "train_logreg", "train_model"), "model"),
+}
 
 __version__ = "0.1.0"
 
@@ -98,3 +92,17 @@ __all__ = [
     "train_model",
     "wilcoxon_signed_rank",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULES))

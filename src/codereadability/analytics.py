@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 from .config import AnalysisConfig
 from .corpus import Snippet
 from .dictionary import DictionaryProvider, load_dictionary
-from .model import ReadabilityModel, predict
+from .model import ReadabilityModel, predict, rankdata
 from .profiles import LanguageProfile
 from .vectorizer import featurize
 
@@ -75,9 +76,18 @@ def read_score_table(path: str | Path, label: str = "") -> ScoreTable:
             raise ValueError(f"unexpected score table header in {path}: {header}")
         ids, scores, probs = [], [], []
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+            try:
+                score, prob = float(row[1]), float(row[2])
+            except ValueError:
+                raise ValueError(f"non-numeric score in {where} (id {row[0]!r})") from None
+            if math.isnan(score) or math.isnan(prob):
+                raise ValueError(f"NaN score in {where} (id {row[0]!r})")
             ids.append(row[0])
-            scores.append(float(row[1]))
-            probs.append(float(row[2]))
+            scores.append(score)
+            probs.append(prob)
     return ScoreTable(tuple(ids), tuple(scores), tuple(probs),
                       corpus_label=label or Path(path).stem)
 
@@ -121,12 +131,18 @@ def wilcoxon_signed_rank(differences, exact_max: int = EXACT_TEST_MAX_PAIRS) -> 
     """Two-sided test on paired differences; zeros dropped.
 
     ``exact_max`` above EXACT_TEST_LIMIT is rejected: the exact counts
-    would overflow int64 and give silently wrong p-values.
+    would overflow int64 and give silently wrong p-values. A NaN
+    difference is rejected too: it has no rank. ±inf ranks last and ties
+    with itself.
     """
     if exact_max > EXACT_TEST_LIMIT:
         raise ValueError(f"exact_max={exact_max} exceeds {EXACT_TEST_LIMIT}, "
                          "the largest n the exact test counts without overflow")
     diffs = np.asarray(differences, dtype=np.float64)
+    nan_at = np.flatnonzero(np.isnan(diffs))
+    if len(nan_at):
+        raise ValueError(f"NaN paired difference at position {int(nan_at[0])} "
+                         f"({len(nan_at)} in total)")
     nonzero = diffs[diffs != 0.0]
     n = len(nonzero)
     if n == 0:
@@ -148,7 +164,7 @@ def wilcoxon_signed_rank(differences, exact_max: int = EXACT_TEST_MAX_PAIRS) -> 
         p = _exact_two_sided_p(w_plus, ranks)
         method = "exact"
     else:
-        p = float(2.0 * norm.sf(abs(z)))
+        p = float(2.0 * ndtr(-abs(z)))
         method = "normal"
     return WilcoxonResult(w=w, w_plus=w_plus, n_nonzero=n, p_value=p,
                           z=float(z), method=method)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, model as model_mod
 from .config import AnalysisConfig, load_config
 from .corpus import (
     DatasetError,
@@ -27,7 +26,6 @@ from .corpus import (
     preprocess,
 )
 from .dictionary import DictionaryError, load_dictionary
-from .model import ModelError
 from .profiles import load_profiles, register_profiles
 from .vectorizer import featurize_corpus, write_feature_matrix
 
@@ -38,7 +36,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_DATA_ERRORS = (DatasetError, SnippetDecodeError, ModelError, DictionaryError, ValueError, OSError)
+# model.ModelError is a ValueError; analytics and model are imported by the
+# commands that use them, so featurize never loads scipy
+_DATA_ERRORS = (DatasetError, SnippetDecodeError, DictionaryError, ValueError, OSError)
 
 
 def _resolve_config(args) -> AnalysisConfig:
@@ -100,6 +100,8 @@ def _featurized_dataset(args, cfg: AnalysisConfig):
 
 
 def cmd_train(args) -> int:
+    from . import model as model_mod
+
     cfg = _resolve_config(args)
     dataset, X, y = _featurized_dataset(args, cfg)
     trained = model_mod.train_model(
@@ -114,6 +116,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import model as model_mod
+
     cfg = _resolve_config(args)
     _, X, y = _featurized_dataset(args, cfg)
     report = model_mod.evaluate(
@@ -130,6 +134,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from . import analytics, model as model_mod
+
     cfg = _resolve_config(args)
     trained = model_mod.load_model(args.model)
     snippets, _, errors = _load_corpus(args.in_path, args.lang)
@@ -146,6 +152,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import analytics
+
     _resolve_config(args)
     table_a = analytics.read_score_table(args.a)
     table_b = analytics.read_score_table(args.b)
@@ -224,9 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # one handler per call, on this call's stderr, so repeated calls in one
+    # process each log where and at the level they were asked to
     level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous_level = log.level
+    log.addHandler(handler)
+    log.setLevel(level)
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:
@@ -235,6 +248,9 @@ def main(argv=None) -> int:
     except Exception:  # pragma: no cover - safety net
         log.exception("internal error")
         return EXIT_INTERNAL
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous_level)
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ INI layout mirrors the dotted key names used throughout the docs::
     min_samples = 2    ; >= 1
 
     [bwf]
-    tab_width = 4
+    tab_width = 4      ; >= 1
 
     [model]
-    lambda_l2 = 1.0
-    inner_cv = 5
+    lambda_l2 = 1.0    ; finite, >= 0
+    inner_cv = 5       ; >= 2
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ class AnalysisConfig:
             raise ValueError(f"[tf.dbscan] eps must be finite and >= 0, got {self.dbscan_eps}")
         if self.dbscan_min_samples < 1:
             raise ValueError(f"[tf.dbscan] min_samples must be >= 1, got {self.dbscan_min_samples}")
+        if self.tab_width < 1:
+            raise ValueError(f"[bwf] tab_width must be >= 1, got {self.tab_width}")
+        if not (math.isfinite(self.lambda_l2) and self.lambda_l2 >= 0):
+            raise ValueError(f"[model] lambda_l2 must be finite and >= 0, got {self.lambda_l2}")
+        # stratified_folds needs two folds at least
+        if self.inner_cv < 2:
+            raise ValueError(f"[model] inner_cv must be >= 2, got {self.inner_cv}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -7,7 +7,8 @@ features are over all lines; the two occurrence maxima are snippet-wide.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from ..lexical import LexicalProfile
 
@@ -42,7 +43,11 @@ class BwfFeatures:
     max_identifier_occurrence: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return astuple(self)
+        return _FIELD_VALUES(self)
+
+
+# the fields in declaration order; dataclasses.astuple would deep-copy each value
+_FIELD_VALUES = attrgetter(*(f.name for f in fields(BwfFeatures)))
 
 
 def compute_bwf(profile: LexicalProfile) -> BwfFeatures:

@@ -9,7 +9,8 @@ These are display-oriented textual proxies; no rendering is involved.
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from ..dictionary import DictionaryProvider
 from ..lexical import LexicalProfile, split_identifier
@@ -39,7 +40,11 @@ class DfFeatures:
     text_id_len: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return astuple(self)
+        return _FIELD_VALUES(self)
+
+
+# the fields in declaration order; dataclasses.astuple would deep-copy each value
+_FIELD_VALUES = attrgetter(*(f.name for f in fields(DfFeatures)))
 
 
 def _mean(values) -> float:

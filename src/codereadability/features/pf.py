@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from ..lexical import LexicalProfile
 
@@ -18,7 +19,11 @@ class PfFeatures:
     halstead_volume: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return astuple(self)
+        return _FIELD_VALUES(self)
+
+
+# the fields in declaration order; dataclasses.astuple would deep-copy each value
+_FIELD_VALUES = attrgetter(*(f.name for f in fields(PfFeatures)))
 
 
 def line_entropy(line: str) -> float:

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from itertools import chain
 
 from ..dictionary import DictionaryProvider, count_syllables
@@ -55,7 +56,11 @@ class TfFeatures:
     noc_norm: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return astuple(self)
+        return _FIELD_VALUES(self)
+
+
+# the fields in declaration order; dataclasses.astuple would deep-copy each value
+_FIELD_VALUES = attrgetter(*(f.name for f in fields(TfFeatures)))
 
 
 def jaccard(a: frozenset | set, b: frozenset | set) -> float:

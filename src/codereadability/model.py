@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .vectorizer import N_FEATURES, SCHEMA_VERSION, FeatureVector, family_indices
 
@@ -177,6 +176,30 @@ def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0, tol: flo
 # Metrics
 # --------------------------------------------------------------------------
 
+def rankdata(a) -> np.ndarray:
+    """Average ranks (1-based) along the last axis; each tie group gets
+    the mean of its first and last sorted position, like
+    ``scipy.stats.rankdata(a, axis=-1)``. Every row is ranked at once; a
+    row holding NaN ranks as all NaN, as scipy's does."""
+    a = np.asarray(a)
+    n = a.shape[-1]
+    if n == 0:
+        return np.zeros(a.shape, dtype=np.float64)
+    order = np.argsort(a, axis=-1, kind="stable")
+    ordered = np.take_along_axis(a, order, axis=-1)
+    starts = np.ones(a.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(a.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    position = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, position, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(a.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
+    ranks[np.isnan(ordered[..., -1])] = np.nan  # NaN sorts last
+    return ranks
+
+
 def _auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """AUC of each row of ``scores`` against one label vector."""
     pos = np.asarray(labels) == 1
@@ -184,7 +207,7 @@ def _auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes")
-    ranks = rankdata(scores, axis=1)
+    ranks = rankdata(scores)
     return (ranks[:, pos].sum(axis=1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

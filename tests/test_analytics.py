@@ -105,6 +105,24 @@ class TestWilcoxon:
         diffs = np.random.default_rng(5).normal(size=40)
         assert wilcoxon_signed_rank(diffs).method == "normal"
 
+    @pytest.mark.parametrize("n", [6, 40])  # exact and normal
+    def test_nan_difference_rejected(self, n):
+        diffs = np.random.default_rng(n).normal(size=n)
+        diffs[3] = np.nan
+        with pytest.raises(ValueError, match="NaN paired difference at position 3"):
+            wilcoxon_signed_rank(diffs)
+
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_infinite_differences_rank_last_and_tie(self, n):
+        diffs = np.random.default_rng(n).normal(size=n)
+        diffs[:3] = [np.inf, -np.inf, np.inf]
+        result = wilcoxon_signed_rank(diffs)
+        ranks = scipy.stats.rankdata(np.abs(diffs))
+        assert list(ranks[:3]) == [n - 1.0] * 3
+        assert result.w_plus == ranks[diffs > 0].sum()
+        assert result.n_nonzero == n
+        assert np.isfinite(result.z) and 0.0 < result.p_value <= 1.0
+
 
 class TestPairedCompare:
     def test_identical_tables_degenerate(self):
@@ -240,6 +258,26 @@ class TestScoreCorpus:
         loaded = read_score_table(path, label="demo")
         assert loaded.ids == t.ids
         assert loaded.linear_scores == pytest.approx(t.linear_scores)
+
+    @pytest.mark.parametrize("row", [["b", "nan", "0.5"], ["b", "0.2", "nan"]])
+    def test_nan_score_names_its_row(self, tmp_path, row):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,linear_score,probability\na,0.1,0.52\n" + ",".join(row) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"NaN score in .*scores.csv, line 3 \(id 'b'\)"):
+            read_score_table(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("b,0.2", "scores.csv, line 3: expected 3 fields, got 2"),
+        ("b,0.2,0.5,extra", "scores.csv, line 3: expected 3 fields, got 4"),
+        ("b,abc,0.5", r"non-numeric score in .*scores.csv, line 3 \(id 'b'\)"),
+    ], ids=["short", "long", "non-numeric"])
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,linear_score,probability\na,0.1,0.52\n" + row + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_score_table(path)
 
     def test_trained_model_separates_training_labels(self, bundled_dict):
         readable = [

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -189,6 +191,16 @@ class TestScoreCompareCommands:
         assert doc["degenerate"] is True
         assert doc["p_value"] == 1.0
 
+    def test_compare_nan_score_exit_3_names_row(self, tmp_path, capsys):
+        for name, score in (("a.csv", "nan"), ("b.csv", "0.5")):
+            (tmp_path / name).write_text(f"id,linear_score,probability\nx,0.1,0.5\ny,{score},0.5\n",
+                                         encoding="utf-8")
+        assert main(["compare", "--a", str(tmp_path / "a.csv"),
+                     "--b", str(tmp_path / "b.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "ERROR codereadability: NaN score in" in err
+        assert "a.csv, line 3 (id 'y')" in err
+
     def test_compare_disjoint_ids_error(self, tmp_path):
         for name, sid in (("a.csv", "only_a"), ("b.csv", "only_b")):
             with open(tmp_path / name, "w", newline="") as fh:
@@ -266,6 +278,61 @@ class TestCliContract:
         if section.startswith("eps = 0.5"):  # the defaults, spelled out
             assert out.read_bytes() == default.read_bytes()
 
+    @pytest.mark.parametrize("section,message", [
+        ("[bwf]\ntab_width = -4", "[bwf] tab_width must be >= 1, got -4"),
+        ("[bwf]\ntab_width = 0", "[bwf] tab_width must be >= 1, got 0"),
+        ("[model]\ninner_cv = 0", "[model] inner_cv must be >= 2, got 0"),
+        ("[model]\ninner_cv = 1", "[model] inner_cv must be >= 2, got 1"),
+        ("[model]\nlambda_l2 = nan", "[model] lambda_l2 must be finite and >= 0, got nan"),
+        ("[model]\nlambda_l2 = inf", "[model] lambda_l2 must be finite and >= 0, got inf"),
+        ("[model]\nlambda_l2 = -1", "[model] lambda_l2 must be finite and >= 0, got -1.0"),
+    ], ids=["tab_width=-4", "tab_width=0", "inner_cv=0", "inner_cv=1",
+            "lambda_l2=nan", "lambda_l2=inf", "lambda_l2=-1"])
+    def test_invalid_numeric_settings_exit_3(self, tmp_path, capsys, section, message):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(section + "\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("\tx = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_invalid_lambda_flag_exit_3(self, tmp_path, capsys, value):
+        manifest = write_labeled_dataset(tmp_path / "data")
+        code = main(["train", "--data", str(manifest), f"--lambda={value}",
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 3
+        assert "[model] lambda_l2 must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_smallest_valid_numeric_settings_featurize(self, tmp_path):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text("[bwf]\ntab_width = 1\n\n[model]\ninner_cv = 2\nlambda_l2 = 0\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("\tx = 1\n")
+        assert main(["--config", str(cfg), "featurize", "--in", str(src),
+                     "--out", str(tmp_path / "m.csv")]) == 0
+
+
+def test_each_main_call_logs_to_its_own_stderr_and_level(tmp_path, capsys, monkeypatch):
+    first = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", first)
+    assert main(["compare", "--a", str(tmp_path / "one.csv"), "--b", str(tmp_path / "one.csv")]) == 3
+    monkeypatch.undo()
+    assert main(["-v", "compare", "--a", str(tmp_path / "two.csv"),
+                 "--b", str(tmp_path / "two.csv")]) == 3
+    second = capsys.readouterr().err
+    assert "one.csv" in first.getvalue() and "two.csv" not in first.getvalue()
+    assert "INFO" not in first.getvalue()
+    assert "ERROR codereadability:" in second and "two.csv" in second
+    assert "INFO codereadability: resolved config" in second
+    assert "one.csv" not in second
+    assert logging.getLogger("codereadability").handlers == []
+
 
 _TRACED_FEATURIZE = """
 import json, sys
@@ -295,3 +362,46 @@ def test_benchmark_tracer_hooks_resolve(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0
     assert result["tokenize_calls"] > 0
+
+
+_SCIPY_MODULES = """
+import json, sys
+from codereadability.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "scipy": sorted(m for m in sys.modules
+                                                 if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def run_cli_reporting_scipy(*argv):
+    """Exit code and loaded scipy modules of one CLI command in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] == 0, proc.stderr
+    return result["scipy"]
+
+
+class TestImportFootprint:
+    def test_featurize_loads_no_scipy(self, tmp_path):
+        manifest = write_labeled_dataset(tmp_path / "data")
+        assert run_cli_reporting_scipy("featurize", "--in", manifest,
+                                       "--out", tmp_path / "m.csv") == []
+
+    def test_model_and_compare_commands_never_load_scipy_stats(self, tmp_path):
+        manifest = write_labeled_dataset(tmp_path / "data")
+        model, scores = tmp_path / "model.json", tmp_path / "scores.csv"
+        loaded = {
+            "train": run_cli_reporting_scipy("train", "--data", manifest, "--kmax", "2",
+                                             "--out", model),
+            "evaluate": run_cli_reporting_scipy("evaluate", "--data", manifest, "--folds", "2",
+                                                "--kmax", "2"),
+            "score": run_cli_reporting_scipy("score", "--model", model, "--in", manifest,
+                                             "--out", scores),
+            "compare": run_cli_reporting_scipy("compare", "--a", scores, "--b", scores),
+        }
+        for command, modules in loaded.items():
+            assert "scipy.special" in modules, command  # the check can see scipy at all
+            assert not [m for m in modules if m.startswith("scipy.stats")], command
