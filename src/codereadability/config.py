@@ -25,6 +25,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 
+def check_lambda_l2(lambda_l2: float) -> None:
+    """Reject an L2 penalty the Newton fit cannot use: with NaN it runs
+    every iteration and returns NaN weights."""
+    if not (math.isfinite(lambda_l2) and lambda_l2 >= 0):
+        raise ValueError(f"[model] lambda_l2 must be finite and >= 0, got {lambda_l2}")
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     dictionary_path: str | None = None
@@ -43,8 +50,7 @@ class AnalysisConfig:
             raise ValueError(f"[tf.dbscan] min_samples must be >= 1, got {self.dbscan_min_samples}")
         if self.tab_width < 1:
             raise ValueError(f"[bwf] tab_width must be >= 1, got {self.tab_width}")
-        if not (math.isfinite(self.lambda_l2) and self.lambda_l2 >= 0):
-            raise ValueError(f"[model] lambda_l2 must be finite and >= 0, got {self.lambda_l2}")
+        check_lambda_l2(self.lambda_l2)
         # stratified_folds needs two folds at least
         if self.inner_cv < 2:
             raise ValueError(f"[model] inner_cv must be >= 2, got {self.inner_cv}")

@@ -2,6 +2,9 @@
 
 Per-line averages and maxima run over non-empty code lines; the two ratio
 features are over all lines; the two occurrence maxima are snippet-wide.
+The 15 averages and 5 maxima come from one transpose of the code lines'
+``LineStats`` into columns. Every column holds ints, so each average is an
+exact integer sum divided once.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from ..lexical import LexicalProfile
+from ..lexical import LexicalProfile, LineStats
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,7 @@ class BwfFeatures:
 
 # the fields in declaration order; dataclasses.astuple would deep-copy each value
 _FIELD_VALUES = attrgetter(*(f.name for f in fields(BwfFeatures)))
+_NO_LINES = LineStats(*((),) * len(LineStats._fields))
 
 
 def compute_bwf(profile: LexicalProfile) -> BwfFeatures:
@@ -56,12 +60,15 @@ def compute_bwf(profile: LexicalProfile) -> BwfFeatures:
         if not stats.is_blank and not stats.is_comment_only
     ]
     denom = max(1, len(code_lines))
+    # one transpose: a LineStats of columns, each a tuple of ints, so every
+    # sum below is exact
+    col = LineStats(*zip(*code_lines)) if code_lines else _NO_LINES
 
-    def avg(attr: str) -> float:
-        return sum(getattr(s, attr) for s in code_lines) / denom
+    def avg(values: tuple[int, ...]) -> float:
+        return sum(values) / denom
 
-    def peak(attr: str) -> float:
-        return float(max((getattr(s, attr) for s in code_lines), default=0))
+    def peak(values: tuple[int, ...]) -> float:
+        return float(max(values, default=0))
 
     n_ids = len(profile.identifiers)
     id_lengths = [len(t) for t in profile.identifiers]
@@ -70,30 +77,30 @@ def compute_bwf(profile: LexicalProfile) -> BwfFeatures:
     comment_lines = sum(1 for s in profile.per_line if s.has_comment)
 
     return BwfFeatures(
-        line_len_avg=avg("length"),
-        line_len_max=peak("length"),
+        line_len_avg=avg(col.length),
+        line_len_max=peak(col.length),
         id_len_avg=sum(id_lengths) / max(1, n_ids),
         id_len_max=float(max(id_lengths, default=0)),
-        ids_per_line_avg=avg("identifiers"),
-        ids_per_line_max=peak("identifiers"),
-        indent_avg=avg("indent"),
-        indent_max=peak("indent"),
-        kw_avg=avg("keywords"),
-        kw_max=peak("keywords"),
-        num_avg=avg("numbers"),
-        num_max=peak("numbers"),
-        paren_avg=avg("parens"),
-        bracket_avg=avg("brackets"),
-        period_avg=avg("periods"),
+        ids_per_line_avg=avg(col.identifiers),
+        ids_per_line_max=peak(col.identifiers),
+        indent_avg=avg(col.indent),
+        indent_max=peak(col.indent),
+        kw_avg=avg(col.keywords),
+        kw_max=peak(col.keywords),
+        num_avg=avg(col.numbers),
+        num_max=peak(col.numbers),
+        paren_avg=avg(col.parens),
+        bracket_avg=avg(col.brackets),
+        period_avg=avg(col.periods),
         blank_ratio=blanks / m,
         comment_ratio=comment_lines / m,
-        comma_avg=avg("commas"),
-        space_avg=avg("spaces"),
-        assign_avg=avg("assignments"),
-        branch_avg=avg("branches"),
-        loop_avg=avg("loops"),
-        arith_avg=avg("arith_ops"),
-        cmp_avg=avg("cmp_ops"),
+        comma_avg=avg(col.commas),
+        space_avg=avg(col.spaces),
+        assign_avg=avg(col.assignments),
+        branch_avg=avg(col.branches),
+        loop_avg=avg(col.loops),
+        arith_avg=avg(col.arith_ops),
+        cmp_avg=avg(col.cmp_ops),
         max_char_occurrence=float(max(profile.char_counts.values(), default=0)),
         max_identifier_occurrence=float(max(Counter(profile.identifiers).values(), default=0)),
     )

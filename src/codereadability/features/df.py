@@ -4,16 +4,22 @@ regularity, operator/bracket column alignment, and identifier-text
 properties.
 
 These are display-oriented textual proxies; no rendering is involved.
+
+The identifier-text features reuse the lexer's work: the code word count
+is the number of identifier terms the lexer already split, and each
+distinct identifier is split (memoized) and checked against the
+dictionary once per snippet, weighted by its occurrences.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from ..dictionary import DictionaryProvider
-from ..lexical import LexicalProfile, split_identifier
+from ..lexical import LexicalProfile, identifier_terms
 
 # printable ASCII range, the divisor for character-set "visual complexity"
 _CHARSET_NORM = 95
@@ -93,22 +99,20 @@ def text_features(profile: LexicalProfile, dictionary: DictionaryProvider) -> tu
     n_user = len(user)
 
     def is_english_ident(ident: str) -> bool:
-        terms = split_identifier(ident)
-        return bool(terms) and all(dictionary.is_english(t) for t in terms)
+        terms = identifier_terms(ident)  # digit terms too: "x2" needs "2"
+        return bool(terms) and all(map(dictionary.is_english, terms))
 
-    english = sum(1 for ident in user if is_english_ident(ident))
+    occurrences = Counter(user)  # each distinct identifier is checked once
+    english = sum(n for ident, n in occurrences.items() if is_english_ident(ident))
     comment_text = " ".join(c.text for c in profile.comments)
     w_com = len(_WORD_RE.findall(comment_text))
-    w_code = sum(
-        1 for ident in profile.identifiers
-        for term in split_identifier(ident)
-        if not term.isdigit()
-    )
+    # the lexer's identifier terms are the non-digit terms of every identifier
+    w_code = sum(map(len, profile.line_identifier_terms))
     return (
         english / max(1, n_user),
         w_com / max(1, w_com + w_code),
-        float(len(set(user))),
-        sum(len(t) for t in user) / max(1, n_user),
+        float(len(occurrences)),
+        sum(map(len, user)) / max(1, n_user),
     )
 
 

@@ -1,14 +1,21 @@
 """Information-theoretic features: non-empty line count, per-line
-character entropy, Halstead volume."""
+character entropy, Halstead volume.
+
+A line's entropy sums one term per distinct character, in ``Counter``
+order, through the builtin ``sum``. The term of a count ``c`` on a line of
+``n`` characters, ``(c/n) * log2(c/n)``, comes from a bounded table keyed
+by ``n`` and then ``c``, so each is computed once.
+"""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
 
-from ..lexical import LexicalProfile
+from ..lexical import BoundedMemo, LexicalProfile
 
 
 @dataclass(frozen=True)
@@ -26,13 +33,19 @@ class PfFeatures:
 _FIELD_VALUES = attrgetter(*(f.name for f in fields(PfFeatures)))
 
 
+def _entropy_term(total: int, c: int) -> float:
+    return (c / total) * math.log2(c / total)
+
+
+# the term of a character seen c times on a line of ``total`` characters, by
+# total and then by c; a line of n characters has at most n distinct counts
+_TERMS = BoundedMemo(lambda total: BoundedMemo(partial(_entropy_term, total), 1 << 10), 1 << 8)
+
+
 def line_entropy(line: str) -> float:
     """Shannon entropy in bits of the line's character distribution."""
     counts = Counter(line)
-    total = len(line)
-    return -sum(
-        (c / total) * math.log2(c / total) for c in counts.values()
-    )
+    return -sum(map(_TERMS[len(line)].__getitem__, counts.values()))
 
 
 def halstead_volume(profile: LexicalProfile) -> float:

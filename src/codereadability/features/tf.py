@@ -27,7 +27,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from itertools import chain
+from itertools import chain, count
 
 from ..dictionary import DictionaryProvider, count_syllables
 from ..lexical import LexicalProfile, TextBlock
@@ -61,6 +61,7 @@ class TfFeatures:
 
 # the fields in declaration order; dataclasses.astuple would deep-copy each value
 _FIELD_VALUES = attrgetter(*(f.name for f in fields(TfFeatures)))
+_IN_DICTIONARY, _MAX_DEPTH, _SENSES = map(attrgetter, ("in_dictionary", "max_depth", "senses"))
 
 
 def jaccard(a: frozenset | set, b: frozenset | set) -> float:
@@ -88,14 +89,16 @@ def identifier_semantics(profile: LexicalProfile, dictionary: DictionaryProvider
     itid_vals: list[float] = []
     nmi_vals: list[float] = []
     nm_vals: list[float] = []
+    # every distinct term is looked up once
+    entry_of = {t: dictionary.lookup(t) for t in profile.terms_identifier}.__getitem__
     for stats, terms in zip(profile.per_line, profile.line_identifier_terms):
         if stats.identifiers == 0:
             continue
-        entries = [dictionary.lookup(t) for t in terms]
+        entries = list(map(entry_of, terms))
         denom = max(1, len(terms))
-        itid_vals.append(sum(1 for e in entries if e.in_dictionary) / denom)
-        nmi_vals.append(float(sum(e.max_depth for e in entries)))
-        nm_vals.append(sum(e.senses for e in entries) / denom)
+        itid_vals.append(sum(map(_IN_DICTIONARY, entries)) / denom)
+        nmi_vals.append(float(sum(map(_MAX_DEPTH, entries))))
+        nm_vals.append(sum(map(_SENSES, entries)) / denom)
     if not itid_vals:
         return (0.0,) * 8
     return (
@@ -168,18 +171,16 @@ def similar_pairs(token_sets: list[frozenset], eps: float):
     t = 1.0 - eps - 1e-9  # below the threshold, so rounding only adds candidates
     t_index = 2.0 * t / (1.0 + t)
     freq = Counter(chain.from_iterable(token_sets))
-    rank = {tok: r for r, tok in enumerate(sorted(freq, key=freq.__getitem__))}.__getitem__
-    sizes = [len(s) for s in token_sets]
+    rank = dict(zip(sorted(freq, key=freq.__getitem__), count())).__getitem__
+    sizes = list(map(len, token_sets))
     index = defaultdict(list)
     for i in sorted(range(len(token_sets)), key=sizes.__getitem__):
         a, la = token_sets[i], sizes[i]
         min_size = t * la
         ordered = sorted(a, key=rank)
-        candidates = set()
-        for tok in ordered[:la - math.ceil(min_size) + 1]:
-            candidates.update(index[tok])
-        for tok in ordered[:la - math.ceil(t_index * la) + 1]:
-            index[tok].append(i)
+        candidates = set(chain.from_iterable(map(index.__getitem__, ordered[:la - math.ceil(min_size) + 1])))
+        for postings in map(index.__getitem__, ordered[:la - math.ceil(t_index * la) + 1]):
+            postings.append(i)
         for j in candidates:
             lb = sizes[j]
             if lb < min_size:

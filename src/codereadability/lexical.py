@@ -23,13 +23,23 @@ profile is used and cached by profile value (so an INI profile named
   the literal.
 * Code tokens: ``IDENT_RE``, ``NUMBER_RE``, the profile's operator
   symbols longest first, then any other character as an unknown
-  operator, each after a run of blanks. ``finditer`` over the code
-  between markers yields the tokens.
+  operator, each after a run of blanks. ``findall`` over the code
+  between markers returns each token with its blanks, and the running
+  sum of their lengths gives each token's column.
 
 Only a block comment or triple-quoted string left open at the end of a
 line crosses lines. ``_ScanState.mode`` then holds its closing
 delimiter, whether backslashes escape it and whether it counts as a
 comment, and the next line starts by looking for that closer.
+
+The scanner also keeps a token table: code-token text -> everything the
+profile needs of that token, built the first time the text is seen (a
+token's text fixes its kind) and bounded in size. Its per-line counts
+are packed into one int, so a line's 12 category counts are one builtin
+``sum`` over its tokens' entries, and the snippet's identifiers,
+operators, operands and bracket and assignment columns are selected
+from its tokens with ``itertools.compress`` over the entries' flags. No
+token is visited by a Python-level loop.
 """
 
 from __future__ import annotations
@@ -38,7 +48,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, not_, sub
+from struct import Struct
+from typing import NamedTuple
 
 from .corpus import Snippet
 from .profiles import LanguageProfile, get_profile
@@ -73,8 +86,7 @@ class TextBlock:
     tokens: frozenset[str]
 
 
-@dataclass(frozen=True)
-class LineStats:
+class LineStats(NamedTuple):
     length: int
     indent: int
     spaces: int
@@ -157,10 +169,19 @@ def split_identifier(ident: str) -> list[str]:
 
 
 @lru_cache(maxsize=1 << 13)
+def identifier_terms(ident: str) -> tuple[str, ...]:
+    """``split_identifier`` as a tuple; bounded memo, since the same
+    identifiers recur on most lines of a snippet and across snippets."""
+    return tuple(split_identifier(ident))
+
+
 def _word_terms(token: str) -> tuple[str, ...]:
-    """The non-digit terms of one identifier or word; bounded memo, since
-    the same identifiers recur on most lines of a snippet."""
-    return tuple(t for t in split_identifier(token) if not t.isdigit())
+    """The non-digit terms of one identifier or word; the memoized tuple
+    itself when it has none, so the token table holds no copy."""
+    terms = identifier_terms(token)
+    if any(map(str.isdigit, terms)):
+        return tuple(t for t in terms if not t.isdigit())
+    return terms
 
 
 def normalize_terms(tokens) -> list[str]:
@@ -181,10 +202,18 @@ _LINE_COMMENT, _BLOCK_COMMENT, _DOCSTRING, _QUOTE = range(4)
 # segment kinds: (_CODE, start, end), (_COMMENT, col, raw, text),
 # (_STRING, col, raw, opens); opens is False on continuation fragments
 _CODE, _COMMENT, _STRING = range(3)
-# code-token kinds
-_IDENT, _KEYWORD, _NUMBER, _OP = range(4)
 
 _OPEN_BRACKETS = frozenset("([{")
+
+# A token-table entry. Its first field packs the token's 12 per-line counts,
+# in LineStats order from ``identifiers`` to ``cmp_ops``, into 64-bit fields
+# of one int, so one builtin ``sum`` adds a line's counts; a line holds
+# fewer than 2**64 tokens, so no field carries into the next. The other
+# fields: is it an operand (else an operator), an identifier; its identifier
+# terms and keyword characters; does its column join ``assign_columns`` or
+# ``bracket_columns``.
+_COUNTS = Struct("<12Q")
+_PACKED, _OPERAND, _IDENTIFIER, _TERMS, _KEYWORD_CHARS, _ASSIGN, _OPEN = map(itemgetter, range(7))
 
 
 @dataclass
@@ -206,6 +235,28 @@ def _literal(as_comment: bool, col: int, raw: str, text: str, opens: bool) -> tu
     return (_COMMENT, col, raw, text) if as_comment else (_STRING, col, raw, opens)
 
 
+@lru_cache(maxsize=64)
+def _pack(counts: tuple) -> int:
+    """The packed counts; memoized, since few count tuples occur."""
+    return int.from_bytes(_COUNTS.pack(*counts), "little")
+
+
+class BoundedMemo(dict):
+    """``key -> build(key)``, built on first sight of the key and emptied
+    when it holds ``size`` keys, so it never grows past that."""
+
+    def __init__(self, build, size: int = 1 << 13):
+        super().__init__()
+        self.build = build
+        self.size = size
+
+    def __missing__(self, key):
+        if len(self) >= self.size:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
+
+
 class _Scanner:
     """The compiled marker and code-token alternations of one profile."""
 
@@ -222,8 +273,9 @@ class _Scanner:
         self.escaped_close = {d: _escaped_close_re(d)
                               for d in p.docstring_delims + p.string_delims}
         symbols = "".join(re.escape(s) + "|" for s in p.all_operator_symbols())
+        # each match is one code token with the blanks before it
         self.code_re = re.compile(
-            rf"[ \t]*(?:({IDENT_RE.pattern})|({NUMBER_RE.pattern})|({symbols}[^ \t]))"
+            rf"[ \t]*(?:{IDENT_RE.pattern}|{NUMBER_RE.pattern}|{symbols}[^ \t])"
         )
         self.keywords = p.keyword_set
         self.builtins = p.builtin_names
@@ -232,6 +284,27 @@ class _Scanner:
         self.assign = frozenset(p.assignment_ops)
         self.arith = frozenset(p.arithmetic_ops)
         self.cmp = frozenset(p.comparison_ops)
+        self.table = BoundedMemo(self._entry)
+
+    def _entry(self, tok: str) -> tuple:
+        """The token-table entry of one code token.
+
+        The alternation picks its branch from the token's own first
+        characters, so the text alone gives the kind.
+        """
+        if IDENT_RE.match(tok):
+            keyword = tok in self.keywords
+            counts = (not keyword, keyword, 0, 0, 0, 0, 0, 0,
+                      tok in self.branch, tok in self.loop, 0, 0)
+            if keyword:
+                return _pack(counts), False, False, (), len(tok), False, False
+            return _pack(counts), True, True, _word_terms(tok), 0, False, False
+        if NUMBER_RE.match(tok):
+            return _pack((0, 0, 1) + (0,) * 9), True, False, (), 0, False, False
+        assign = tok in self.assign
+        counts = (0, 0, 0, tok == "(" or tok == ")", tok in ("[", "]", "{", "}"),
+                  tok == ".", tok == ",", assign, 0, 0, tok in self.arith, tok in self.cmp)
+        return _pack(counts), False, False, (), 0, assign, tok in _OPEN_BRACKETS
 
     def scan(self, line: str, state: _ScanState) -> list[tuple]:
         """Split one line into code, comment and string segments, in order."""
@@ -314,61 +387,8 @@ def _scanner(p: LanguageProfile) -> _Scanner:
 # --------------------------------------------------------------------------
 
 def _indent_width(line: str, tab_width: int) -> int:
-    lead = line[: len(line) - len(line.lstrip(" \t"))]
-    return len(lead) + lead.count("\t") * (tab_width - 1)
-
-
-def _line_stats(line: str, tab_width: int, sc: _Scanner, code: list[tuple[int, str]],
-                idents: int, has_comment: bool, has_string: bool) -> LineStats:
-    """Per-line counts from one Counter over the line's (kind, text) code tokens."""
-    keywords = numbers = parens = brackets = periods = commas = 0
-    assignments = branches = loops = arith_ops = cmp_ops = 0
-    for (kind, text), n in Counter(code).items():
-        if kind == _OP:
-            if text == "(" or text == ")":
-                parens += n
-            elif text in ("[", "]", "{", "}"):
-                brackets += n
-            elif text == ".":
-                periods += n
-            elif text == ",":
-                commas += n
-            if text in sc.assign:
-                assignments += n
-            if text in sc.arith:
-                arith_ops += n
-            if text in sc.cmp:
-                cmp_ops += n
-        elif kind == _NUMBER:
-            numbers += n
-        else:
-            if kind == _KEYWORD:
-                keywords += n
-            if text in sc.branch:
-                branches += n
-            if text in sc.loop:
-                loops += n
-    is_blank = not line.strip()
-    return LineStats(
-        length=len(line),
-        indent=_indent_width(line, tab_width),
-        spaces=line.count(" "),
-        identifiers=idents,
-        keywords=keywords,
-        numbers=numbers,
-        parens=parens,
-        brackets=brackets,
-        periods=periods,
-        commas=commas,
-        assignments=assignments,
-        branches=branches,
-        loops=loops,
-        arith_ops=arith_ops,
-        cmp_ops=cmp_ops,
-        is_blank=is_blank,
-        has_comment=has_comment,
-        is_comment_only=(not is_blank) and has_comment and not code and not has_string,
-    )
+    lead = len(line) - len(line.lstrip(" \t"))
+    return lead + line.count("\t", 0, lead) * (tab_width - 1)
 
 
 def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -> LexicalProfile:
@@ -376,48 +396,34 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
     if p is None:
         p = get_profile(s.language)
     sc = _scanner(p)
-    code_tokens = sc.code_re.finditer
+    code_tokens = sc.code_re.findall
+    entry_of = sc.table.__getitem__
 
     prof = LexicalProfile(lines=s.lines)
     prof.m = len(s.lines)
     text = "".join(s.lines)
     prof.total_chars = len(text)
     prof.char_counts.update(text)
-    operators, operands = prof.operators, prof.operands
+    operands = prof.operands
+    code: list[str] = []      # every code token of the snippet
+    entries: list[tuple] = []  # and its table entry
+    columns: list[int] = []   # and its column
     state = _ScanState()
 
     for lineno, line in enumerate(s.lines):
-        tokens: list[str] = []               # every token of the line, literals too
-        code: list[tuple[int, str]] = []     # (kind, text) of its code tokens
-        idents: list[str] = []
-        code_operands: list[str] = []        # follow the line's string operands
+        tokens: list[str] = []     # every token of the line, literals too
+        line_code: list[str] = []  # its code tokens
         has_comment = has_string = False
         for seg in sc.scan(line, state):
             kind = seg[0]
             if kind == _CODE:
-                for m in code_tokens(line, seg[1], seg[2]):
-                    group = m.lastindex
-                    tok = m.group(group)
-                    tokens.append(tok)
-                    if group == 1:
-                        if tok in sc.keywords:
-                            code.append((_KEYWORD, tok))
-                            operators.append(tok)
-                            prof.keyword_chars += len(tok)
-                        else:
-                            code.append((_IDENT, tok))
-                            idents.append(tok)
-                            code_operands.append(tok)
-                    elif group == 2:
-                        code.append((_NUMBER, tok))
-                        code_operands.append(tok)
-                    else:
-                        code.append((_OP, tok))
-                        operators.append(tok)
-                        if tok in sc.assign:
-                            prof.assign_columns.append(m.start(3))
-                        if tok in _OPEN_BRACKETS:
-                            prof.bracket_columns.append(m.start(3))
+                raws = code_tokens(line, seg[1], seg[2])  # blanks + token
+                toks = list(map(str.lstrip, raws, repeat(" \t")))
+                ends = accumulate(map(len, raws), initial=seg[1])
+                next(ends)
+                columns += map(sub, ends, map(len, toks))
+                line_code += toks
+                tokens += toks
             elif kind == _COMMENT:
                 _, col, raw, body = seg
                 has_comment = True
@@ -430,17 +436,28 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
                 tokens.append(raw)
                 if opens:
                     operands.append(raw)
-        operands.extend(code_operands)
 
-        prof.identifiers.extend(idents)
-        prof.identifiers_user.extend(t for t in idents if t not in sc.builtins)
+        line_entries = list(map(entry_of, line_code))
+        counts = _COUNTS.unpack(sum(map(_PACKED, line_entries)).to_bytes(_COUNTS.size, "little"))
+        operands.extend(compress(line_code, map(_OPERAND, line_entries)))  # after the literals
         prof.line_tokens.append(tokens)
-        prof.line_identifier_terms.append(normalize_terms(idents))
-        stats = _line_stats(line, tab_width, sc, code, len(idents), has_comment, has_string)
-        prof.per_line.append(stats)
-        if not stats.is_blank:
+        prof.line_identifier_terms.append(list(chain.from_iterable(map(_TERMS, line_entries))))
+        is_blank = not line.strip()
+        prof.per_line.append(LineStats(
+            len(line), _indent_width(line, tab_width), line.count(" "), *counts,
+            is_blank, has_comment, (not is_blank) and has_comment and not line_code and not has_string,
+        ))
+        if not is_blank:
             prof.m_ne += 1
+        code += line_code
+        entries += line_entries
 
+    prof.identifiers = list(compress(code, map(_IDENTIFIER, entries)))
+    prof.identifiers_user = [t for t in prof.identifiers if t not in sc.builtins]
+    prof.operators = list(compress(code, map(not_, map(_OPERAND, entries))))
+    prof.keyword_chars = sum(map(_KEYWORD_CHARS, entries))
+    prof.assign_columns = list(compress(columns, map(_ASSIGN, entries)))
+    prof.bracket_columns = list(compress(columns, map(_OPEN, entries)))
     comment_words = _WORD_SPLIT_RE.findall(" ".join(c.text for c in prof.comments))
     prof.terms_comment = frozenset(normalize_terms(comment_words))
     prof.terms_identifier = frozenset(chain.from_iterable(prof.line_identifier_terms))

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from .config import check_lambda_l2
 from .vectorizer import N_FEATURES, SCHEMA_VERSION, FeatureVector, family_indices
 
 log = logging.getLogger(__name__)
@@ -159,6 +160,7 @@ def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float, tol: float,
 def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0, tol: float = NEWTON_TOL,
                  max_iter: int = NEWTON_MAX_ITER) -> tuple[np.ndarray, float]:
     """Fit (w, b) on already-scaled features. Requires both classes."""
+    check_lambda_l2(lambda_l2)
     Xn = np.asarray(Xn, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     classes = np.unique(y)
@@ -263,6 +265,7 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
     criterion value at each prefix size. Per inner fold, every remaining
     candidate is fitted at once by the lockstep Newton kernel.
     """
+    check_lambda_l2(lambda_l2)
     Xn = np.asarray(Xn, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     pool = sorted(candidates) if candidates is not None else list(range(Xn.shape[1]))

@@ -126,8 +126,10 @@ def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = Non
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    rows = [featurize(s, None, d, config).values for s in snippets]
-    return np.vstack(rows) if rows else np.empty((0, N_FEATURES))
+    matrix = np.empty((len(snippets), N_FEATURES))
+    for row, s in zip(matrix, snippets):
+        row[:] = featurize(s, None, d, config).values
+    return matrix
 
 
 # --------------------------------------------------------------------------

@@ -107,6 +107,26 @@ class TestLogreg:
         _, grad = logloss_and_grad(np.append(w, b), X, y, 0.5)
         assert np.max(np.abs(grad)) <= 1e-8
 
+    # NaN ran all 10,000 Newton iterations and returned NaN weights
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, -1e-300])
+    @pytest.mark.parametrize("fit", [
+        lambda X, y, lam: train_logreg(X, y, lambda_l2=lam),
+        lambda X, y, lam: sfs_path(X, y, k_max=2, inner_cv=2, lambda_l2=lam),
+        lambda X, y, lam: train_model(X, y, family="tf", lambda_l2=lam, k_max=2, inner_cv=2),
+    ], ids=["train_logreg", "sfs_path", "train_model"])
+    def test_invalid_lambda_rejected_before_fitting(self, fit, lam):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, N_FEATURES))
+        y = np.array([0.0, 1.0] * 20)
+        with pytest.raises(ValueError, match=r"lambda_l2 must be finite and >= 0, got "):
+            fit(X, y, lam)
+
+    def test_zero_lambda_accepted(self):
+        X = np.array([[-2.0], [-1.0], [1.0], [0.5]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        w, b = train_logreg(X, y, lambda_l2=0.0)
+        assert np.all(np.isfinite(w)) and np.isfinite(b)
+
 
 class TestAuc:
     def test_perfect_ranking(self):

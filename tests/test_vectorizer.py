@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,9 @@ from codereadability.vectorizer import (
 )
 
 from conftest import snip
+from test_cli import write_labeled_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSchema:
@@ -95,3 +103,40 @@ class TestCorpusMatrix:
         path.write_text("id,not_a_feature\nx,1\n")
         with pytest.raises(ValueError, match="header"):
             read_feature_matrix(path)
+
+
+_TRACED_FEATURIZE_AND_SCORE = """
+import json, sys
+import tracing
+from codereadability.cli import main
+manifest, model, matrix, scores = sys.argv[1:]
+trained = main(["train", "--data", manifest, "--kmax", "2", "--out", model])
+tracer = tracing.Tracer()
+tracing.install(tracer)
+codes = [trained, main(["featurize", "--in", manifest, "--out", matrix]),
+         main(["score", "--model", model, "--in", manifest, "--out", scores])]
+layers = tracer.to_dict()["layers"]
+print(json.dumps({"exit": codes, "calls": {name: s["calls"] for name, s in layers.items()}}))
+"""
+
+
+def test_benchmark_layers_see_featurize_and_score(tmp_path):
+    """The per-layer trace wraps module-level names; featurize and score must
+    still reach every feature layer through them, one featurize per snippet."""
+    manifest = write_labeled_dataset(tmp_path / "data")
+    n = len(manifest.read_text().splitlines()) - 1
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_FEATURIZE_AND_SCORE, str(manifest),
+         *(str(tmp_path / name) for name in ("model.json", "m.csv", "scores.csv"))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] == [0, 0, 0]
+    calls = result["calls"]
+    for layer in ("lexical.tokenize", "lexical.extract_blocks", "features.tf", "features.bwf",
+                  "features.pf", "features.df", "vectorizer.featurize"):
+        assert calls[layer] == 2 * n, layer
+    assert calls["features.tf.concept_count"] > 0
