@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .dictionary import DictionaryProvider, count_syllables, load_dictionary
 from .lexical import extract_blocks, split_identifier, tokenize
-from .profiles import LanguageProfile, get_profile, load_profiles, register_profiles
+from .profiles import LanguageProfile, get_profile, load_profiles
 from .vectorizer import (
     FeatureVector,
     SCHEMA_VERSION,
@@ -77,7 +77,6 @@ __all__ = [
     "paired_compare",
     "predict",
     "preprocess",
-    "register_profiles",
     "render_report",
     "save_labeled_dataset",
     "save_model",

@@ -22,7 +22,7 @@ from .config import AnalysisConfig
 from .corpus import Snippet
 from .dictionary import DictionaryProvider, load_dictionary
 from .model import ReadabilityModel, predict, rankdata
-from .profiles import LanguageProfile
+from .profiles import get_profile, load_profiles
 from .vectorizer import featurize
 
 EXACT_TEST_MAX_PAIRS = 25
@@ -42,16 +42,18 @@ class ScoreTable:
 
 
 def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
-                 p: LanguageProfile | None = None,
                  d: DictionaryProvider | None = None,
                  config: AnalysisConfig | None = None,
                  label: str = "") -> ScoreTable:
-    """Score snippets in input order."""
+    """Score snippets in input order, each under its language's profile in
+    the profile table of ``config``."""
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    results = [predict(model, featurize(s, p, d, config)) for s in snippets]
+    table = load_profiles(config.profiles_path)
+    results = [predict(model, featurize(s, get_profile(s.language, table), d, config))
+               for s in snippets]
     return ScoreTable(
         ids=tuple(s.id for s in snippets),
         linear_scores=tuple(linear for _, linear in results),

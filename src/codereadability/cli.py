@@ -26,7 +26,6 @@ from .corpus import (
     preprocess,
 )
 from .dictionary import DictionaryError, load_dictionary
-from .profiles import load_profiles, register_profiles
 from .vectorizer import featurize_corpus, write_feature_matrix
 
 log = logging.getLogger("codereadability")
@@ -48,8 +47,6 @@ def _resolve_config(args) -> AnalysisConfig:
         overrides["lambda_l2"] = args.lambda_l2
     if overrides:
         cfg = AnalysisConfig(**{**cfg.to_dict(), **overrides})
-    if cfg.profiles_path:
-        register_profiles(load_profiles(cfg.profiles_path))
     log.info("resolved config: %s", json.dumps(cfg.to_dict(), sort_keys=True))
     return cfg
 
@@ -167,6 +164,10 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+_LANG_HELP = ("language for directory inputs: python, java, cuda, generic, or a "
+              "section of the [lexical] profiles INI")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codereadability",
@@ -182,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     feat = sub.add_parser("featurize", help="compute the 61-column feature matrix")
     feat.add_argument("--in", dest="in_path", required=True,
                       help="snippet directory or manifest CSV")
-    feat.add_argument("--lang", default="python",
-                      help="language for directory inputs (python|java|cuda|generic)")
+    feat.add_argument("--lang", default="python", help=_LANG_HELP)
     feat.add_argument("--out", required=True, help="output matrix CSV")
     feat.add_argument("--keep-going", action="store_true",
                       help="skip unreadable files but still exit nonzero")
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--model", required=True, help="model JSON file")
     score.add_argument("--in", dest="in_path", required=True,
                        help="snippet directory or manifest CSV")
-    score.add_argument("--lang", default="python", help="language for directory inputs")
+    score.add_argument("--lang", default="python", help=_LANG_HELP)
     score.add_argument("--out", required=True, help="output score-table CSV")
     score.add_argument("--keep-going", action="store_true",
                        help="skip unreadable files but still exit nonzero")

@@ -13,8 +13,6 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .profiles import get_profile
-
 log = logging.getLogger(__name__)
 
 
@@ -67,10 +65,10 @@ def load_snippet(source_text: str, language: str, id: str) -> Snippet:
 
     Newlines terminate lines ("x=1\\n\\n\\n" is three lines). No further
     preprocessing happens here; trailing blank lines survive until
-    :func:`preprocess`. The language needs a profile, built in or
-    registered from an INI file.
+    :func:`preprocess`. The language is only recorded: it is looked up in
+    the profile table of the configuration when the snippet is featurized,
+    and an unsupported one fails there.
     """
-    get_profile(language)  # raises ValueError for an unsupported language
     text = source_text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":

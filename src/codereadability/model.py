@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -390,20 +390,7 @@ class EvaluationReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "k": self.k,
-            "seed": self.seed,
-            "lambda_l2": self.lambda_l2,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "n_selected": self.n_selected,
-            "fold_accuracy": self.fold_accuracy,
-            "fold_auc": self.fold_auc,
-            "fold_selected": self.fold_selected,
-            "fold_assignment": self.fold_assignment,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,

@@ -3,16 +3,23 @@
 A profile tells the scanner what counts as a keyword, a comment, a string
 delimiter, and which operator symbols fall into each counted category.
 Built-in profiles cover python, java, and cuda; ``generic`` falls back to
-the python profile so unknown languages behave deterministically. Extra
-languages can be loaded from an INI file without code changes.
+the python profile so unknown languages behave deterministically.
+
+A profile table maps language names to profiles. ``load_profiles(path)``
+builds one: the built-ins overlaid by the sections of an INI file, so a
+section may add a language or override a built-in one (``[generic]``,
+``[python]``). The table is a value passed to ``get_profile``; nothing
+here keeps state between calls, and the built-ins cannot be changed.
 """
 
 from __future__ import annotations
 
 import configparser
 import keyword
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -118,31 +125,21 @@ CUDA_PROFILE = LanguageProfile(
     punctuation=JAVA_PROFILE.punctuation,
 )
 
-_BUILTIN_PROFILES = {
+_BUILTIN_PROFILES: Mapping[str, LanguageProfile] = MappingProxyType({
     "python": PYTHON_PROFILE,
     "java": JAVA_PROFILE,
     "cuda": CUDA_PROFILE,
     # deterministic fallback for unknown languages
     "generic": PYTHON_PROFILE,
-}
+})
 
 
-_registered_profiles: dict[str, LanguageProfile] = {}
-
-
-def get_profile(language: str) -> LanguageProfile:
-    if language in _registered_profiles:
-        return _registered_profiles[language]
+def get_profile(language: str, table: Mapping[str, LanguageProfile] | None = None) -> LanguageProfile:
+    """The profile of ``language`` in ``table`` (the built-ins by default)."""
     try:
-        return _BUILTIN_PROFILES[language]
+        return (_BUILTIN_PROFILES if table is None else table)[language]
     except KeyError:
         raise ValueError(f"unsupported language {language!r}") from None
-
-
-def register_profiles(profiles: dict[str, LanguageProfile]) -> None:
-    """Install profiles into the lookup table; a profile named after a
-    built-in language (e.g. ``generic``) overrides it."""
-    _registered_profiles.update(profiles)
 
 
 def _split_list(raw: str) -> tuple[str, ...]:
@@ -156,10 +153,12 @@ def _split_pairs(raw: str) -> tuple[tuple[str, str], ...]:
     return tuple((toks[i], toks[i + 1]) for i in range(0, len(toks), 2))
 
 
-def load_profiles(path: str | Path) -> dict[str, LanguageProfile]:
-    """Load language profiles from an INI file, one section per language.
+def load_profiles(path: str | Path | None) -> dict[str, LanguageProfile]:
+    """The profile table: the built-ins overlaid by an INI file's sections.
 
-    Keys hold whitespace-separated token lists, e.g.::
+    With no path the table holds only the built-ins. Each INI section
+    defines one language, and a section named after a built-in replaces
+    it. Keys hold whitespace-separated token lists, e.g.::
 
         [mylang]
         keywords = if else while fn let
@@ -167,10 +166,12 @@ def load_profiles(path: str | Path) -> dict[str, LanguageProfile]:
         block_comments = /* */
         strings = " '
     """
+    profiles = dict(_BUILTIN_PROFILES)
+    if not path:
+        return profiles
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
-    profiles: dict[str, LanguageProfile] = {}
     for section in parser.sections():
         sec = parser[section]
         base = PYTHON_PROFILE

@@ -8,7 +8,7 @@ to the all-zero vector.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,31 +16,20 @@ import numpy as np
 from .config import AnalysisConfig
 from .corpus import Snippet
 from .dictionary import DictionaryProvider, load_dictionary
-from .features import compute_bwf, compute_df, compute_pf, compute_tf
+from .features import (
+    BwfFeatures,
+    DfFeatures,
+    PfFeatures,
+    TfFeatures,
+    compute_bwf,
+    compute_df,
+    compute_pf,
+    compute_tf,
+)
 from .lexical import extract_blocks, tokenize
-from .profiles import LanguageProfile
+from .profiles import LanguageProfile, get_profile, load_profiles
 
 SCHEMA_VERSION = "1.0"
-
-_TF_NAMES = (
-    "cic", "cic_syn", "itid_min", "itid_avg", "itid_max",
-    "nmi_min", "nmi_avg", "nmi_max", "cr", "nm_avg", "nm_max",
-    "tc_min", "tc_avg", "tc_max", "noc", "noc_norm",
-)
-_BWF_NAMES = (
-    "line_len_avg", "line_len_max", "id_len_avg", "id_len_max",
-    "ids_per_line_avg", "ids_per_line_max", "indent_avg", "indent_max",
-    "kw_avg", "kw_max", "num_avg", "num_max", "paren_avg", "bracket_avg",
-    "period_avg", "blank_ratio", "comment_ratio", "comma_avg", "space_avg",
-    "assign_avg", "branch_avg", "loop_avg", "arith_avg", "cmp_avg",
-    "max_char_occurrence", "max_identifier_occurrence",
-)
-_PF_NAMES = ("loc", "entropy_avg", "entropy_std", "halstead_volume")
-_DF_NAMES = (
-    "vkd", "vsd", "vcd", "vc", "saa", "sra", "sr", "sd",
-    "align_op", "align_br", "align_cons",
-    "text_english", "text_comment", "text_vocab", "text_id_len",
-)
 
 FAMILIES = ("TF", "BWF", "PF", "DF")
 
@@ -52,11 +41,10 @@ class FeatureSpec:
 
 
 def _build_schema() -> tuple[FeatureSpec, ...]:
-    entries = []
-    for family, names in (("TF", _TF_NAMES), ("BWF", _BWF_NAMES),
-                          ("PF", _PF_NAMES), ("DF", _DF_NAMES)):
-        entries.extend(FeatureSpec(f"{family.lower()}.{n}", family) for n in names)
-    return tuple(entries)
+    """One spec per field of each family's dataclass, in field order."""
+    return tuple(FeatureSpec(f"{family.lower()}.{f.name}", family)
+                 for family, cls in zip(FAMILIES, (TfFeatures, BwfFeatures, PfFeatures, DfFeatures))
+                 for f in fields(cls))
 
 
 _SCHEMA = _build_schema()
@@ -96,9 +84,16 @@ class FeatureVector:
 def featurize(s: Snippet, p: LanguageProfile | None = None,
               d: DictionaryProvider | None = None,
               config: AnalysisConfig | None = None) -> FeatureVector:
-    """Compute the full 61-feature vector for a preprocessed snippet."""
+    """Compute the full 61-feature vector for a preprocessed snippet.
+
+    Without ``p`` the snippet's language is looked up in the profile table
+    of ``config`` (the built-ins and its ``profiles_path``, read on each such
+    call); an unsupported language raises ``ValueError``.
+    """
     if config is None:
         config = AnalysisConfig()
+    if p is None:
+        p = get_profile(s.language, load_profiles(config.profiles_path))
     if d is None:
         d = load_dictionary(config.dictionary_path)
 
@@ -121,14 +116,19 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
 
 def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = None,
                      config: AnalysisConfig | None = None) -> np.ndarray:
-    """Feature matrix for a snippet list, one row per snippet in input order."""
+    """Feature matrix for a snippet list, one row per snippet in input order.
+
+    The profile table of ``config`` is built once; each snippet is
+    featurized under its language's profile in it.
+    """
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
+    table = load_profiles(config.profiles_path)
     matrix = np.empty((len(snippets), N_FEATURES))
     for row, s in zip(matrix, snippets):
-        row[:] = featurize(s, None, d, config).values
+        row[:] = featurize(s, get_profile(s.language, table), d, config).values
     return matrix
 
 

@@ -56,6 +56,7 @@ def ini_profile():
 
 
 def ini_snippet():
-    """``sample.mylang``, tagged ``generic``: only built-in names pass ``load_snippet``."""
+    """``sample.mylang``, tagged ``generic``; callers pass ``ini_profile()``
+    explicitly, so the tag is never looked up."""
     text = (LEXER_DATA / "sample.mylang").read_text(encoding="utf-8")
     return preprocess(load_snippet(text, "generic", "sample.mylang"))

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from codereadability import profiles
 from codereadability.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,8 +85,7 @@ class TestFeaturizeCommand:
         code = main(["featurize", "--in", str(src), "--out", str(tmp_path / "m.csv")])
         assert code == 3
 
-    def test_ini_profile_adds_a_language(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(profiles, "_registered_profiles", {})
+    def test_ini_profile_adds_a_language(self, tmp_path):
         (tmp_path / "p.ini").write_text(
             "[rust]\nkeywords = fn let mut return\nline_comments = //\n"
             "block_comments = /* */\nstrings = \"\n")

@@ -1,7 +1,9 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codereadability.corpus import (
@@ -13,6 +15,7 @@ from codereadability.corpus import (
     preprocess,
     save_labeled_dataset,
 )
+from codereadability.vectorizer import featurize, featurize_corpus
 
 from conftest import snip
 
@@ -30,9 +33,38 @@ class TestLoadSnippet:
         assert s.lines == ("x=1", "", "")
         assert preprocess(s).lines == ("x=1",)
 
-    def test_unsupported_language(self):
-        with pytest.raises(ValueError, match="unsupported language"):
-            load_snippet("x", "fortran", "s")
+    def test_unsupported_language(self, bundled_dict):
+        # only recorded on load; featurizing looks it up in the profile table,
+        # even for a snippet with no lines
+        s, empty = load_snippet("x", "fortran", "s"), load_snippet("", "fortran", "e")
+        assert s.language == empty.language == "fortran"
+        for call in (lambda: featurize(s, d=bundled_dict), lambda: featurize(empty, d=bundled_dict),
+                     lambda: featurize_corpus([s], d=bundled_dict)):
+            with pytest.raises(ValueError, match="unsupported language 'fortran'"):
+                call()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=64),
+                     st.text(max_size=40).map(lambda t: t.encode("utf-8", "surrogatepass")),
+                     st.lists(st.sampled_from(["\ufeff", "x", "\r", "\n", "\r\n", "é"]))
+                     .map(lambda parts: "".join(parts).encode("utf-8"))),
+           st.one_of(st.text(max_size=20), st.sampled_from(["python", "generic", "rust", ""])))
+    def test_any_bytes_and_language_load(self, data, language):
+        # only undecodable bytes fail, and they fail where UTF-8 decoding does
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.txt"
+            path.write_bytes(data)
+            try:
+                s = load_snippet_file(path, language, "s")
+            except SnippetDecodeError as exc:
+                with pytest.raises(UnicodeDecodeError) as decode:
+                    data.decode("utf-8")
+                assert exc.offset == decode.value.start
+                return
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        assert (s.id, s.language) == ("s", language)
+        assert not any("\r" in line or "\n" in line for line in s.lines)
+        assert "\n".join(s.lines) == text.removesuffix("\n")
 
     def test_undecodable_bytes_fail_with_offset(self, tmp_path):
         bad = tmp_path / "bad.py"

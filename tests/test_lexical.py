@@ -215,21 +215,23 @@ loop_keywords = loop
         assert sum(st.branches for st in prof.per_line) == 1
         assert sum(st.loops for st in prof.per_line) == 1
 
-    def test_registered_profile_overrides_generic(self, tmp_path):
-        from codereadability.profiles import (
-            get_profile,
-            load_profiles,
-            register_profiles,
-            _registered_profiles,
-        )
+    def test_ini_profile_overrides_generic(self, tmp_path, bundled_dict):
+        from codereadability.config import AnalysisConfig
+        from codereadability.corpus import Snippet
+        from codereadability.profiles import get_profile, load_profiles
+        from codereadability.vectorizer import featurize
 
         path = tmp_path / "profiles.ini"
         path.write_text("[generic]\nkeywords = blop\nline_comments = --\nstrings = \"\n")
-        register_profiles(load_profiles(path))
-        try:
-            assert "blop" in get_profile("generic").keyword_set
-        finally:
-            _registered_profiles.clear()
+        table = load_profiles(path)
+        assert "blop" in get_profile("generic", table).keyword_set
+        assert "blop" not in get_profile("generic").keyword_set  # the built-in is untouched
+
+        s = Snippet(id="s", language="generic", lines=("blop x -- note # more",))
+        config = AnalysisConfig(profiles_path=str(path))
+        expected = featurize(s, table["generic"], bundled_dict, config).values
+        assert (featurize(s, d=bundled_dict, config=config).values == expected).all()
+        assert (featurize(s, d=bundled_dict).values != expected).any()
 
 
 class TestBlocks:

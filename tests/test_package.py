@@ -25,7 +25,7 @@ EXPORTS = {
     "model": ["EvaluationReport", "ReadabilityModel", "auc", "evaluate", "fit_scaler",
               "load_model", "predict", "save_model", "sfs", "stratified_folds",
               "train_logreg", "train_model"],
-    "profiles": ["LanguageProfile", "get_profile", "load_profiles", "register_profiles"],
+    "profiles": ["LanguageProfile", "get_profile", "load_profiles"],
     "vectorizer": ["FeatureVector", "SCHEMA_VERSION", "family_indices", "featurize",
                    "featurize_corpus", "schema", "schema_names"],
 }
