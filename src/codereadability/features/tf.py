@@ -8,8 +8,17 @@ zero so the feature block stays fixed-width.
 Block coherence (TC) and the concept count (NOC) look at every pair of
 blocks or lines, but neither holds an m×m matrix:
 
-* TC streams the block pairs in (i, j) order, one row at a time, through
-  one builtin ``sum`` and tracks min and max on the way.
+* TC streams the block pairs in (i, j) order through one builtin ``sum``
+  and tracks min and max on the way. Below ``_BITSET_MIN_BLOCKS`` blocks
+  each pair is one set intersection. From there on, each token found in
+  two or more blocks gets one bit (a token of one block never overlaps),
+  every block is packed into one row of a uint64 matrix, and a chunk of
+  rows is intersected with all later rows at once by popcount; a matrix
+  over ``_BITSET_MAX_WORDS`` words keeps the set loop, so memory stays
+  bounded. Both paths return the same bits: the overlap counts and set
+  sizes are exact ints below 2**53, so the float64 division is the one
+  Python does on them, min and max are exact, and the average is the
+  same values, in the same order, into the same ``sum``.
 * NOC counts DBSCAN clusters of valid lines under the token-overlap
   distance, i.e. the connected components among core lines. Lines with
   the same token set are one point carrying their count. For
@@ -29,11 +38,22 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from itertools import chain, count
 
+import numpy as np
+
 from ..dictionary import DictionaryProvider, count_syllables
 from ..lexical import LexicalProfile, TextBlock
 
 _WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*")
 _SENTENCE_RE = re.compile(r"[.!?]+")
+
+# block coherence: from this many blocks the packed bitsets beat the set
+# loop (about 24 blocks on real code; 2x at 48), ...
+_BITSET_MIN_BLOCKS = 32
+# ... as long as the packed matrix stays within this many words (2 MB);
+_BITSET_MAX_WORDS = 1 << 18
+# and the words intersected at once (at least one row against all later
+# ones), which bound each chunk's temporaries
+_BITSET_CHUNK_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -124,14 +144,22 @@ def comment_readability(profile: LexicalProfile) -> float:
 def text_coherence(blocks: list[TextBlock]) -> tuple[float, float, float]:
     """Min/avg/max pairwise Jaccard between block token sets.
 
-    The pairs stream in (i, j) order, one row of values at a time, through
-    one builtin ``sum``: the same sequence into the same ``sum`` keeps the
-    average's bits on every Python version.
+    The pairs stream in (i, j) order through one builtin ``sum``: the same
+    sequence into the same ``sum`` keeps the average's bits on every
+    Python version, whichever kernel computed the values.
     """
     n = len(blocks)
     if n < 2:
         return 0.0, 0.0, 0.0
     sets = [b.tokens for b in blocks]
+    packed = _packed_blocks(sets) if n >= _BITSET_MIN_BLOCKS else None
+    lo, total, hi = _set_pairs(sets) if packed is None else _bitset_pairs(packed, sets)
+    return lo, total / (n * (n - 1) // 2), hi
+
+
+def _set_pairs(sets: list[frozenset]) -> tuple[float, float, float]:
+    """Min, sum and max over the pairs, one set intersection each."""
+    n = len(sets)
     sizes = [len(s) for s in sets]
     lo, hi = 1.0, 0.0  # every value lies in [0, 1]
 
@@ -146,7 +174,51 @@ def text_coherence(blocks: list[TextBlock]) -> tuple[float, float, float]:
             yield row
 
     total = sum(chain.from_iterable(rows()))
-    return lo, total / (n * (n - 1) // 2), hi
+    return lo, total, hi
+
+
+def _packed_blocks(sets: list[frozenset]) -> np.ndarray | None:
+    """The (blocks, words) uint64 bitsets of the tokens found in two or
+    more blocks, or None when they would exceed ``_BITSET_MAX_WORDS``."""
+    freq = Counter(chain.from_iterable(sets))
+    shared = [tok for tok, c in freq.items() if c > 1]
+    words = max(1, -(-len(shared) // 64))
+    if len(sets) * words > _BITSET_MAX_WORDS:
+        return None
+    bit = dict(zip(shared, count()))
+    bits = [[bit[tok] for tok in s if tok in bit] for s in sets]
+    lengths = list(map(len, bits))
+    cols = np.fromiter(chain.from_iterable(bits), dtype=np.int64, count=sum(lengths))
+    rows = np.repeat(np.arange(len(sets)), lengths)
+    packed = np.zeros((len(sets), words), dtype=np.uint64)
+    np.bitwise_or.at(packed, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    return packed
+
+
+def _bitset_pairs(packed: np.ndarray, sets: list[frozenset]) -> tuple[float, float, float]:
+    """Min, sum and max over the pairs, a chunk of rows against all later
+    rows at a time; each chunk's values go to ``sum`` row-major."""
+    n, words = packed.shape
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=n)
+    lo, hi = 1.0, 0.0
+
+    def chunks():
+        nonlocal lo, hi
+        i = 0
+        while i < n - 1:
+            later = n - 1 - i
+            r = max(1, min(later, _BITSET_CHUNK_WORDS // (later * words)))
+            inter = np.bitwise_count(packed[i:i + r, None] & packed[None, i + 1:]).sum(-1, dtype=np.int64)
+            union = sizes[i:i + r, None] + sizes[None, i + 1:] - inter
+            values = np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
+            if r > 1:  # row i + k pairs with the later rows from column k on
+                values = values[np.arange(later) >= np.arange(r)[:, None]]
+            lo, hi = min(lo, values.min()), max(hi, values.max())
+            yield values.ravel().tolist()
+            i += r
+
+    total = sum(chain.from_iterable(chunks()))
+    return float(lo), total, float(hi)
 
 
 def token_overlap_distance(a: frozenset | set, b: frozenset | set) -> float:

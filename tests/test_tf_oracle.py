@@ -5,7 +5,10 @@ distance matrix from a binary incidence matrix, a breadth-first DBSCAN
 over its thresholded rows, and a list of every block-pair Jaccard value.
 ``concept_count`` and ``text_coherence`` must return equal tuples (same
 floats, bit for bit) on every sample, window, long snippet and generated
-case, over the whole ``eps``/``min_samples`` range.
+case, over the whole ``eps``/``min_samples`` range. ``text_coherence`` is
+checked on both of its kernels: the set loop below
+``tf._BITSET_MIN_BLOCKS`` blocks or over ``tf._BITSET_MAX_WORDS`` packed
+words, the packed bitsets otherwise.
 """
 
 import math
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from codereadability.corpus import load_snippet, preprocess
 from codereadability.dictionary import DictionaryProvider
+from codereadability.features import tf
 from codereadability.features.tf import (
     compute_tf,
     concept_count,
@@ -26,7 +30,7 @@ from codereadability.features.tf import (
     text_coherence,
     token_overlap_distance,
 )
-from codereadability.lexical import extract_blocks, tokenize
+from codereadability.lexical import TextBlock, extract_blocks, tokenize
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
 
 from conftest import snip
@@ -216,3 +220,102 @@ def test_compute_tf_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"compute_tf peaked at {peak / 2**20:.1f} MB"
+
+
+# --------------------------------------------------------------------------
+# Block coherence on both kernels, compared by the bits of all three values
+# --------------------------------------------------------------------------
+
+def assert_same_bits(blocks):
+    got = text_coherence(blocks)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in ref_text_coherence(blocks)]
+
+
+@pytest.fixture(scope="module")
+def long_blocks():
+    s = repo_snippet(0, 4000)
+    return extract_blocks(s, profile=tokenize(s))
+
+
+@pytest.fixture
+def bitset_calls(monkeypatch):
+    """The block counts that reached the bitset kernel."""
+    calls = []
+
+    def spy(packed, sets):
+        calls.append(len(sets))
+        return kernel(packed, sets)
+
+    kernel = tf._bitset_pairs
+    monkeypatch.setattr(tf, "_bitset_pairs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_blocks", sorted({tf._BITSET_MIN_BLOCKS - 1, tf._BITSET_MIN_BLOCKS,
+                                             tf._BITSET_MIN_BLOCKS + 1, 63, 64, 65}))
+def test_block_counts_around_the_bitset_threshold(long_blocks, bitset_calls, n_blocks):
+    blocks = long_blocks[:n_blocks]
+    assert len(blocks) == n_blocks
+    assert_same_bits(blocks)
+    assert bitset_calls == ([n_blocks] if n_blocks >= tf._BITSET_MIN_BLOCKS else [])
+    if n_blocks >= 63:  # rows span several words
+        assert tf._packed_blocks([b.tokens for b in blocks]).shape[1] > 1
+
+
+@pytest.mark.parametrize("tokens", [frozenset(), frozenset({"x"}), frozenset(map(str, range(100)))])
+def test_identical_blocks(bitset_calls, tokens):
+    blocks = [TextBlock(i, i, tokens) for i in range(tf._BITSET_MIN_BLOCKS + 5)]
+    assert text_coherence(blocks) == ((1.0,) * 3 if tokens else (0.0,) * 3)
+    assert bitset_calls == [len(blocks)]
+    assert_same_bits(blocks)
+
+
+@st.composite
+def many_blocks(draw):
+    """From the bitset threshold up to 128 blocks of empty, duplicate,
+    disjoint and singleton-only sets; the shared pool may exceed 64 tokens."""
+    rnd = draw(st.randoms(use_true_random=False))
+    pool = [f"s{k}" for k in range(draw(st.integers(1, 200)))]
+    halves = (pool[:len(pool) // 2] or pool, pool[len(pool) // 2:])
+    kinds = draw(st.lists(st.sampled_from(("empty", "duplicate", "pool", "half", "singletons")),
+                          min_size=tf._BITSET_MIN_BLOCKS, max_size=128))
+    sets = []
+    for i, kind in enumerate(kinds):
+        if kind == "empty" or (kind == "duplicate" and not sets):
+            s = frozenset()
+        elif kind == "duplicate":
+            s = rnd.choice(sets)
+        elif kind == "singletons":  # tokens found in this block only
+            s = frozenset(f"u{i}.{k}" for k in range(rnd.randint(1, 5)))
+        else:  # the two halves of the pool are disjoint
+            source = pool if kind == "pool" else rnd.choice(halves)
+            s = frozenset(rnd.sample(source, rnd.randint(1, len(source))))
+            s |= frozenset(f"u{i}.{k}" for k in range(rnd.randint(0, 2)))
+        sets.append(s)
+    return [TextBlock(i, i, s) for i, s in enumerate(sets)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_blocks())
+def test_generated_many_blocks_match_reference(blocks):
+    assert_same_bits(blocks)
+
+
+def test_blocks_over_the_packed_cap_keep_the_set_loop(bitset_calls):
+    """1024 blocks, each sharing 17 tokens with the next only: 272 words a
+    row, 2.1 MB packed, over the cap; the set loop stays well under it."""
+    n, k = 1024, 17
+    blocks = [TextBlock(i, i, frozenset([f"t{i - 1}.{j}" for j in range(k) if i]
+                                        + [f"t{i}.{j}" for j in range(k) if i < n - 1]))
+              for i in range(n)]
+    assert n * -(-k * (n - 1) // 64) > tf._BITSET_MAX_WORDS
+    tracemalloc.start()
+    try:
+        text_coherence(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"text_coherence peaked at {peak / 2**20:.2f} MB"
+    assert bitset_calls == []
+    assert_same_bits(blocks)
