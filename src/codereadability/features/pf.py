@@ -1,18 +1,16 @@
 """Information-theoretic features: non-empty line count, per-line
 character entropy, Halstead volume.
 
-A line's entropy sums one term per distinct character, in first-seen
-order, through the builtin ``sum``. The counts fill a plain dict through
-``collections._count_elements``, the C helper behind ``Counter.update``,
-without the ``Counter`` dispatch around it. The term of a count ``c`` on a
-line of ``n`` characters, ``(c/n) * log2(c/n)``, comes from a bounded
-table keyed by ``n`` and then ``c``, so each is computed once.
+A line's entropy sums one term per distinct character, in ``Counter``
+order, through the builtin ``sum``. The term of a count ``c`` on a line of
+``n`` characters, ``(c/n) * log2(c/n)``, comes from a bounded table keyed
+by ``n`` and then ``c``, so each is computed once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import _count_elements
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
@@ -46,8 +44,7 @@ _TERMS = BoundedMemo(lambda total: BoundedMemo(partial(_entropy_term, total), 1 
 
 def line_entropy(line: str) -> float:
     """Shannon entropy in bits of the line's character distribution."""
-    counts: dict[str, int] = {}
-    _count_elements(counts, line)
+    counts = Counter(line)
     return -sum(map(_TERMS[len(line)].__getitem__, counts.values()))
 
 

@@ -8,11 +8,8 @@ the python profile so unknown languages behave deterministically.
 A profile table maps language names to profiles. ``load_profiles(path)``
 builds one: the built-ins overlaid by the sections of an INI file, so a
 section may add a language or override a built-in one (``[generic]``,
-``[python]``). The table is a value passed to ``get_profile``. The
-built-ins cannot be changed, and the only state kept between calls is a
-small memo from an INI file's text to its parsed sections: the file is
-read on every call but each distinct text is parsed once, so an edited
-file is parsed again.
+``[python]``). The table is a value passed to ``get_profile``; nothing
+here keeps state between calls, and the built-ins cannot be changed.
 """
 
 from __future__ import annotations
@@ -172,44 +169,25 @@ def load_profiles(path: str | Path | None) -> dict[str, LanguageProfile]:
     profiles = dict(_BUILTIN_PROFILES)
     if not path:
         return profiles
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    sections = _PARSED.get(text)
-    if sections is None:
-        if len(_PARSED) >= _PARSED_SIZE:
-            _PARSED.clear()
-        sections = _PARSED[text] = _parse_sections(text, str(path))
-    profiles.update((p.name, p) for p in sections)
-    return profiles
-
-
-# INI text -> its profiles, in section order; the profiles are frozen, so
-# every table built from one entry is a fresh dict of the same values
-_PARSED: dict[str, tuple[LanguageProfile, ...]] = {}
-_PARSED_SIZE = 8
-
-
-def _parse_sections(text: str, source: str) -> tuple[LanguageProfile, ...]:
-    """One profile per section of an INI text; ``source`` names it in errors."""
     parser = configparser.ConfigParser()
-    parser.read_string(text, source=source)
-    return tuple(_section_profile(name, parser[name]) for name in parser.sections())
-
-
-def _section_profile(name: str, sec: configparser.SectionProxy) -> LanguageProfile:
-    base = PYTHON_PROFILE
-    return LanguageProfile(
-        name=name,
-        keyword_set=frozenset(_split_list(sec.get("keywords", ""))),
-        line_comment_markers=_split_list(sec.get("line_comments", "")),
-        block_comment_delims=_split_pairs(sec.get("block_comments", "")),
-        string_delims=_split_list(sec.get("strings", '"')),
-        builtin_names=frozenset(_split_list(sec.get("builtins", ""))),
-        branch_keywords=frozenset(_split_list(sec.get("branch_keywords", "if"))),
-        loop_keywords=frozenset(_split_list(sec.get("loop_keywords", "for while"))),
-        assignment_ops=_split_list(sec.get("assignment_ops", " ".join(base.assignment_ops))),
-        arithmetic_ops=_split_list(sec.get("arithmetic_ops", " ".join(base.arithmetic_ops))),
-        comparison_ops=_split_list(sec.get("comparison_ops", " ".join(base.comparison_ops))),
-        punctuation=_split_list(sec.get("punctuation", " ".join(base.punctuation))),
-        docstring_delims=_split_list(sec.get("docstring_delims", "")),
-    )
+    with open(path, encoding="utf-8") as fh:
+        parser.read_file(fh)
+    for section in parser.sections():
+        sec = parser[section]
+        base = PYTHON_PROFILE
+        profiles[section] = LanguageProfile(
+            name=section,
+            keyword_set=frozenset(_split_list(sec.get("keywords", ""))),
+            line_comment_markers=_split_list(sec.get("line_comments", "")),
+            block_comment_delims=_split_pairs(sec.get("block_comments", "")),
+            string_delims=_split_list(sec.get("strings", '"')),
+            builtin_names=frozenset(_split_list(sec.get("builtins", ""))),
+            branch_keywords=frozenset(_split_list(sec.get("branch_keywords", "if"))),
+            loop_keywords=frozenset(_split_list(sec.get("loop_keywords", "for while"))),
+            assignment_ops=_split_list(sec.get("assignment_ops", " ".join(base.assignment_ops))),
+            arithmetic_ops=_split_list(sec.get("arithmetic_ops", " ".join(base.arithmetic_ops))),
+            comparison_ops=_split_list(sec.get("comparison_ops", " ".join(base.comparison_ops))),
+            punctuation=_split_list(sec.get("punctuation", " ".join(base.punctuation))),
+            docstring_delims=_split_list(sec.get("docstring_delims", "")),
+        )
+    return profiles

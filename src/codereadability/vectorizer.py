@@ -88,8 +88,7 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
 
     Without ``p`` the snippet's language is looked up in the profile table
     of ``config`` (the built-ins and its ``profiles_path``, read on each such
-    call and parsed once per distinct text); an unsupported language raises
-    ``ValueError``.
+    call); an unsupported language raises ``ValueError``.
     """
     if config is None:
         config = AnalysisConfig()

@@ -140,56 +140,3 @@ def test_profile_table_is_builtins_overlaid_by_ini(tmp_path):
     assert get_profile("python") is PYTHON_PROFILE and load_profiles(None)["python"] is PYTHON_PROFILE
     with pytest.raises(ValueError, match="unsupported language 'rust'"):
         get_profile("rust")
-
-
-@pytest.fixture
-def parse_count(monkeypatch):
-    """How often an INI text is parsed; the memo starts empty."""
-    from codereadability import profiles
-
-    calls = []
-
-    def counting(text, source):
-        calls.append(source)
-        return parse(text, source)
-
-    parse = profiles._parse_sections
-    monkeypatch.setattr(profiles, "_parse_sections", counting)
-    monkeypatch.setattr(profiles, "_PARSED", {})
-    return calls
-
-
-def test_repeated_featurize_parses_the_ini_once(setup, bundled_dict, parse_count):
-    config, manifest = setup
-    cfg = load_config(config)
-    snippets = load_labeled_dataset(manifest).snippets
-    singles = [featurize(s, d=bundled_dict, config=cfg).values for _ in range(5) for s in snippets]
-    assert len(parse_count) == 1
-    assert np.array_equal(np.array(singles[:2]), featurize_corpus(snippets, bundled_dict, cfg))
-    assert len(parse_count) == 1
-
-
-def test_an_edited_ini_is_parsed_again(tmp_path, parse_count):
-    path = tmp_path / "profiles.ini"
-    path.write_text(PROFILES_INI, encoding="utf-8")
-    assert load_profiles(path)["rust"].keyword_set == {"fn", "let", "mut", "return"}
-    path.write_text(PROFILES_INI.replace("fn let mut return", "fn let"), encoding="utf-8")
-    assert load_profiles(path)["rust"].keyword_set == {"fn", "let"}
-    assert len(parse_count) == 2
-    path.write_text(PROFILES_INI, encoding="utf-8")  # a text seen before is not parsed again
-    assert load_profiles(path)["rust"].keyword_set == {"fn", "let", "mut", "return"}
-    assert len(parse_count) == 2
-
-
-def test_a_returned_table_is_the_callers_own(tmp_path, parse_count):
-    path = tmp_path / "profiles.ini"
-    path.write_text(PROFILES_INI, encoding="utf-8")
-    first = load_profiles(path)
-    rust = first["rust"]
-    first["python"] = first.pop("rust")
-    first["extra"] = PYTHON_PROFILE
-    second = load_profiles(path)
-    assert len(parse_count) == 1
-    assert second is not first
-    assert set(second) == {"python", "java", "cuda", "generic", "rust"}
-    assert second["rust"] == rust and second["python"].line_comment_markers == ("//",)
