@@ -23,10 +23,19 @@ blocks or lines, but neither holds an m×m matrix:
   distance, i.e. the connected components among core lines. Lines with
   the same token set are one point carrying their count. For
   0 <= eps < 1 an exact Jaccard self-join with prefix and size filtering
-  (:func:`similar_pairs`) yields only the pairs within reach, and a
-  union-find joins them as they come; eps >= 1 (one neighbourhood) and
-  eps < 0 (none) have closed forms. Memory grows with the number of
-  distinct lines, not its square.
+  yields only the pairs within reach, and a union-find joins them as they
+  come; eps >= 1 (one neighbourhood) and eps < 0 (none) have closed
+  forms. Below ``_JOIN_MIN_SETS`` distinct line sets the join is a set
+  loop, one probe at a time (:func:`similar_pairs`), and the union-find
+  is a Python one. From there on the same join runs on arrays
+  (:func:`_array_pairs`): the prefix entries are joined on token rank in
+  chunks of about ``_BITSET_CHUNK_WORDS`` words, each candidate is checked
+  by popcount over the packed token bitsets that TC uses, and an array
+  union-find counts the components (:func:`_component_count`). Bitsets
+  over ``_BITSET_MAX_WORDS`` words keep the set loop. Both paths find the
+  same pairs, whatever the order of tokens with equal counts, so NOC is
+  the same integer. Memory grows with the number of distinct lines, not
+  its square.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, countOf
 from itertools import chain, count
 
 import numpy as np
@@ -54,6 +63,10 @@ _BITSET_MAX_WORDS = 1 << 18
 # and the words intersected at once (at least one row against all later
 # ones), which bound each chunk's temporaries
 _BITSET_CHUNK_WORDS = 1 << 15
+# concept count: from this many distinct line sets the array join beats
+# the set loop (about 64 sets on real code; 1.4x at 128), within the same
+# cap and chunk size
+_JOIN_MIN_SETS = 128
 
 
 @dataclass(frozen=True)
@@ -177,21 +190,43 @@ def _set_pairs(sets: list[frozenset]) -> tuple[float, float, float]:
     return lo, total, hi
 
 
-def _packed_blocks(sets: list[frozenset]) -> np.ndarray | None:
-    """The (blocks, words) uint64 bitsets of the tokens found in two or
-    more blocks, or None when they would exceed ``_BITSET_MAX_WORDS``."""
+def _ranked_tokens(sets: list[frozenset]):
+    """Every set's tokens as ranks, rarest first, for the bitsets of the
+    tokens found in two or more sets; or None when those bitsets would
+    exceed ``_BITSET_MAX_WORDS``.
+
+    Returns the set and the rank of each entry, set after set and
+    ascending within a set; the number of tokens found in one set only,
+    which hold the ranks below it; and the words of a bitset row.
+    """
     freq = Counter(chain.from_iterable(sets))
-    shared = [tok for tok, c in freq.items() if c > 1]
-    words = max(1, -(-len(shared) // 64))
+    singles = countOf(freq.values(), 1)
+    words = max(1, -(-(len(freq) - singles) // 64))
     if len(sets) * words > _BITSET_MAX_WORDS:
         return None
-    bit = dict(zip(shared, count()))
-    bits = [[bit[tok] for tok in s if tok in bit] for s in sets]
-    lengths = list(map(len, bits))
-    cols = np.fromiter(chain.from_iterable(bits), dtype=np.int64, count=sum(lengths))
-    rows = np.repeat(np.arange(len(sets)), lengths)
+    rank = dict(zip(sorted(freq, key=freq.__getitem__), count()))
+    rows = np.repeat(np.arange(len(sets)), list(map(len, sets)))
+    offsets = rows * len(rank)
+    keys = np.fromiter(map(rank.__getitem__, chain.from_iterable(sets)), dtype=np.int64, count=len(rows))
+    keys += offsets
+    keys.sort()
+    keys -= offsets
+    return rows, keys, singles, words
+
+
+def _packed_blocks(sets: list[frozenset], ranked=None) -> np.ndarray | None:
+    """The (sets, words) uint64 bitsets of the tokens found in two or more
+    sets, one bit each, or None when they would exceed ``_BITSET_MAX_WORDS``.
+
+    ``ranked`` is ``_ranked_tokens(sets)``, when the caller has it already.
+    """
+    if ranked is None and (ranked := _ranked_tokens(sets)) is None:
+        return None
+    rows, ranks, singles, words = ranked
+    shared = ranks >= singles
+    bits = ranks[shared] - singles
     packed = np.zeros((len(sets), words), dtype=np.uint64)
-    np.bitwise_or.at(packed, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    np.bitwise_or.at(packed, (rows[shared], bits >> 6), np.uint64(1) << (bits & 63).astype(np.uint64))
     return packed
 
 
@@ -292,6 +327,115 @@ def _cluster_count(multiplicity: list[int], pairs, min_samples: int) -> int:
     return sum(1 for i, d in enumerate(degree) if d >= min_samples and find(i) == i)
 
 
+def _array_pairs(token_sets: list[frozenset], eps: float):
+    """The pairs of :func:`similar_pairs`, for ``0 <= eps < 1``, as chunks
+    of two index arrays ``(x, y)`` from one vectorized join; or None when
+    the packed bitsets of the sets would exceed ``_BITSET_MAX_WORDS``.
+
+    The candidates are those of :func:`similar_pairs` (see
+    :func:`_prefix_runs`), taken a chunk of probe sets at a time, about
+    ``_BITSET_CHUNK_WORDS`` words of gathered rows. A sort drops the pairs
+    found through several tokens, the size filter follows, and each pair
+    left is checked exactly, its overlap counted by popcount.
+    """
+    n = len(token_sets)
+    ranked = _ranked_tokens(token_sets)
+    if ranked is None:
+        return None
+    packed = _packed_blocks(token_sets, ranked)
+    t = 1.0 - eps - 1e-9
+    sizes = np.fromiter(map(len, token_sets), dtype=np.int64, count=n)
+    px, lo, found, iy = _prefix_runs(ranked, sizes, t)
+    # chunks of whole probe sets, cut where the candidates ahead cross a
+    # multiple of the budget; a set over budget is a chunk of its own
+    budget = max(1, _BITSET_CHUNK_WORDS // packed.shape[1])
+    firsts = np.flatnonzero(np.diff(px, prepend=-1))
+    ahead = (np.cumsum(found) - found)[firsts] // budget
+    cuts = firsts[np.diff(ahead, prepend=-1) > 0].tolist()
+
+    def chunks():
+        for a, b in zip(cuts, cuts[1:] + [len(px)]):
+            counts = found[a:b]
+            xs = np.repeat(px[a:b], counts)
+            ys = iy[np.repeat(lo[a:b] - (np.cumsum(counts) - counts), counts) + np.arange(len(xs))]
+            keys = np.sort(xs * n + ys)
+            xs, ys = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+            la, lb = sizes[xs], sizes[ys]
+            fits = lb >= t * la
+            xs, ys, la, lb = xs[fits], ys[fits], la[fits], lb[fits]
+            common = packed[xs]
+            common &= packed[ys]
+            inter = np.bitwise_count(common).sum(-1, dtype=np.int64)
+            near = 1.0 - inter / (la + lb - inter) <= eps
+            yield xs[near], ys[near]
+
+    return chunks()
+
+
+def _prefix_runs(ranked, sizes: np.ndarray, t: float):
+    """The candidate runs of the join at threshold ``t``: for each probe
+    entry ``(px[k], token)``, the earlier sets ``iy[lo[k]:lo[k] + found[k]]``
+    that hold the token in their index prefix.
+
+    The prefix lengths are the float expressions of :func:`similar_pairs`,
+    and "earlier" is its size-then-index visit order. Tokens of one set
+    only join nothing; they are dropped once the prefixes are cut.
+    """
+    rows, ranks, singles, _ = ranked
+    n = len(sizes)
+    t_index = 2.0 * t / (1.0 + t)
+    ends = np.cumsum(sizes)  # each set's entries end here
+    entry = np.arange(len(ranks))
+    shared = ranks >= singles
+    probe = shared & (entry < (ends - np.ceil(t * sizes).astype(np.int64) + 1)[rows])
+    index = shared & (entry < (ends - np.ceil(t_index * sizes).astype(np.int64) + 1)[rows])
+    by_visit = np.sort(sizes * n + np.arange(n)) % n
+    visit = np.empty(n, dtype=np.int64)
+    visit[by_visit] = np.arange(n)
+    # index entries sorted by (rank, visit order)
+    ikey = np.sort(ranks[index] * n + visit[rows[index]])
+    px, pkey = rows[probe], ranks[probe] * n
+    lo = np.searchsorted(ikey, pkey)
+    found = np.searchsorted(ikey, pkey + visit[px]) - lo
+    return px, lo, found, by_visit[ikey % n]
+
+
+def _component_count(multiplicity: np.ndarray, chunks, min_samples: int) -> int:
+    """:func:`_cluster_count` over the pair chunks of :func:`_array_pairs`.
+
+    Degrees grow by one ``np.add.at`` per side and chunk. As there, a pair
+    is joined once both ends are core and waits otherwise. The joins run
+    on an array union-find: each round hooks the larger root of every pair
+    still split onto the smaller one, then jumps pointers until every
+    point names its root.
+    """
+    degree = multiplicity.copy()
+    root = np.arange(len(degree))
+
+    def join(us, vs):
+        nonlocal root
+        while us.size:
+            ru, rv = root[us], root[vs]
+            split = ru != rv
+            us, vs, ru, rv = us[split], vs[split], ru[split], rv[split]
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while ((jumped := root[root]) != root).any():
+                root = jumped
+
+    waiting = []
+    for xs, ys in chunks:
+        np.add.at(degree, xs, multiplicity[ys])
+        np.add.at(degree, ys, multiplicity[xs])
+        both = (degree[xs] >= min_samples) & (degree[ys] >= min_samples)
+        join(xs[both], ys[both])
+        waiting.append((xs[~both], ys[~both]))
+    core = degree >= min_samples
+    for xs, ys in waiting:
+        both = core[xs] & core[ys]
+        join(xs[both], ys[both])
+    return int(np.count_nonzero(core & (root == np.arange(len(root)))))
+
+
 def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 2) -> tuple[float, float]:
     """Cluster valid lines by token-set overlap; count non-noise clusters.
 
@@ -311,7 +455,13 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
     elif not eps >= 0:  # not even a line itself is within reach (NaN too)
         noc = m_val if min_samples <= 0 else 0
     else:
-        noc = _cluster_count(list(lines.values()), similar_pairs(list(lines), eps), min_samples)
+        sets = list(lines)
+        pairs = _array_pairs(sets, eps) if len(sets) >= _JOIN_MIN_SETS else None
+        if pairs is None:
+            noc = _cluster_count(list(lines.values()), similar_pairs(sets, eps), min_samples)
+        else:
+            noc = _component_count(np.fromiter(lines.values(), dtype=np.int64, count=len(sets)),
+                                   pairs, min_samples)
     return float(noc), noc / m_val
 
 

@@ -5,14 +5,17 @@ distance matrix from a binary incidence matrix, a breadth-first DBSCAN
 over its thresholded rows, and a list of every block-pair Jaccard value.
 ``concept_count`` and ``text_coherence`` must return equal tuples (same
 floats, bit for bit) on every sample, window, long snippet and generated
-case, over the whole ``eps``/``min_samples`` range. ``text_coherence`` is
-checked on both of its kernels: the set loop below
-``tf._BITSET_MIN_BLOCKS`` blocks or over ``tf._BITSET_MAX_WORDS`` packed
-words, the packed bitsets otherwise.
+case, over the whole ``eps``/``min_samples`` range. Both functions are
+checked on both of their kernels. ``text_coherence`` runs the set loop
+below ``tf._BITSET_MIN_BLOCKS`` blocks or over ``tf._BITSET_MAX_WORDS``
+packed words, the packed bitsets otherwise. ``concept_count`` runs the
+set loop (``similar_pairs``) below ``tf._JOIN_MIN_SETS`` distinct line
+sets or over the same cap, the array join otherwise.
 """
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,24 @@ ROOT = Path(__file__).resolve().parent.parent
 EPS_VALUES = (-0.1, 0.0, 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.999, 1.0, 1.5,
               math.inf, -math.inf)
 MIN_SAMPLES = (-1, 0, 1, 2, 3, 5)
+
+
+def _eps_for_threshold(t):
+    """The eps whose join threshold ``1.0 - eps - 1e-9`` is exactly ``t``."""
+    eps, seen = 1.0 - t - 1e-9, set()
+    while eps not in seen:
+        seen.add(eps)
+        got = 1.0 - eps - 1e-9
+        if got == t:
+            return eps
+        eps = math.nextafter(eps, math.inf if got > t else -math.inf)
+    raise AssertionError(f"no eps gives the threshold {t!r}")
+
+
+# thresholds t with t·|x| a whole number for every |x| divisible by 3, 4 or 5,
+# so each prefix length sits on its ceil boundary
+WHOLE_T_EPS = tuple(_eps_for_threshold(t) for t in (1 / 3, 2 / 3, 3 / 4, 3 / 5))
+JOIN_EPS = tuple(e for e in EPS_VALUES if 0 <= e < 1) + WHOLE_T_EPS
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +167,16 @@ def assert_same(s, p=None, cases=((0.5, 2),)):
 ALL_CASES = tuple((eps, k) for eps in EPS_VALUES for k in MIN_SAMPLES)
 
 
+def brute_pairs(token_sets, eps):
+    return {(i, j) for i in range(len(token_sets)) for j in range(i + 1, len(token_sets))
+            if token_overlap_distance(token_sets[i], token_sets[j]) <= eps}
+
+
+def array_join_pairs(token_sets, eps):
+    chunks = tf._array_pairs(token_sets, eps)
+    return [(min(x, y), max(x, y)) for xs, ys in chunks for x, y in zip(xs.tolist(), ys.tolist())]
+
+
 # --------------------------------------------------------------------------
 # Tests
 # --------------------------------------------------------------------------
@@ -188,17 +219,16 @@ def test_generated_lines_match_reference(lines, eps, min_samples):
 
 
 class TestJaccardProperties:
-    sets = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=5)
+    sets = st.frozensets(st.sampled_from("abcdefghij"), min_size=1, max_size=8)
 
-    @given(st.lists(sets, min_size=1, max_size=12),
-           st.sampled_from([e for e in EPS_VALUES if 0 <= e < 1]))
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(sets, min_size=1, max_size=60), st.sampled_from(JOIN_EPS))
     def test_join_pairs_match_scalar_distance(self, token_sets, eps):
-        brute = {(i, j)
-                 for i in range(len(token_sets)) for j in range(i + 1, len(token_sets))
-                 if token_overlap_distance(token_sets[i], token_sets[j]) <= eps}
-        found = list(similar_pairs(token_sets, eps))
-        assert len(found) == len(set(found))
-        assert set(found) == brute
+        """The set join and the array join each find every pair within reach, once."""
+        brute = brute_pairs(token_sets, eps)
+        for found in (list(similar_pairs(token_sets, eps)), array_join_pairs(token_sets, eps)):
+            assert len(found) == len(set(found))
+            assert set(found) == brute
 
 
 def test_no_neighbour_at_nan_eps():
@@ -319,3 +349,152 @@ def test_blocks_over_the_packed_cap_keep_the_set_loop(bitset_calls):
     assert peak <= 2**20, f"text_coherence peaked at {peak / 2**20:.2f} MB"
     assert bitset_calls == []
     assert_same_bits(blocks)
+
+
+# --------------------------------------------------------------------------
+# Concept count on both kernels: the set loop and the array join
+# --------------------------------------------------------------------------
+
+def distinct_line_sets(prof):
+    return list(dict.fromkeys(
+        frozenset(toks) for stats, toks in zip(prof.per_line, prof.line_tokens)
+        if not stats.is_blank and not stats.is_comment_only and toks))
+
+
+@contextmanager
+def spy_on_join():
+    """(set count, whether the join ran) for every call of the array join."""
+    calls = []
+
+    def spy(token_sets, eps):
+        chunks = kernel(token_sets, eps)
+        calls.append((len(token_sets), chunks is not None))
+        return chunks
+
+    kernel = tf._array_pairs
+    tf._array_pairs = spy
+    try:
+        yield calls
+    finally:
+        tf._array_pairs = kernel
+
+
+@pytest.fixture
+def join_calls():
+    with spy_on_join() as calls:
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def long_profile():
+    return tokenize(repo_snippet(0, 4000))
+
+
+@pytest.mark.parametrize("n_sets", [tf._JOIN_MIN_SETS - 1, tf._JOIN_MIN_SETS, tf._JOIN_MIN_SETS + 1])
+def test_line_set_counts_around_the_join_threshold(long_profile, join_calls, n_sets):
+    """The first lines of a long snippet that hold exactly ``n_sets`` distinct line sets."""
+    seen, n_lines = set(), 0
+    for n_lines, (stats, toks) in enumerate(zip(long_profile.per_line, long_profile.line_tokens), 1):
+        if not stats.is_blank and not stats.is_comment_only and toks:
+            seen.add(frozenset(toks))
+            if len(seen) == n_sets:
+                break
+    prof = tokenize(repo_snippet(0, n_lines))
+    assert len(distinct_line_sets(prof)) == n_sets
+    for eps, min_samples in ALL_CASES:
+        assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
+    runs = len([e for e, _ in ALL_CASES if 0 <= e < 1])
+    assert join_calls == ([(n_sets, True)] * runs if n_sets >= tf._JOIN_MIN_SETS else [])
+
+
+@st.composite
+def many_lines(draw):
+    """At least the join threshold of distinct line sets: duplicates
+    (multiplicity > 1), singletons (tokens of one line only), sets from
+    two disjoint halves of a pool or from all of it, and sets that share
+    one token with each other."""
+    rnd = draw(st.randoms(use_true_random=False))
+    pool = [f"p{k}" for k in range(draw(st.integers(1, 150)))]
+    halves = (pool[:len(pool) // 2] or pool, pool[len(pool) // 2:])
+    kinds = draw(st.lists(st.sampled_from(("duplicate", "singletons", "pool", "half", "hub")),
+                          min_size=1, max_size=tf._JOIN_MIN_SETS + 64))
+    sets = []
+    for i, kind in enumerate(kinds):
+        if kind == "duplicate" and sets:
+            s = rnd.choice(sets)
+        elif kind == "hub":  # one shared token, the rest of this line only
+            s = ["hub"] + [f"u{i}_{k}" for k in range(rnd.randint(0, 4))]
+        elif kind in ("pool", "half"):
+            source = pool if kind == "pool" else rnd.choice(halves)
+            s = rnd.sample(source, rnd.randint(1, min(len(source), 8)))
+        else:
+            s = [f"u{i}_{k}" for k in range(rnd.randint(1, 5))]
+        sets.append(s)
+    distinct = len({frozenset(s) for s in sets})
+    sets += [[f"w{i}"] for i in range(tf._JOIN_MIN_SETS - distinct)]  # pad with singletons
+    rnd.shuffle(sets)
+    return [" ".join(s) for s in sets]
+
+
+@settings(max_examples=60, deadline=None)
+@given(many_lines(), st.sampled_from(JOIN_EPS + EPS_VALUES), st.sampled_from(MIN_SAMPLES))
+def test_generated_many_lines_match_reference(lines, eps, min_samples):
+    prof = tokenize(snip("\n".join(lines)))
+    n_sets = len(distinct_line_sets(prof))
+    assert n_sets >= tf._JOIN_MIN_SETS
+    with spy_on_join() as calls:
+        assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
+    assert calls == ([(n_sets, True)] if 0 <= eps < 1 else [])
+    if 0 <= eps < 1:
+        token_sets = distinct_line_sets(prof)
+        found = array_join_pairs(token_sets, eps)
+        assert len(found) == len(set(found))
+        assert set(found) == brute_pairs(token_sets, eps) == set(similar_pairs(token_sets, eps))
+
+
+def test_array_join_chunks_bound_the_gathered_rows(monkeypatch):
+    """A small word budget splits the join into many chunks with the same pairs."""
+    token_sets = distinct_line_sets(tokenize(repo_snippet(0, 1000)))
+    whole = array_join_pairs(token_sets, 0.5)
+    monkeypatch.setattr(tf, "_BITSET_CHUNK_WORDS", 64)
+    chunks = list(tf._array_pairs(token_sets, 0.5))
+    assert len(chunks) > 10
+    assert sorted(whole) == sorted((min(x, y), max(x, y)) for xs, ys in chunks
+                                   for x, y in zip(xs.tolist(), ys.tolist()))
+
+
+def test_concept_count_memory_is_bounded(join_calls):
+    """20k lines on the array join: chunks of words keep the gathered rows
+    small (the whole candidate set at once peaked near 60 MB here)."""
+    prof = tokenize(repo_snippet(0, 20_000))
+    tracemalloc.start()
+    try:
+        concept_count(prof)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert join_calls and join_calls[0][1]
+    assert peak <= 6 * 2**20, f"concept_count peaked at {peak / 2**20:.1f} MB"
+
+
+def test_lines_over_the_packed_cap_keep_the_set_loop(join_calls):
+    """1024 lines, each sharing 17 tokens with the next only: 272 words a
+    row, over the cap, so the join gives up before it packs anything."""
+    n, k = 1024, 17
+    lines = [" ".join([f"t{i - 1}_{j}" for j in range(k) if i] + [f"t{i}_{j}" for j in range(k) if i < n - 1])
+             for i in range(n)]
+    prof = tokenize(snip("\n".join(lines)))
+    token_sets = distinct_line_sets(prof)
+    assert len(token_sets) == n and n * -(-k * (n - 1) // 64) > tf._BITSET_MAX_WORDS
+    tracemalloc.start()
+    try:
+        assert tf._array_pairs(token_sets, 0.5) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"the array join peaked at {peak / 2**20:.2f} MB"
+    join_calls.clear()
+    # neighbours are at distance 2/3; the two end lines, at 1/2 from theirs
+    assert concept_count(prof, 0.5, 2) == (2.0, 2 / n)
+    assert concept_count(prof, 0.75, 2) == (1.0, 1 / n)
+    assert join_calls == [(n, False), (n, False)]
