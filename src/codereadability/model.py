@@ -10,14 +10,19 @@ retire converged problems and halve only the steps whose own objective
 rose. Forward selection hands it every remaining candidate of an inner
 fold at once; ``train_logreg`` is the batch of one. Each problem takes the
 same iterates, bit for bit, as it would alone, so no result depends on
-the batch. Everything is deterministic under a seed.
+the batch. ``evaluate`` runs its outer folds, which share nothing, in one
+forked worker per available CPU on Linux, and serially on one CPU or
+elsewhere; each fold computes the same bits in either place. Everything
+is deterministic under a seed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -393,10 +398,59 @@ class EvaluationReport:
         return asdict(self)
 
 
+class _HeldRecords(logging.Handler):
+    """Keeps a pool worker's log records for the parent process to emit."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+def _outer_fold(fold: int, X: np.ndarray, y: np.ndarray, folds: np.ndarray,
+                candidates: list[int], k_max: int, inner_cv: int, seed: int,
+                lambda_l2: float, in_worker: bool = False
+                ) -> tuple[tuple[float, float, list[int]], list[logging.LogRecord]]:
+    """Scaling, selection, final fit and held-out metrics of one outer fold:
+    ``(accuracy, auc, selected)`` and the log records the fold held back.
+
+    In a pool worker (``in_worker``) the records of this module's logger are
+    held and returned, because the caller's handlers live in the parent.
+    Otherwise they go straight to the handlers and none are returned.
+    """
+    held = _HeldRecords()
+    if in_worker:
+        # the worker's own copy of the logger, so it is not restored
+        log.handlers, log.propagate = [held], False
+    test = folds == fold
+    scaler = fit_scaler(X[~test])
+    Xn_train = transform(scaler, X[~test])
+    Xn_test = transform(scaler, X[test])
+    selected = sfs(Xn_train, y[~test], k_max, inner_cv=inner_cv,
+                   seed=seed + 1000 * (fold + 1), lambda_l2=lambda_l2,
+                   candidates=candidates)
+    w, b = train_logreg(Xn_train[:, selected], y[~test], lambda_l2)
+    probs = expit(Xn_test[:, selected] @ w + b)
+    return (accuracy(probs, y[test]), auc(probs, y[test]), list(selected)), held.records
+
+
 def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
              lambda_l2: float = 1.0, k_max: int | None = None,
              inner_cv: int = 5) -> EvaluationReport:
-    """Cross-validated accuracy/AUC with per-fold scaling and selection."""
+    """Cross-validated accuracy/AUC with per-fold scaling and selection.
+
+    The outer folds share nothing, so they run side by side in a pool of
+    ``min(k, available CPUs)`` forked workers. They run serially on one
+    CPU, where ``os.sched_getaffinity`` is missing (no safe fork), and in
+    a daemonic process, which may not have children. Each fold computes
+    the same bits either way; its log records reach this process's
+    handlers in fold order, and the first failing fold's exception is
+    raised. The pool is gone when this returns or raises.
+    """
+    import multiprocessing
+
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     candidates = family_indices(family)
@@ -407,19 +461,25 @@ def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
     report = EvaluationReport(family=family, k=k, seed=seed, lambda_l2=lambda_l2,
                               accuracy=0.0, auc=0.0, n_selected=0.0,
                               fold_assignment=folds.tolist())
-    for fold in range(k):
-        test = folds == fold
-        scaler = fit_scaler(X[~test])
-        Xn_train = transform(scaler, X[~test])
-        Xn_test = transform(scaler, X[test])
-        selected = sfs(Xn_train, y[~test], k_max, inner_cv=inner_cv,
-                       seed=seed + 1000 * (fold + 1), lambda_l2=lambda_l2,
-                       candidates=candidates)
-        w, b = train_logreg(Xn_train[:, selected], y[~test], lambda_l2)
-        probs = expit(Xn_test[:, selected] @ w + b)
-        report.fold_accuracy.append(accuracy(probs, y[test]))
-        report.fold_auc.append(auc(probs, y[test]))
-        report.fold_selected.append(list(selected))
+    workers = 1
+    if hasattr(os, "sched_getaffinity") and not multiprocessing.current_process().daemon:
+        workers = min(k, len(os.sched_getaffinity(0)))
+    run = partial(_outer_fold, X=X, y=y, folds=folds, candidates=candidates, k_max=k_max,
+                  inner_cv=inner_cv, seed=seed, lambda_l2=lambda_l2, in_worker=workers > 1)
+    pool = multiprocessing.get_context("fork").Pool(workers) if workers > 1 else None
+    try:
+        # imap yields in fold order, so the lowest failing fold raises, as in map
+        outcomes = pool.imap(run, range(k)) if pool else map(run, range(k))
+        for (fold_accuracy, fold_auc, selected), records in outcomes:
+            for record in records:
+                log.handle(record)
+            report.fold_accuracy.append(fold_accuracy)
+            report.fold_auc.append(fold_auc)
+            report.fold_selected.append(selected)
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
     report.accuracy = float(np.mean(report.fold_accuracy))
     report.auc = float(np.mean(report.fold_auc))

@@ -1,10 +1,15 @@
 import json
+import logging
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codereadability import model
 from codereadability.model import (
     ModelError,
     ReadabilityModel,
@@ -262,6 +267,89 @@ class TestEvaluate:
         for sel in report.fold_selected:
             assert all(42 <= j < 46 for j in sel)
             assert len(sel) <= 4
+
+
+
+def _cpus(monkeypatch, n):
+    """Make ``evaluate`` see ``n`` available CPUs: one runs the folds
+    serially, more fan them out to forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _report_json(X, y, **kwargs):
+    return json.dumps(evaluate(X, y, **kwargs).to_dict())
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the outer folds fork only on Linux")
+class TestEvaluateFanOut:
+    """The outer folds give the same report, errors, log records and no
+    leftover process whether they run serially or in forked workers."""
+
+    @pytest.mark.parametrize("family,k_max", [("all", 2), ("tf", 3), ("tf", None)])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_report_bytes_do_not_depend_on_the_pool(self, monkeypatch, k, family, k_max):
+        X, y = _feature_matrix_61(n=60, seed=5)
+        kwargs = dict(family=family, k=k, seed=7, k_max=k_max, inner_cv=3)
+        _cpus(monkeypatch, 1)
+        serial = _report_json(X, y, **kwargs)
+        _cpus(monkeypatch, 2)
+        assert _report_json(X, y, **kwargs) == serial
+        assert multiprocessing.active_children() == []
+
+    def test_failing_fold_raises_the_serial_error(self, monkeypatch):
+        X, y = _feature_matrix_61(n=40, seed=6)
+        real_sfs = model.sfs
+
+        def sfs_failing_in_fold_2(*args, seed, **kwargs):
+            if seed == 3 + 1000 * 2:
+                raise ValueError(f"no selection for seed {seed}")
+            return real_sfs(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(model, "sfs", sfs_failing_in_fold_2)
+        kwargs = dict(family="tf", k=4, seed=3, k_max=2, inner_cv=2)
+        raised = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as info:
+                evaluate(X, y, **kwargs)
+            raised.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert raised[0] == raised[1] == (ValueError, "no selection for seed 2003")
+
+    def test_fold_log_records_reach_the_caller_in_fold_order(self, monkeypatch, caplog):
+        X, y = _feature_matrix_61(n=40, seed=7)
+        real_sfs = model.sfs
+
+        def sfs_announcing_its_seed(*args, seed, **kwargs):
+            model.log.warning("selecting with seed %d", seed)
+            return real_sfs(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(model, "sfs", sfs_announcing_its_seed)
+        monkeypatch.setattr(model, "NEWTON_MAX_ITER", 1)
+        kwargs = dict(family="tf", k=3, seed=0, k_max=2, inner_cv=2)
+        seen = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="codereadability.model"):
+                evaluate(X, y, **kwargs)
+            seen.append([(r.name, r.levelno, r.getMessage()) for r in caplog.records])
+            processes = {r.process for r in caplog.records}
+            assert (os.getpid() in processes) == (cpus == 1)
+        assert seen[0] == seen[1]
+        messages = [message for _, _, message in seen[0]]
+        assert messages[0::2] == [f"selecting with seed {1000 * (f + 1)}" for f in range(3)]
+        assert all("fits stopped at max_iter=1" in m for m in messages[1::2])
+
+    def test_daemonic_caller_runs_the_folds_serially(self, monkeypatch):
+        X, y = _feature_matrix_61(n=40, seed=8)
+        kwargs = dict(family="tf", k=3, seed=1, k_max=2, inner_cv=2)
+        _cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            # a pool worker is daemonic and may not start a pool of its own
+            in_worker = pool.apply(_report_json, (X, y), kwargs)
+        pool.join()
+        assert in_worker == _report_json(X, y, **kwargs)
 
 
 class TestPredictAndPersistence:

@@ -62,6 +62,7 @@ import json, sys
 def loaded():
     return {"model": "codereadability.model" in sys.modules,
             "analytics": "codereadability.analytics" in sys.modules,
+            "multiprocessing": "multiprocessing" in sys.modules,
             "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}
 
 steps = {}
@@ -82,8 +83,11 @@ def test_modules_load_on_first_access():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    assert steps["cli"] == {"model": False, "analytics": False, "scipy": []}
+    assert steps["cli"] == {"model": False, "analytics": False, "multiprocessing": False,
+                            "scipy": []}
     assert steps["auc"]["model"] and not steps["auc"]["analytics"]
+    # only a call to evaluate loads multiprocessing
+    assert not steps["auc"]["multiprocessing"]
     assert "scipy.special" in steps["auc"]["scipy"]
     assert steps["paired_compare"]["analytics"]
     assert not [m for m in steps["paired_compare"]["scipy"] if m.startswith("scipy.stats")]
