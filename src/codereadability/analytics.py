@@ -202,13 +202,14 @@ class ComparisonReport:
 
 def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
     """Compare two score tables over their shared snippet ids."""
-    if len(set(a.ids)) != len(a.ids):
+    ids_a = set(a.ids)
+    if len(ids_a) != len(a.ids):
         raise ValueError("duplicate ids in table a")
     index_b = {sid: i for i, sid in enumerate(b.ids)}
     if len(index_b) != len(b.ids):
         raise ValueError("duplicate ids in table b")
     missing_in_b = [sid for sid in a.ids if sid not in index_b]
-    missing_in_a = [sid for sid in index_b if sid not in set(a.ids)]
+    missing_in_a = [sid for sid in index_b if sid not in ids_a]
     if missing_in_b or missing_in_a:
         raise ValueError(
             "score tables do not align one-to-one; "

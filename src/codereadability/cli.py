@@ -9,6 +9,7 @@ reproduced exactly; outputs are byte-identical for identical
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -42,42 +43,36 @@ _DATA_ERRORS = (DatasetError, SnippetDecodeError, DictionaryError, ValueError, O
 
 def _resolve_config(args) -> AnalysisConfig:
     cfg = load_config(getattr(args, "config", None))
-    overrides = {}
     if getattr(args, "lambda_l2", None) is not None:
-        overrides["lambda_l2"] = args.lambda_l2
-    if overrides:
-        cfg = AnalysisConfig(**{**cfg.to_dict(), **overrides})
+        cfg = dataclasses.replace(cfg, lambda_l2=args.lambda_l2)
     log.info("resolved config: %s", json.dumps(cfg.to_dict(), sort_keys=True))
     return cfg
 
 
-def _load_corpus(in_path: str, language: str) -> tuple[list[Snippet], list[int] | None, list[str]]:
-    """Snippets from either a directory of files or a labeled manifest CSV.
-
-    Returns (snippets, labels_or_None, per_file_errors). Directory reads
-    collect per-file diagnostics instead of stopping at the first failure.
+def _load_corpus(in_path: str, language: str) -> tuple[list[Snippet], bool]:
+    """Snippets from either a directory of files or a labeled manifest CSV,
+    and whether a file of the directory was unreadable. Each unreadable file
+    is logged, and the rest are still read.
     """
     path = Path(in_path)
-    if path.is_dir():
-        snippets: list[Snippet] = []
-        errors: list[str] = []
-        for file in sorted(p for p in path.rglob("*") if p.is_file()):
-            rel = str(file.relative_to(path))
-            try:
-                snippets.append(preprocess(load_snippet_file(file, language, rel)))
-            except (SnippetDecodeError, OSError) as exc:
-                errors.append(f"{rel}: {exc}")
-        return snippets, None, errors
-    dataset = load_labeled_dataset(path)
-    return dataset.snippets, dataset.labels, []
+    if not path.is_dir():
+        return load_labeled_dataset(path).snippets, False
+    snippets: list[Snippet] = []
+    unreadable = False
+    for file in sorted(p for p in path.rglob("*") if p.is_file()):
+        rel = str(file.relative_to(path))
+        try:
+            snippets.append(preprocess(load_snippet_file(file, language, rel)))
+        except (SnippetDecodeError, OSError) as exc:
+            log.error("unreadable input: %s: %s", rel, exc)
+            unreadable = True
+    return snippets, unreadable
 
 
 def cmd_featurize(args) -> int:
     cfg = _resolve_config(args)
-    snippets, _, errors = _load_corpus(args.in_path, args.lang)
-    for msg in errors:
-        log.error("unreadable input: %s", msg)
-    if errors and not args.keep_going:
+    snippets, unreadable = _load_corpus(args.in_path, args.lang)
+    if unreadable and not args.keep_going:
         return EXIT_DATA
     if not snippets:
         log.warning("no snippets found in %s; writing header-only matrix", args.in_path)
@@ -85,7 +80,7 @@ def cmd_featurize(args) -> int:
     matrix = featurize_corpus(snippets, d, cfg)
     write_feature_matrix(args.out, [s.id for s in snippets], matrix)
     log.info("wrote %d rows to %s", len(snippets), args.out)
-    return EXIT_DATA if errors else EXIT_OK
+    return EXIT_DATA if unreadable else EXIT_OK
 
 
 def _featurized_dataset(args, cfg: AnalysisConfig):
@@ -135,17 +130,15 @@ def cmd_score(args) -> int:
 
     cfg = _resolve_config(args)
     trained = model_mod.load_model(args.model)
-    snippets, _, errors = _load_corpus(args.in_path, args.lang)
-    for msg in errors:
-        log.error("unreadable input: %s", msg)
-    if errors and not args.keep_going:
+    snippets, unreadable = _load_corpus(args.in_path, args.lang)
+    if unreadable and not args.keep_going:
         return EXIT_DATA
     d = load_dictionary(cfg.dictionary_path)
     table = analytics.score_corpus(trained, snippets, d=d, config=cfg,
                                    label=args.in_path)
     analytics.write_score_table(table, args.out)
     log.info("scored %d snippets to %s", len(table), args.out)
-    return EXIT_DATA if errors else EXIT_OK
+    return EXIT_DATA if unreadable else EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -194,20 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default="all",
                        choices=["tf", "bwf", "pf", "df", "all"],
                        help="feature family to use")
-        p.add_argument("--folds", type=int, default=10, help="cross-validation folds")
         p.add_argument("--seed", type=int, default=42, help="RNG seed")
         p.add_argument("--lambda", dest="lambda_l2", type=float, default=None,
                        help="L2 regularization strength")
         p.add_argument("--kmax", type=int, default=None,
                        help="max selected features (default: family size)")
-        p.add_argument("--out", help="output path")
 
     train = sub.add_parser("train", help="fit a model on the full labeled dataset")
     add_train_eval_flags(train)
+    train.add_argument("--out", required=True, help="output model JSON file")
     train.set_defaults(func=cmd_train)
 
     evaluate = sub.add_parser("evaluate", help="cross-validated accuracy/AUC report")
     add_train_eval_flags(evaluate)
+    evaluate.add_argument("--folds", type=int, default=10, help="cross-validation folds")
+    evaluate.add_argument("--out", help="write the JSON report here")
     evaluate.set_defaults(func=cmd_evaluate)
 
     score = sub.add_parser("score", help="score a corpus with a trained model")

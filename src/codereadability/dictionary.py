@@ -28,14 +28,15 @@ class DictionaryError(RuntimeError):
 
 @dataclass(frozen=True)
 class LexEntry:
-    term: str
     in_dictionary: bool
     senses: int
     max_depth: int
     synonyms: frozenset[str]
 
 
-_ABSENT = lambda term: LexEntry(term, False, 0, 0, frozenset())
+# shared by every absent term, and by every term of the bundled list
+_ABSENT = LexEntry(False, 0, 0, frozenset())
+_LISTED = LexEntry(True, 1, 1, frozenset())
 
 _POS_FILES = {"noun": "n", "verb": "v", "adj": "a", "adv": "r"}
 _HYPERNYM_SYMBOLS = {"@", "@i"}
@@ -125,7 +126,7 @@ class _WordNetDatabase:
     def entry(self, term: str) -> LexEntry:
         synsets = self.lemma_synsets.get(term)
         if not synsets:
-            return _ABSENT(term)
+            return _ABSENT
         max_depth = 0
         synonyms: set[str] = set()
         for pos, off in synsets:
@@ -135,7 +136,7 @@ class _WordNetDatabase:
                 word = word.lower()
                 if word != term and "_" not in word:
                     synonyms.add(word)
-        return LexEntry(term, True, len(synsets), max_depth, frozenset(synonyms))
+        return LexEntry(True, len(synsets), max_depth, frozenset(synonyms))
 
 
 def _load_fallback_words() -> frozenset[str]:
@@ -160,18 +161,11 @@ class DictionaryProvider:
         return cls(None, _load_fallback_words())
 
     def lookup(self, term: str) -> LexEntry:
-        if not term:
-            return _ABSENT(term)
-        cached = self._cache.get(term)
-        if cached is not None:
-            return cached
-        if self._wordnet is not None:
-            entry = self._wordnet.entry(term)
-        elif term in self._fallback:
-            entry = LexEntry(term, True, 1, 1, frozenset())
-        else:
-            entry = _ABSENT(term)
-        self._cache[term] = entry
+        if self._wordnet is None:
+            return _LISTED if term in self._fallback else _ABSENT
+        entry = self._cache.get(term)
+        if entry is None:
+            entry = self._cache[term] = self._wordnet.entry(term)
         return entry
 
     def is_english(self, term: str) -> bool:

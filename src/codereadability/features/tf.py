@@ -50,7 +50,7 @@ from itertools import chain, count
 import numpy as np
 
 from ..dictionary import DictionaryProvider, count_syllables
-from ..lexical import LexicalProfile, TextBlock
+from ..lexical import LexicalProfile
 
 _WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*")
 _SENTENCE_RE = re.compile(r"[.!?]+")
@@ -154,17 +154,16 @@ def comment_readability(profile: LexicalProfile) -> float:
     return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
 
 
-def text_coherence(blocks: list[TextBlock]) -> tuple[float, float, float]:
+def text_coherence(sets: list[frozenset[str]]) -> tuple[float, float, float]:
     """Min/avg/max pairwise Jaccard between block token sets.
 
     The pairs stream in (i, j) order through one builtin ``sum``: the same
     sequence into the same ``sum`` keeps the average's bits on every
     Python version, whichever kernel computed the values.
     """
-    n = len(blocks)
+    n = len(sets)
     if n < 2:
         return 0.0, 0.0, 0.0
-    sets = [b.tokens for b in blocks]
     packed = _packed_blocks(sets) if n >= _BITSET_MIN_BLOCKS else None
     lo, total, hi = _set_pairs(sets) if packed is None else _bitset_pairs(packed, sets)
     return lo, total / (n * (n - 1) // 2), hi
@@ -465,7 +464,7 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
     return float(noc), noc / m_val
 
 
-def compute_tf(profile: LexicalProfile, blocks: list[TextBlock],
+def compute_tf(profile: LexicalProfile, blocks: list[frozenset[str]],
                dictionary: DictionaryProvider,
                dbscan_eps: float = 0.5, dbscan_min_samples: int = 2) -> TfFeatures:
     cic_val, cic_syn_val = cic(profile, dictionary)

@@ -32,6 +32,9 @@ line crosses lines. ``_ScanState.mode`` then holds its closing
 delimiter, whether backslashes escape it and whether it counts as a
 comment, and the next line starts by looking for that closer.
 
+``extract_blocks`` reads the blocks off a profile: the token set of each
+run of non-blank lines between blank ones, as a frozenset.
+
 The scanner also keeps a token table: code-token text -> everything the
 profile needs of that token, built the first time the text is seen (a
 token's text fixes its kind) and bounded in size. Its per-line counts
@@ -48,7 +51,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import itemgetter, not_, sub
 from struct import Struct
 from typing import NamedTuple
@@ -75,15 +78,6 @@ class CommentSegment:
     col: int
     raw: str    # full segment including markers/delimiters
     text: str   # comment text with markers stripped
-
-
-@dataclass(frozen=True)
-class TextBlock:
-    """Contiguous non-blank line group; carries its lexical token set."""
-
-    start_line: int
-    end_line: int  # inclusive
-    tokens: frozenset[str]
 
 
 class LineStats(NamedTuple):
@@ -465,26 +459,10 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
 
 
 def extract_blocks(s: Snippet, p: LanguageProfile | None = None,
-                   profile: LexicalProfile | None = None) -> list[TextBlock]:
-    """Blank-line-delimited groups of non-blank lines with their token sets."""
+                   profile: LexicalProfile | None = None) -> list[frozenset[str]]:
+    """The token set of each blank-line-delimited group of non-blank lines."""
     if profile is None:
         profile = tokenize(s, p)
-    blocks: list[TextBlock] = []
-    start = None
-    for idx, stats in enumerate(profile.per_line):
-        if stats.is_blank:
-            if start is not None:
-                blocks.append(_make_block(profile, start, idx - 1))
-                start = None
-        elif start is None:
-            start = idx
-    if start is not None:
-        blocks.append(_make_block(profile, start, profile.m - 1))
-    return blocks
-
-
-def _make_block(profile: LexicalProfile, start: int, end: int) -> TextBlock:
-    toks: set[str] = set()
-    for i in range(start, end + 1):
-        toks.update(profile.line_tokens[i])
-    return TextBlock(start_line=start, end_line=end, tokens=frozenset(toks))
+    runs = groupby(zip(profile.per_line, profile.line_tokens), key=lambda line: line[0].is_blank)
+    return [frozenset(chain.from_iterable(tokens for _, tokens in run))
+            for blank, run in runs if not blank]

@@ -10,10 +10,13 @@ retire converged problems and halve only the steps whose own objective
 rose. Forward selection hands it every remaining candidate of an inner
 fold at once; ``train_logreg`` is the batch of one. Each problem takes the
 same iterates, bit for bit, as it would alone, so no result depends on
-the batch. ``evaluate`` runs its outer folds, which share nothing, in one
-forked worker per available CPU on Linux, and serially on one CPU or
-elsewhere; each fold computes the same bits in either place. Everything
-is deterministic under a seed.
+the batch. Each outer fold of ``evaluate`` is one ``train_model`` call on
+its training rows, scored on its held-out rows; the folds share nothing
+and run in one forked worker per available CPU on Linux, and serially on
+one CPU or elsewhere, with the same bits in either place. A model file
+carries the feature ``schema_version`` it was trained under, and
+``load_model`` rejects any other. Everything is deterministic under a
+seed.
 """
 
 from __future__ import annotations
@@ -223,10 +226,11 @@ def auc(scores, labels) -> float:
     return float(_auc_rows(np.asarray(scores, dtype=np.float64)[None], labels)[0])
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
+def accuracy(scores, labels) -> float:
+    """Share of labels matched by ``scores >= 0.5``."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    return float(np.mean((scores >= threshold).astype(int) == labels))
+    return float(np.mean((scores >= 0.5).astype(int) == labels))
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +333,6 @@ class ReadabilityModel:
     weights: np.ndarray            # one weight per selected column
     intercept: float
     lambda_l2: float
-    schema_version: str = SCHEMA_VERSION
     training_provenance: str = ""
 
 
@@ -340,14 +343,7 @@ def predict(model: ReadabilityModel, x: FeatureVector | np.ndarray) -> tuple[flo
     without the intercept; the probability adds the intercept and applies
     the sigmoid.
     """
-    if isinstance(x, FeatureVector):
-        if x.schema_version != model.schema_version:
-            raise ModelError(
-                f"schema mismatch: vector {x.schema_version!r} vs model {model.schema_version!r}"
-            )
-        values = x.values
-    else:
-        values = np.asarray(x, dtype=np.float64)
+    values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
     scaled = (values - model.scaler.mu) / model.scaler.sigma
     picked = scaled[list(model.selected)]
     linear = float(picked @ model.weights)
@@ -410,11 +406,12 @@ class _HeldRecords(logging.Handler):
 
 
 def _outer_fold(fold: int, X: np.ndarray, y: np.ndarray, folds: np.ndarray,
-                candidates: list[int], k_max: int, inner_cv: int, seed: int,
+                family: str, k_max: int | None, inner_cv: int, seed: int,
                 lambda_l2: float, in_worker: bool = False
                 ) -> tuple[tuple[float, float, list[int]], list[logging.LogRecord]]:
-    """Scaling, selection, final fit and held-out metrics of one outer fold:
-    ``(accuracy, auc, selected)`` and the log records the fold held back.
+    """``train_model`` on the training rows of one outer fold, then its
+    held-out metrics: ``(accuracy, auc, selected)`` and the log records
+    the fold held back.
 
     In a pool worker (``in_worker``) the records of this module's logger are
     held and returned, because the caller's handlers live in the parent.
@@ -425,15 +422,12 @@ def _outer_fold(fold: int, X: np.ndarray, y: np.ndarray, folds: np.ndarray,
         # the worker's own copy of the logger, so it is not restored
         log.handlers, log.propagate = [held], False
     test = folds == fold
-    scaler = fit_scaler(X[~test])
-    Xn_train = transform(scaler, X[~test])
-    Xn_test = transform(scaler, X[test])
-    selected = sfs(Xn_train, y[~test], k_max, inner_cv=inner_cv,
-                   seed=seed + 1000 * (fold + 1), lambda_l2=lambda_l2,
-                   candidates=candidates)
-    w, b = train_logreg(Xn_train[:, selected], y[~test], lambda_l2)
-    probs = expit(Xn_test[:, selected] @ w + b)
-    return (accuracy(probs, y[test]), auc(probs, y[test]), list(selected)), held.records
+    trained = train_model(X[~test], y[~test], family, lambda_l2, k_max, inner_cv,
+                          seed=seed + 1000 * (fold + 1))
+    selected = list(trained.selected)
+    probs = expit(transform(trained.scaler, X[test])[:, selected] @ trained.weights
+                  + trained.intercept)
+    return (accuracy(probs, y[test]), auc(probs, y[test]), selected), held.records
 
 
 def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
@@ -453,9 +447,7 @@ def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    candidates = family_indices(family)
-    if k_max is None:
-        k_max = len(candidates)
+    family_indices(family)  # an unknown family fails here, before any fork
     folds = stratified_folds(y, k, seed)
 
     report = EvaluationReport(family=family, k=k, seed=seed, lambda_l2=lambda_l2,
@@ -464,7 +456,7 @@ def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
     workers = 1
     if hasattr(os, "sched_getaffinity") and not multiprocessing.current_process().daemon:
         workers = min(k, len(os.sched_getaffinity(0)))
-    run = partial(_outer_fold, X=X, y=y, folds=folds, candidates=candidates, k_max=k_max,
+    run = partial(_outer_fold, X=X, y=y, folds=folds, family=family, k_max=k_max,
                   inner_cv=inner_cv, seed=seed, lambda_l2=lambda_l2, in_worker=workers > 1)
     pool = multiprocessing.get_context("fork").Pool(workers) if workers > 1 else None
     try:
@@ -503,7 +495,7 @@ def render_evaluation_table(reports: list[EvaluationReport]) -> str:
 
 def save_model(model: ReadabilityModel, path: str | Path) -> None:
     doc = {
-        "schema_version": model.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "mu": model.scaler.mu.tolist(),
         "sigma": model.scaler.sigma.tolist(),
         "selected": list(model.selected),
@@ -550,6 +542,5 @@ def load_model(path: str | Path) -> ReadabilityModel:
         weights=weights,
         intercept=float(doc["intercept"]),
         lambda_l2=float(doc["lambda_l2"]),
-        schema_version=doc["schema_version"],
         training_provenance=doc["provenance"],
     )

@@ -74,7 +74,6 @@ def family_indices(family: str) -> list[int]:
 @dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray  # shape (61,), float64
-    schema_version: str = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.values.shape != (N_FEATURES,):

@@ -23,7 +23,7 @@ from codereadability.features.tf import (
 )
 from codereadability.features.bwf import compute_bwf
 from codereadability.features.df import alignment, spatial
-from codereadability.lexical import TextBlock, tokenize
+from codereadability.lexical import tokenize
 from codereadability.model import (
     auc,
     fit_scaler,
@@ -90,14 +90,12 @@ def test_criterion_2_formula_oracles(bundled_dict):
         assert plain == pytest.approx(1 / 3, abs=tol)
 
         # TC over hand-enumerated pairs: J(1,2)=1, J(1,3)=J(2,3)=0
-        blocks = [TextBlock(0, 0, frozenset("xy")), TextBlock(1, 1, frozenset("xy")),
-                  TextBlock(2, 2, frozenset("z"))]
+        blocks = [frozenset("xy"), frozenset("xy"), frozenset("z")]
         tc_min, tc_avg, tc_max = text_coherence(blocks)
         assert (tc_min, tc_max) == (0.0, 1.0)
         assert tc_avg == pytest.approx(1 / 3, abs=tol)
         # and J({a},{a,b})=1/2, J({a},{b})=0, J({a,b},{b})=1/2
-        blocks = [TextBlock(0, 0, frozenset("a")), TextBlock(1, 1, frozenset("ab")),
-                  TextBlock(2, 2, frozenset("b"))]
+        blocks = [frozenset("a"), frozenset("ab"), frozenset("b")]
         assert text_coherence(blocks)[1] == pytest.approx(1 / 3, abs=tol)
 
         # SR with line lengths {2, 6}: 1 - 2/4

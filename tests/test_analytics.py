@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -149,6 +151,30 @@ class TestPairedCompare:
         b = table(["y", "z"], [1, 2])
         with pytest.raises(ValueError, match="only in a: \\['x'\\], only in b: \\['z'\\]"):
             paired_compare(a, b)
+
+    def test_mismatch_message_lists_the_first_ten_ids_of_each_side(self):
+        a = table([f"a{i}" for i in range(12)] + ["shared"], range(13))
+        b = table(["shared"] + [f"b{i}" for i in range(12)], range(13))
+        with pytest.raises(ValueError) as exc:
+            paired_compare(a, b)
+        assert str(exc.value) == (
+            "score tables do not align one-to-one; "
+            f"only in a: {[f'a{i}' for i in range(10)]}, "
+            f"only in b: {[f'b{i}' for i in range(10)]}")
+
+    def test_aligns_many_shuffled_ids_quickly(self):
+        """40,000 ids, B in another order: the join stays linear in the ids
+        (one id set per call, not one per id of B)."""
+        n = 40_000
+        ids = [f"s{i}" for i in range(n)]
+        order = np.random.default_rng(10).permutation(n)
+        scores = np.arange(n, dtype=np.float64)
+        a = table(ids, scores)
+        b = table([ids[i] for i in order], scores[order] - 1.0)
+        start = time.perf_counter()
+        report = paired_compare(a, b)
+        assert time.perf_counter() - start < 5.0
+        assert (report.n_pairs, report.win_rate_a) == (n, 1.0)
 
     def test_join_order_independent(self):
         a = table(["x", "y", "z"], [5.0, 1.0, 3.0])

@@ -117,6 +117,22 @@ class TestTrainEvaluateCommands:
         assert len(doc["mu"]) == 61
         assert len(doc["weights"]) == len(doc["selected"])
 
+    @pytest.mark.parametrize("extra", [[], ["--folds", "3", "--out", "model.json"]])
+    def test_train_flag_errors_are_usage_errors_before_training(self, tmp_path, monkeypatch,
+                                                                 capsys, extra):
+        """No --out, or --folds (an evaluate flag): exit 2, nothing trained."""
+        from codereadability import model
+
+        def never(*args, **kwargs):
+            raise AssertionError("train ran with a usage error")
+
+        monkeypatch.setattr(model, "train_model", never)
+        manifest = write_labeled_dataset(tmp_path / "data", n_each=2)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(manifest)] + extra)
+        assert exc.value.code == 2
+        assert ("--out" if not extra else "--folds") in capsys.readouterr().err
+
     def test_evaluate_writes_report_with_config(self, tmp_path, capsys):
         manifest = write_labeled_dataset(tmp_path / "data")
         report_path = tmp_path / "report.json"
@@ -217,7 +233,7 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command,flags", [
         ("featurize", ["--in", "--lang", "--out", "--keep-going"]),
-        ("train", ["--data", "--family", "--folds", "--seed", "--lambda", "--kmax", "--out"]),
+        ("train", ["--data", "--family", "--seed", "--lambda", "--kmax", "--out"]),
         ("evaluate", ["--data", "--family", "--folds", "--seed", "--lambda", "--kmax", "--out"]),
         ("score", ["--model", "--in", "--lang", "--out"]),
         ("compare", ["--a", "--b", "--format", "--out"]),

@@ -14,13 +14,13 @@ from codereadability.features.tf import (
     text_coherence,
     token_overlap_distance,
 )
-from codereadability.lexical import TextBlock, extract_blocks, tokenize
+from codereadability.lexical import extract_blocks, tokenize
 
 from conftest import snip
 
 
 def block(*tokens):
-    return TextBlock(0, 0, frozenset(tokens))
+    return frozenset(tokens)
 
 
 class TestCic:

@@ -242,11 +242,11 @@ class TestBlocks:
     def test_blank_line_delimits(self):
         blocks = extract_blocks(snip("a=1\n\nb=2"))
         assert len(blocks) == 2
-        assert blocks[0].tokens != blocks[1].tokens
+        assert blocks[0] != blocks[1]
 
     def test_all_blank_snippet(self):
         assert extract_blocks(snip("\n\n\n")) == []
 
     def test_block_token_sets(self):
         blocks = extract_blocks(snip("a = 1\n\na = 1"))
-        assert blocks[0].tokens == blocks[1].tokens
+        assert blocks[0] == blocks[1]

@@ -341,6 +341,33 @@ class TestEvaluateFanOut:
         assert messages[0::2] == [f"selecting with seed {1000 * (f + 1)}" for f in range(3)]
         assert all("fits stopped at max_iter=1" in m for m in messages[1::2])
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_fold_is_train_model_on_its_training_rows(self, monkeypatch, cpus):
+        X, y = _feature_matrix_61(n=60, seed=9)
+        _cpus(monkeypatch, cpus)
+        report = evaluate(X, y, family="tf", k=3, seed=4, lambda_l2=0.5, k_max=3, inner_cv=3)
+        folds = np.asarray(report.fold_assignment)
+        for f in range(3):
+            train, test = folds != f, folds == f
+            trained = train_model(X[train], y[train], "tf", lambda_l2=0.5, k_max=3,
+                                  inner_cv=3, seed=4 + 1000 * (f + 1))
+            assert report.fold_selected[f] == list(trained.selected)
+            probs = [predict(trained, x)[0] for x in X[test]]
+            assert report.fold_accuracy[f] == accuracy(probs, y[test])
+        assert multiprocessing.active_children() == []
+
+    def test_unknown_family_fails_before_any_fork(self, monkeypatch):
+        X, y = _feature_matrix_61(n=40, seed=6)
+        _cpus(monkeypatch, 2)
+        contexts = []
+        real_get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda *args: contexts.append(args) or real_get_context(*args))
+        with pytest.raises(ValueError, match="unknown feature family 'NOPE'"):
+            evaluate(X, y, family="nope", k=3)
+        assert contexts == []
+        assert multiprocessing.active_children() == []
+
     def test_daemonic_caller_runs_the_folds_serially(self, monkeypatch):
         X, y = _feature_matrix_61(n=40, seed=8)
         kwargs = dict(family="tf", k=3, seed=1, k_max=2, inner_cv=2)
@@ -386,13 +413,6 @@ class TestPredictAndPersistence:
         x[3] = 2.0
         p2, l2 = predict(model, x)
         assert p2 > p1 and l2 > l1
-
-    def test_schema_version_checked(self):
-        from codereadability.vectorizer import FeatureVector
-        model = self._tiny_model()
-        vec = FeatureVector(values=np.zeros(N_FEATURES), schema_version="other")
-        with pytest.raises(ModelError, match="schema mismatch"):
-            predict(model, vec)
 
     def test_round_trip(self, tmp_path):
         model = self._tiny_model()

@@ -33,7 +33,7 @@ from codereadability.features.tf import (
     text_coherence,
     token_overlap_distance,
 )
-from codereadability.lexical import TextBlock, extract_blocks, tokenize
+from codereadability.lexical import extract_blocks, tokenize
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
 
 from conftest import snip
@@ -78,7 +78,7 @@ def ref_text_coherence(blocks):
     if len(blocks) < 2:
         return 0.0, 0.0, 0.0
     values = [
-        ref_jaccard(blocks[i].tokens, blocks[j].tokens)
+        ref_jaccard(blocks[i], blocks[j])
         for i in range(len(blocks))
         for j in range(i + 1, len(blocks))
     ]
@@ -290,12 +290,12 @@ def test_block_counts_around_the_bitset_threshold(long_blocks, bitset_calls, n_b
     assert_same_bits(blocks)
     assert bitset_calls == ([n_blocks] if n_blocks >= tf._BITSET_MIN_BLOCKS else [])
     if n_blocks >= 63:  # rows span several words
-        assert tf._packed_blocks([b.tokens for b in blocks]).shape[1] > 1
+        assert tf._packed_blocks(blocks).shape[1] > 1
 
 
 @pytest.mark.parametrize("tokens", [frozenset(), frozenset({"x"}), frozenset(map(str, range(100)))])
 def test_identical_blocks(bitset_calls, tokens):
-    blocks = [TextBlock(i, i, tokens) for i in range(tf._BITSET_MIN_BLOCKS + 5)]
+    blocks = [tokens] * (tf._BITSET_MIN_BLOCKS + 5)
     assert text_coherence(blocks) == ((1.0,) * 3 if tokens else (0.0,) * 3)
     assert bitset_calls == [len(blocks)]
     assert_same_bits(blocks)
@@ -323,7 +323,7 @@ def many_blocks(draw):
             s = frozenset(rnd.sample(source, rnd.randint(1, len(source))))
             s |= frozenset(f"u{i}.{k}" for k in range(rnd.randint(0, 2)))
         sets.append(s)
-    return [TextBlock(i, i, s) for i, s in enumerate(sets)]
+    return sets
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,8 +336,8 @@ def test_blocks_over_the_packed_cap_keep_the_set_loop(bitset_calls):
     """1024 blocks, each sharing 17 tokens with the next only: 272 words a
     row, 2.1 MB packed, over the cap; the set loop stays well under it."""
     n, k = 1024, 17
-    blocks = [TextBlock(i, i, frozenset([f"t{i - 1}.{j}" for j in range(k) if i]
-                                        + [f"t{i}.{j}" for j in range(k) if i < n - 1]))
+    blocks = [frozenset([f"t{i - 1}.{j}" for j in range(k) if i]
+                        + [f"t{i}.{j}" for j in range(k) if i < n - 1])
               for i in range(n)]
     assert n * -(-k * (n - 1) // 64) > tf._BITSET_MAX_WORDS
     tracemalloc.start()
