@@ -46,13 +46,18 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
                  config: AnalysisConfig | None = None,
                  label: str = "") -> ScoreTable:
     """Score snippets in input order, each under its language's profile in
-    the profile table of ``config``."""
+    the profile table of ``config``.
+
+    Each snippet is featurized for the model's selected columns only; the
+    scores have the bits of ``predict`` on the full 61-feature vector.
+    """
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
     table = load_profiles(config.profiles_path)
-    results = [predict(model, featurize(s, get_profile(s.language, table), d, config))
+    results = [predict(model, featurize(s, get_profile(s.language, table), d, config,
+                                        columns=model.selected))
                for s in snippets]
     return ScoreTable(
         ids=tuple(s.id for s in snippets),

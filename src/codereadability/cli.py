@@ -27,7 +27,7 @@ from .corpus import (
     preprocess,
 )
 from .dictionary import DictionaryError, load_dictionary
-from .vectorizer import featurize_corpus, write_feature_matrix
+from .vectorizer import N_FEATURES, feature_layers, featurize_corpus, write_feature_matrix
 
 log = logging.getLogger("codereadability")
 
@@ -130,6 +130,9 @@ def cmd_score(args) -> int:
 
     cfg = _resolve_config(args)
     trained = model_mod.load_model(args.model)
+    log.info("model reads %d of %d feature columns; feature layers run: %s",
+             len(set(trained.selected)), N_FEATURES,
+             ", ".join(feature_layers(trained.selected)) or "none")
     snippets, unreadable = _load_corpus(args.in_path, args.lang)
     if unreadable and not args.keep_going:
         return EXIT_DATA
@@ -155,6 +158,17 @@ def cmd_compare(args) -> int:
     else:
         print(rendered)
     return EXIT_OK
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
 
 
 _LANG_HELP = ("language for directory inputs: python, java, cuda, generic, or a "
@@ -190,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="RNG seed")
         p.add_argument("--lambda", dest="lambda_l2", type=float, default=None,
                        help="L2 regularization strength")
-        p.add_argument("--kmax", type=int, default=None,
-                       help="max selected features (default: family size)")
+        p.add_argument("--kmax", type=_at_least(1), default=None,
+                       help="max selected features, at least 1 (default: family size)")
 
     train = sub.add_parser("train", help="fit a model on the full labeled dataset")
     add_train_eval_flags(train)
@@ -200,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="cross-validated accuracy/AUC report")
     add_train_eval_flags(evaluate)
-    evaluate.add_argument("--folds", type=int, default=10, help="cross-validation folds")
+    evaluate.add_argument("--folds", type=_at_least(2), default=10,
+                          help="cross-validation folds (at least 2)")
     evaluate.add_argument("--out", help="write the JSON report here")
     evaluate.set_defaults(func=cmd_evaluate)
 

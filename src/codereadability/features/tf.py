@@ -93,7 +93,19 @@ class TfFeatures:
 
 
 # the fields in declaration order; dataclasses.astuple would deep-copy each value
-_FIELD_VALUES = attrgetter(*(f.name for f in fields(TfFeatures)))
+_FIELD_NAMES = tuple(f.name for f in fields(TfFeatures))
+_FIELD_VALUES = attrgetter(*_FIELD_NAMES)
+# the fields each piece of TF work fills, in the order it returns them
+TF_GROUPS = {
+    "cic": ("cic", "cic_syn"),
+    "identifier_semantics": ("itid_min", "itid_avg", "itid_max", "nmi_min", "nmi_avg", "nmi_max",
+                             "nm_avg", "nm_max"),
+    "comment_readability": ("cr",),
+    "text_coherence": ("tc_min", "tc_avg", "tc_max"),
+    "concept_count": ("noc", "noc_norm"),
+}
+_ALL_FIELDS = frozenset(_FIELD_NAMES)
+assert sorted(chain.from_iterable(TF_GROUPS.values())) == sorted(_FIELD_NAMES)
 _IN_DICTIONARY, _MAX_DEPTH, _SENSES = map(attrgetter, ("in_dictionary", "max_depth", "senses"))
 
 
@@ -466,18 +478,26 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
 
 def compute_tf(profile: LexicalProfile, blocks: list[frozenset[str]],
                dictionary: DictionaryProvider,
-               dbscan_eps: float = 0.5, dbscan_min_samples: int = 2) -> TfFeatures:
-    cic_val, cic_syn_val = cic(profile, dictionary)
-    sem = identifier_semantics(profile, dictionary)
-    tc_min, tc_avg, tc_max = text_coherence(blocks)
-    noc, noc_norm = concept_count(profile, dbscan_eps, dbscan_min_samples)
-    return TfFeatures(
-        cic=cic_val,
-        cic_syn=cic_syn_val,
-        itid_min=sem[0], itid_avg=sem[1], itid_max=sem[2],
-        nmi_min=sem[3], nmi_avg=sem[4], nmi_max=sem[5],
-        cr=comment_readability(profile),
-        nm_avg=sem[6], nm_max=sem[7],
-        tc_min=tc_min, tc_avg=tc_avg, tc_max=tc_max,
-        noc=noc, noc_norm=noc_norm,
-    )
+               dbscan_eps: float = 0.5, dbscan_min_samples: int = 2,
+               fields=None) -> TfFeatures:
+    """The sixteen textual features of one snippet.
+
+    ``fields`` names the wanted ``TfFeatures`` fields (all of them for
+    None). Only the groups of :data:`TF_GROUPS` that fill a wanted field
+    run, and every field that is not wanted is NaN. ``blocks`` is read
+    only for the ``tc_*`` fields.
+    """
+    wanted = _ALL_FIELDS if fields is None else frozenset(fields)
+    work = {
+        "cic": lambda: cic(profile, dictionary),
+        "identifier_semantics": lambda: identifier_semantics(profile, dictionary),
+        "comment_readability": lambda: (comment_readability(profile),),
+        "text_coherence": lambda: text_coherence(blocks),
+        "concept_count": lambda: concept_count(profile, dbscan_eps, dbscan_min_samples),
+    }
+    values = {}
+    for group, names in TF_GROUPS.items():
+        if not wanted.isdisjoint(names):
+            values.update(zip(names, work[group]()))
+    return TfFeatures(**{name: values[name] if name in wanted else math.nan
+                         for name in _FIELD_NAMES})

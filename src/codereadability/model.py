@@ -275,6 +275,8 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
     candidate is fitted at once by the lockstep Newton kernel.
     """
     check_lambda_l2(lambda_l2)
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
     Xn = np.asarray(Xn, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     pool = sorted(candidates) if candidates is not None else list(range(Xn.shape[1]))

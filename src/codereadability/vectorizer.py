@@ -3,13 +3,21 @@
 Family blocks: 16 textual, 26 formatting, 4 information-theoretic,
 15 visual, concatenated in that order. A degenerate (empty) snippet maps
 to the all-zero vector.
+
+``featurize`` can be asked for some columns only. Each piece of feature
+work then runs only when one of its columns is wanted: the lexer for any
+column, block extraction for ``tf.tc_*``, each TF group of
+``features.TF_GROUPS`` for its fields, and BWF, PF and DF for any column
+of their family. The columns that are not wanted are NaN.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +28,7 @@ from .features import (
     BwfFeatures,
     DfFeatures,
     PfFeatures,
+    TF_GROUPS,
     TfFeatures,
     compute_bwf,
     compute_df,
@@ -80,10 +89,57 @@ class FeatureVector:
             raise ValueError(f"expected {N_FEATURES} features, got {self.values.shape}")
 
 
+class _ColumnPlan(NamedTuple):
+    """The feature work behind a set of wanted schema columns."""
+    wanted: np.ndarray          # bool, one per schema column (read-only)
+    tf_fields: frozenset[str]   # the wanted ``TfFeatures`` fields
+    layers: tuple[str, ...]     # the feature layers they need, in run order
+
+
+@lru_cache(maxsize=64)
+def _column_plan(columns: tuple[int, ...] | None) -> _ColumnPlan:
+    wanted = np.zeros(N_FEATURES, dtype=bool)
+    if columns is None:
+        wanted[:] = True
+    elif columns:
+        if not all(0 <= i < N_FEATURES for i in columns):
+            raise ValueError(f"feature columns must lie in [0, {N_FEATURES}), got {list(columns)}")
+        wanted[list(columns)] = True
+    wanted.flags.writeable = False
+    specs = [spec for spec, w in zip(_SCHEMA, wanted) if w]
+    tf_fields = frozenset(spec.name[3:] for spec in specs if spec.family == "TF")
+    tf_groups = [f"tf.{group}" for group, names in TF_GROUPS.items()
+                 if not tf_fields.isdisjoint(names)]
+    layers = ["tokenize"] if specs else []
+    if "tf.text_coherence" in tf_groups:
+        layers.append("extract_blocks")
+    layers += tf_groups
+    layers += [family.lower() for family in FAMILIES[1:]
+               if any(spec.family == family for spec in specs)]
+    return _ColumnPlan(wanted, tf_fields, tuple(layers))
+
+
+def feature_layers(columns=None) -> list[str]:
+    """The feature layers ``featurize`` runs on a non-empty snippet for
+    ``columns`` (all 61 for None), in run order: ``tokenize``,
+    ``extract_blocks``, ``tf.<group>`` for each group of
+    ``features.TF_GROUPS``, ``bwf``, ``pf`` and ``df``."""
+    return list(_column_plan(None if columns is None else tuple(columns)).layers)
+
+
+_TF, _BWF, _PF, _DF = (slice(idx[0], idx[-1] + 1) for idx in map(family_indices, FAMILIES))
+
+
 def featurize(s: Snippet, p: LanguageProfile | None = None,
               d: DictionaryProvider | None = None,
-              config: AnalysisConfig | None = None) -> FeatureVector:
-    """Compute the full 61-feature vector for a preprocessed snippet.
+              config: AnalysisConfig | None = None,
+              columns=None) -> FeatureVector:
+    """Compute the 61-feature vector for a preprocessed snippet.
+
+    ``columns`` lists the wanted schema column indices (all 61 for None).
+    Only the feature work those columns read runs (see
+    :func:`feature_layers`); each wanted value has the bits it has in the
+    full vector, and every other value is NaN.
 
     Without ``p`` the snippet's language is looked up in the profile table
     of ``config`` (the built-ins and its ``profiles_path``, read on each such
@@ -95,21 +151,23 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
         p = get_profile(s.language, load_profiles(config.profiles_path))
     if d is None:
         d = load_dictionary(config.dictionary_path)
+    plan = _column_plan(None if columns is None else tuple(columns))
 
-    if not s.lines:
-        # no evidence at all: every feature takes its default
-        return FeatureVector(values=np.zeros(N_FEATURES))
-
-    profile = tokenize(s, p, tab_width=config.tab_width)
-    blocks = extract_blocks(s, p, profile=profile)
-    tf = compute_tf(profile, blocks, d, config.dbscan_eps, config.dbscan_min_samples)
-    bwf = compute_bwf(profile)
-    pf = compute_pf(profile)
-    df = compute_df(profile, d)
-    values = np.array(
-        tf.as_tuple() + bwf.as_tuple() + pf.as_tuple() + df.as_tuple(),
-        dtype=np.float64,
-    )
+    # an empty snippet has no evidence at all: every feature takes its default
+    values = np.zeros(N_FEATURES)
+    if s.lines and plan.layers:
+        profile = tokenize(s, p, tab_width=config.tab_width)
+        if plan.tf_fields:
+            blocks = extract_blocks(s, p, profile=profile) if "extract_blocks" in plan.layers else []
+            values[_TF] = compute_tf(profile, blocks, d, config.dbscan_eps,
+                                     config.dbscan_min_samples, plan.tf_fields).as_tuple()
+        if "bwf" in plan.layers:
+            values[_BWF] = compute_bwf(profile).as_tuple()
+        if "pf" in plan.layers:
+            values[_PF] = compute_pf(profile).as_tuple()
+        if "df" in plan.layers:
+            values[_DF] = compute_df(profile, d).as_tuple()
+    values[~plan.wanted] = np.nan
     return FeatureVector(values=values)
 
 

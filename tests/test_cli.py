@@ -133,6 +133,36 @@ class TestTrainEvaluateCommands:
         assert exc.value.code == 2
         assert ("--out" if not extra else "--folds") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--kmax", "0"), ("train", "--kmax", "-3"), ("evaluate", "--kmax", "0"),
+        ("evaluate", "--folds", "1"), ("evaluate", "--folds", "0"), ("evaluate", "--folds", "-2"),
+    ])
+    def test_kmax_and_folds_below_their_minimum_are_usage_errors_before_featurize(
+            self, tmp_path, monkeypatch, capsys, command, flag, value):
+        """--kmax < 1 and --folds < 2: exit 2, nothing featurized or written."""
+        from codereadability import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} featurized with a usage error")
+
+        monkeypatch.setattr(cli, "featurize_corpus", never)
+        manifest = write_labeled_dataset(tmp_path / "data", n_each=2)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(manifest), flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_kmax_and_folds_run(self, tmp_path):
+        manifest = write_labeled_dataset(tmp_path / "data", n_each=4)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--data", str(manifest), "--kmax", "1",
+                     "--out", str(model_path)]) == 0
+        assert len(json.loads(model_path.read_text())["selected"]) == 1
+        assert main(["evaluate", "--data", str(manifest), "--family", "pf", "--folds", "2",
+                     "--kmax", "1", "--out", str(tmp_path / "r.json")]) == 0
+
     def test_evaluate_writes_report_with_config(self, tmp_path, capsys):
         manifest = write_labeled_dataset(tmp_path / "data")
         report_path = tmp_path / "report.json"
@@ -189,6 +219,37 @@ class TestScoreCompareCommands:
         assert main(["score", "--model", str(trained_model), "--in", str(src),
                      "--out", str(out)]) == 0
         assert out.read_text().strip() == "id,linear_score,probability"
+
+    def test_score_logs_the_columns_and_layers_it_reads(self, trained_model, tmp_path, capsys):
+        from codereadability.vectorizer import feature_layers
+
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("# note\nx = value + 1\n")
+        quiet, verbose = tmp_path / "quiet.csv", tmp_path / "verbose.csv"
+        assert main(["score", "--model", str(trained_model), "--in", str(src),
+                     "--out", str(quiet)]) == 0
+        assert "feature columns" not in capsys.readouterr().err
+        assert main(["-v", "score", "--model", str(trained_model), "--in", str(src),
+                     "--out", str(verbose)]) == 0
+        selected = json.loads(trained_model.read_text())["selected"]
+        assert (f"INFO codereadability: model reads {len(selected)} of 61 feature columns; "
+                f"feature layers run: {', '.join(feature_layers(selected))}\n"
+                in capsys.readouterr().err)
+        assert verbose.read_bytes() == quiet.read_bytes()
+
+    def test_score_logs_a_model_that_reads_no_column(self, trained_model, tmp_path, capsys):
+        doc = json.loads(trained_model.read_text())
+        doc["selected"], doc["weights"] = [], []
+        empty = tmp_path / "empty_model.json"
+        empty.write_text(json.dumps(doc))
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\n")
+        assert main(["-v", "score", "--model", str(empty), "--in", str(src),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert ("model reads 0 of 61 feature columns; feature layers run: none"
+                in capsys.readouterr().err)
 
     def test_compare_with_itself_degenerate(self, trained_model, tmp_path):
         src = tmp_path / "src"

@@ -232,6 +232,18 @@ class TestSfs:
         picked = sfs(Xn, y, k_max=3, inner_cv=4, seed=0, candidates=[4, 5, 6])
         assert set(picked) <= {4, 5, 6}
 
+    def test_negative_kmax_rejected(self):
+        X, y = _informative_data()
+        with pytest.raises(ValueError, match="k_max"):
+            sfs_path(X, y, k_max=-1, inner_cv=4)
+        X61, y61 = _feature_matrix_61()
+        with pytest.raises(ValueError, match="k_max"):
+            train_model(X61, y61, k_max=-3)
+
+    def test_zero_kmax_selects_nothing(self):
+        X, y = _informative_data()
+        assert sfs_path(X, y, k_max=0, inner_cv=4) == ([], [])
+
 
 def _feature_matrix_61(n=80, seed=0, informative=(0, 20, 45)):
     rng = np.random.default_rng(seed)

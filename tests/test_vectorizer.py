@@ -109,34 +109,75 @@ _TRACED_FEATURIZE_AND_SCORE = """
 import json, sys
 import tracing
 from codereadability.cli import main
-manifest, model, matrix, scores = sys.argv[1:]
+manifest, model, every_layer_model, matrix, scores, every_layer_scores, columns = sys.argv[1:]
 trained = main(["train", "--data", manifest, "--kmax", "2", "--out", model])
+doc = json.load(open(model))
+selected = doc["selected"]
+doc["selected"] = json.loads(columns)
+doc["weights"] = [0.5] * len(doc["selected"])
+with open(every_layer_model, "w") as fh:
+    json.dump(doc, fh)
 tracer = tracing.Tracer()
 tracing.install(tracer)
-codes = [trained, main(["featurize", "--in", manifest, "--out", matrix]),
-         main(["score", "--model", model, "--in", manifest, "--out", scores])]
-layers = tracer.to_dict()["layers"]
-print(json.dumps({"exit": codes, "calls": {name: s["calls"] for name, s in layers.items()}}))
+
+def calls():
+    return {name: s["calls"] for name, s in tracer.to_dict()["layers"].items()}
+
+codes, steps = [trained], []
+for argv in (["featurize", "--in", manifest, "--out", matrix],
+             ["score", "--model", model, "--in", manifest, "--out", scores],
+             ["score", "--model", every_layer_model, "--in", manifest, "--out", every_layer_scores]):
+    before = calls()
+    codes.append(main(argv))
+    steps.append({name: n - before.get(name, 0) for name, n in calls().items()})
+print(json.dumps({"exit": codes, "selected": selected, "steps": steps}))
 """
+
+# the traced feature layers, and the schema columns that need each one
+_FEATURE_LAYERS = {
+    "lexical.tokenize": "",
+    "lexical.extract_blocks": "tf.tc_",
+    "features.tf": "tf.",
+    "features.tf.text_coherence": "tf.tc_",
+    "features.tf.concept_count": "tf.noc",
+    "features.bwf": "bwf.",
+    "features.pf": "pf.",
+    "features.df": "df.",
+}
+# one column of every TF group and of BWF, PF and DF
+_EVERY_LAYER_COLUMNS = ("tf.cic", "tf.itid_avg", "tf.cr", "tf.tc_avg", "tf.noc",
+                        "bwf.line_len_avg", "pf.loc", "df.vkd")
 
 
 def test_benchmark_layers_see_featurize_and_score(tmp_path):
-    """The per-layer trace wraps module-level names; featurize and score must
-    still reach every feature layer through them, one featurize per snippet."""
+    """The per-layer trace wraps module-level names. ``featurize`` reaches
+    every feature layer once per snippet through them. ``score`` featurizes
+    once per snippet too, and reaches a feature layer once per snippet when
+    the model's columns need it and never otherwise."""
     manifest = write_labeled_dataset(tmp_path / "data")
     n = len(manifest.read_text().splitlines()) - 1
+    names = schema_names()
+    every_layer = [names.index(name) for name in _EVERY_LAYER_COLUMNS]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_FEATURIZE_AND_SCORE, str(manifest),
-         *(str(tmp_path / name) for name in ("model.json", "m.csv", "scores.csv"))],
+         *(str(tmp_path / name) for name in ("model.json", "every_layer_model.json", "m.csv",
+                                             "scores.csv", "every_layer_scores.csv")),
+         json.dumps(every_layer)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["exit"] == [0, 0, 0]
-    calls = result["calls"]
-    for layer in ("lexical.tokenize", "lexical.extract_blocks", "features.tf", "features.bwf",
-                  "features.pf", "features.df", "vectorizer.featurize"):
-        assert calls[layer] == 2 * n, layer
-    assert calls["features.tf.concept_count"] > 0
+    assert result["exit"] == [0, 0, 0, 0]
+    featurized, scored, every_layer_scored = result["steps"]
+    read = [names[i] for i in result["selected"]]
+    assert read  # the trained model reads at least one column
+    for layer, prefix in _FEATURE_LAYERS.items():
+        assert featurized[layer] == n, layer
+        assert scored[layer] == (n if any(c.startswith(prefix) for c in read) else 0), layer
+        assert every_layer_scored[layer] == n, layer
+    for step in result["steps"]:
+        assert step["vectorizer.featurize"] == n
+    for step in (scored, every_layer_scored):
+        assert step["model.predict"] == n
