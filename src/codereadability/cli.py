@@ -131,7 +131,7 @@ def cmd_score(args) -> int:
     cfg = _resolve_config(args)
     trained = model_mod.load_model(args.model)
     log.info("model reads %d of %d feature columns; feature layers run: %s",
-             len(set(trained.selected)), N_FEATURES,
+             len(trained.selected), N_FEATURES,
              ", ".join(feature_layers(trained.selected)) or "none")
     snippets, unreadable = _load_corpus(args.in_path, args.lang)
     if unreadable and not args.keep_going:

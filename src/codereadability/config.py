@@ -15,14 +15,20 @@ INI layout mirrors the dotted key names used throughout the docs::
     [model]
     lambda_l2 = 1.0    ; finite, >= 0
     inner_cv = 5       ; >= 2
+
+An unknown key of these sections or of [lexical] (``profiles``) is an
+error, unless [DEFAULT] has it; another section is ignored with a warning.
 """
 
 from __future__ import annotations
 
 import configparser
+import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+log = logging.getLogger(__name__)
 
 
 def check_lambda_l2(lambda_l2: float) -> None:
@@ -59,25 +65,34 @@ class AnalysisConfig:
         return asdict(self)
 
 
+# each section's keys: the AnalysisConfig field each sets, and its conversion
+_SECTIONS = {
+    "dictionary": {"path": ("dictionary_path", str)},
+    "tf.dbscan": {"eps": ("dbscan_eps", float), "min_samples": ("dbscan_min_samples", int)},
+    "bwf": {"tab_width": ("tab_width", int)},
+    "model": {"lambda_l2": ("lambda_l2", float), "inner_cv": ("inner_cv", int)},
+    "lexical": {"profiles": ("profiles_path", str)},
+}
+
+
 def load_config(path: str | Path | None) -> AnalysisConfig:
+    """The configuration of an INI file, or the defaults for None."""
     if path is None:
         return AnalysisConfig()
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     kwargs = {}
-    if parser.has_option("dictionary", "path"):
-        kwargs["dictionary_path"] = parser.get("dictionary", "path")
-    if parser.has_option("tf.dbscan", "eps"):
-        kwargs["dbscan_eps"] = parser.getfloat("tf.dbscan", "eps")
-    if parser.has_option("tf.dbscan", "min_samples"):
-        kwargs["dbscan_min_samples"] = parser.getint("tf.dbscan", "min_samples")
-    if parser.has_option("bwf", "tab_width"):
-        kwargs["tab_width"] = parser.getint("bwf", "tab_width")
-    if parser.has_option("model", "lambda_l2"):
-        kwargs["lambda_l2"] = parser.getfloat("model", "lambda_l2")
-    if parser.has_option("model", "inner_cv"):
-        kwargs["inner_cv"] = parser.getint("model", "inner_cv")
-    if parser.has_option("lexical", "profiles"):
-        kwargs["profiles_path"] = parser.get("lexical", "profiles")
+    for section in parser.sections():
+        keys = _SECTIONS.get(section)
+        if keys is None:
+            log.warning("%s: ignoring unknown section [%s]", path, section)
+            continue
+        for key in parser[section]:
+            if key in keys:
+                field, convert = keys[key]
+                kwargs[field] = convert(parser.get(section, key))
+            elif key not in parser.defaults():  # [DEFAULT] keys reach every section
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]; "
+                                 f"it takes {', '.join(keys)}")
     return AnalysisConfig(**kwargs)

@@ -23,19 +23,18 @@ blocks or lines, but neither holds an m×m matrix:
   distance, i.e. the connected components among core lines. Lines with
   the same token set are one point carrying their count. For
   0 <= eps < 1 an exact Jaccard self-join with prefix and size filtering
-  yields only the pairs within reach, and a union-find joins them as they
-  come; eps >= 1 (one neighbourhood) and eps < 0 (none) have closed
-  forms. Below ``_JOIN_MIN_SETS`` distinct line sets the join is a set
-  loop, one probe at a time (:func:`similar_pairs`), and the union-find
-  is a Python one. From there on the same join runs on arrays
-  (:func:`_array_pairs`): the prefix entries are joined on token rank in
-  chunks of about ``_BITSET_CHUNK_WORDS`` words, each candidate is checked
-  by popcount over the packed token bitsets that TC uses, and an array
-  union-find counts the components (:func:`_component_count`). Bitsets
-  over ``_BITSET_MAX_WORDS`` words keep the set loop. Both paths find the
-  same pairs, whatever the order of tokens with equal counts, so NOC is
-  the same integer. Memory grows with the number of distinct lines, not
-  its square.
+  yields only the pairs within reach, and one union-find
+  (:func:`_cluster_count`) joins them as they come; eps >= 1 (one
+  neighbourhood) and eps < 0 (none) have closed forms. Below
+  ``_JOIN_MIN_SETS`` distinct line sets the join is a set loop, one probe
+  at a time (:func:`similar_pairs`). From there on the same join runs on
+  arrays (:func:`_array_pairs`): the prefix entries are joined on token
+  rank in chunks of about ``_BITSET_CHUNK_WORDS`` words, and each
+  candidate is checked by popcount over the packed token bitsets that TC
+  uses. Bitsets over ``_BITSET_MAX_WORDS`` words keep the set loop. Both
+  joins find the same pairs, whatever the order of tokens with equal
+  counts, so NOC is the same integer. Memory grows with the number of
+  distinct lines, not its square.
 """
 
 from __future__ import annotations
@@ -169,9 +168,9 @@ def comment_readability(profile: LexicalProfile) -> float:
 def text_coherence(sets: list[frozenset[str]]) -> tuple[float, float, float]:
     """Min/avg/max pairwise Jaccard between block token sets.
 
-    The pairs stream in (i, j) order through one builtin ``sum``: the same
-    sequence into the same ``sum`` keeps the average's bits on every
-    Python version, whichever kernel computed the values.
+    The pairs stream in (i, j) order through one builtin ``sum``, so both
+    kernels give the average the same bits on one Python version (from
+    3.12 on, ``sum`` of floats is compensated, and the bits can change).
     """
     n = len(sets)
     if n < 2:
@@ -201,6 +200,11 @@ def _set_pairs(sets: list[frozenset]) -> tuple[float, float, float]:
     return lo, total, hi
 
 
+def _rarest_first(freq: Counter) -> dict:
+    """Each token's rank, rarest first; equal counts keep first-seen order."""
+    return dict(zip(sorted(freq, key=freq.__getitem__), count()))
+
+
 def _ranked_tokens(sets: list[frozenset]):
     """Every set's tokens as ranks, rarest first, for the bitsets of the
     tokens found in two or more sets; or None when those bitsets would
@@ -215,7 +219,7 @@ def _ranked_tokens(sets: list[frozenset]):
     words = max(1, -(-(len(freq) - singles) // 64))
     if len(sets) * words > _BITSET_MAX_WORDS:
         return None
-    rank = dict(zip(sorted(freq, key=freq.__getitem__), count()))
+    rank = _rarest_first(freq)
     rows = np.repeat(np.arange(len(sets)), list(map(len, sets)))
     offsets = rows * len(rank)
     keys = np.fromiter(map(rank.__getitem__, chain.from_iterable(sets)), dtype=np.int64, count=len(rows))
@@ -288,8 +292,7 @@ def similar_pairs(token_sets: list[frozenset], eps: float):
     """
     t = 1.0 - eps - 1e-9  # below the threshold, so rounding only adds candidates
     t_index = 2.0 * t / (1.0 + t)
-    freq = Counter(chain.from_iterable(token_sets))
-    rank = dict(zip(sorted(freq, key=freq.__getitem__), count())).__getitem__
+    rank = _rarest_first(Counter(chain.from_iterable(token_sets))).__getitem__
     sizes = list(map(len, token_sets))
     index = defaultdict(list)
     for i in sorted(range(len(token_sets)), key=sizes.__getitem__):
@@ -315,6 +318,8 @@ def _cluster_count(multiplicity: list[int], pairs, min_samples: int) -> int:
     A point's degree is its own multiplicity plus its neighbours'. A pair
     is joined as soon as both ends are core; the others wait, and each
     point keeps fewer than ``min_samples`` of them while it is not core.
+    Final degrees sum over all pairs, and a pair is joined when both ends
+    end up core, so no order of the pairs or of their ends moves the count.
     """
     degree = list(multiplicity)
     parent = list(range(len(degree)))
@@ -411,42 +416,6 @@ def _prefix_runs(ranked, sizes: np.ndarray, t: float):
     return px, lo, found, by_visit[ikey % n]
 
 
-def _component_count(multiplicity: np.ndarray, chunks, min_samples: int) -> int:
-    """:func:`_cluster_count` over the pair chunks of :func:`_array_pairs`.
-
-    Degrees grow by one ``np.add.at`` per side and chunk. As there, a pair
-    is joined once both ends are core and waits otherwise. The joins run
-    on an array union-find: each round hooks the larger root of every pair
-    still split onto the smaller one, then jumps pointers until every
-    point names its root.
-    """
-    degree = multiplicity.copy()
-    root = np.arange(len(degree))
-
-    def join(us, vs):
-        nonlocal root
-        while us.size:
-            ru, rv = root[us], root[vs]
-            split = ru != rv
-            us, vs, ru, rv = us[split], vs[split], ru[split], rv[split]
-            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-            while ((jumped := root[root]) != root).any():
-                root = jumped
-
-    waiting = []
-    for xs, ys in chunks:
-        np.add.at(degree, xs, multiplicity[ys])
-        np.add.at(degree, ys, multiplicity[xs])
-        both = (degree[xs] >= min_samples) & (degree[ys] >= min_samples)
-        join(xs[both], ys[both])
-        waiting.append((xs[~both], ys[~both]))
-    core = degree >= min_samples
-    for xs, ys in waiting:
-        both = core[xs] & core[ys]
-        join(xs[both], ys[both])
-    return int(np.count_nonzero(core & (root == np.arange(len(root)))))
-
-
 def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 2) -> tuple[float, float]:
     """Cluster valid lines by token-set overlap; count non-noise clusters.
 
@@ -467,12 +436,10 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
         noc = m_val if min_samples <= 0 else 0
     else:
         sets = list(lines)
-        pairs = _array_pairs(sets, eps) if len(sets) >= _JOIN_MIN_SETS else None
-        if pairs is None:
-            noc = _cluster_count(list(lines.values()), similar_pairs(sets, eps), min_samples)
-        else:
-            noc = _component_count(np.fromiter(lines.values(), dtype=np.int64, count=len(sets)),
-                                   pairs, min_samples)
+        chunks = _array_pairs(sets, eps) if len(sets) >= _JOIN_MIN_SETS else None
+        pairs = similar_pairs(sets, eps) if chunks is None else chain.from_iterable(
+            zip(xs.tolist(), ys.tolist()) for xs, ys in chunks)
+        noc = _cluster_count(list(lines.values()), pairs, min_samples)
     return float(noc), noc / m_val
 
 

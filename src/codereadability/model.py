@@ -114,12 +114,11 @@ def _solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return step
 
 
-def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float, tol: float,
-            max_iter: int) -> tuple[np.ndarray, int]:
+def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float) -> tuple[np.ndarray, int]:
     """Fit c independent problems on a (c, n, d) stack of features sharing
     labels ``y``. Returns the (c, d+1) parameters, intercept last, and the
-    number of problems whose gradient is still above ``tol`` after
-    ``max_iter`` steps.
+    number of problems whose gradient is still above ``NEWTON_TOL`` after
+    ``NEWTON_MAX_ITER`` steps.
 
     Each problem follows exactly the iterates it would follow alone: a
     converged problem leaves the stack, and each line search halves only
@@ -134,8 +133,8 @@ def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float, tol: float,
     live = np.arange(c)
     params = np.zeros((c, d + 1))
     loss, grad = _objective(params, X, y, lambda_l2)
-    for _ in range(max_iter):
-        moving = ~(np.max(np.abs(grad), axis=1) <= tol)
+    for _ in range(NEWTON_MAX_ITER):
+        moving = ~(np.max(np.abs(grad), axis=1) <= NEWTON_TOL)
         if not moving.all():
             fitted[live[~moving]] = params[~moving]
             live, Xa, X, params, loss, grad = (
@@ -162,11 +161,10 @@ def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float, tol: float,
             searching = searching[~(c_loss <= loss[searching] + 1e-15)]
         params, loss, grad = trial, new_loss, new_grad
     fitted[live] = params
-    return fitted, int(np.count_nonzero(~(np.max(np.abs(grad), axis=1) <= tol)))
+    return fitted, int(np.count_nonzero(~(np.max(np.abs(grad), axis=1) <= NEWTON_TOL)))
 
 
-def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0, tol: float = NEWTON_TOL,
-                 max_iter: int = NEWTON_MAX_ITER) -> tuple[np.ndarray, float]:
+def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0) -> tuple[np.ndarray, float]:
     """Fit (w, b) on already-scaled features. Requires both classes."""
     check_lambda_l2(lambda_l2)
     Xn = np.asarray(Xn, dtype=np.float64)
@@ -175,10 +173,10 @@ def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0, tol: flo
     if len(classes) < 2:
         raise ValueError("training labels contain a single class")
 
-    params, unconverged = _newton(Xn[None], y, lambda_l2, tol, max_iter)
+    params, unconverged = _newton(Xn[None], y, lambda_l2)
     if unconverged:
         log.warning("train_logreg: the fit stopped at max_iter=%d above tol=%g",
-                    max_iter, tol)
+                    NEWTON_MAX_ITER, NEWTON_TOL)
     return params[0, :-1], float(params[0, -1])
 
 
@@ -296,7 +294,7 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
         total = np.zeros(len(remaining))
         for train, test in splits:  # summed in fold order
             params, missed = _newton(_candidate_stack(Xn[train], selected, remaining),
-                                     y[train], lambda_l2, NEWTON_TOL, NEWTON_MAX_ITER)
+                                     y[train], lambda_l2)
             fits += len(remaining)
             unconverged += missed
             held_out = _candidate_stack(Xn[test], selected, remaining)
@@ -515,6 +513,8 @@ def load_model(path: str | Path) -> ReadabilityModel:
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
 
+    if not isinstance(doc, dict):
+        raise ModelError(f"model file {path} is not a JSON object")
     required = {"schema_version", "mu", "sigma", "selected", "weights",
                 "intercept", "lambda_l2", "provenance"}
     missing = required - doc.keys()
@@ -525,24 +525,41 @@ def load_model(path: str | Path) -> ReadabilityModel:
             f"schema version mismatch: file has {doc['schema_version']!r}, "
             f"this build expects {SCHEMA_VERSION!r}"
         )
-    mu = np.asarray(doc["mu"], dtype=np.float64)
-    sigma = np.asarray(doc["sigma"], dtype=np.float64)
+    mu, sigma, weights = (_model_numbers(doc, name, path, 1) for name in ("mu", "sigma", "weights"))
+    intercept, lambda_l2 = (_model_numbers(doc, name, path, 0) for name in ("intercept", "lambda_l2"))
     if mu.shape != (N_FEATURES,) or sigma.shape != (N_FEATURES,):
         raise ModelError(
-            f"scaler length {mu.shape[0]}/{sigma.shape[0]} does not match "
+            f"scaler length {len(mu)}/{len(sigma)} does not match "
             f"the {N_FEATURES}-feature schema"
         )
-    selected = tuple(int(i) for i in doc["selected"])
-    weights = np.asarray(doc["weights"], dtype=np.float64)
+    if not (sigma > 0).all():
+        raise ModelError(f"model file {path}: sigma must be > 0 in every column")
+    selected = doc["selected"]
+    # a bool is an int to Python, and int() would truncate 2.5 to 2
+    if (not isinstance(selected, list) or any(type(i) is not int for i in selected)
+            or len(set(selected)) != len(selected)):
+        raise ModelError(f"model file {path}: selected must be a list of distinct integer column indices")
     if len(weights) != len(selected):
         raise ModelError(f"{len(weights)} weights for {len(selected)} selected features")
     if any(i < 0 or i >= N_FEATURES for i in selected):
         raise ModelError("selected feature index out of schema range")
     return ReadabilityModel(
         scaler=ScalerParams(mu=mu, sigma=sigma),
-        selected=selected,
+        selected=tuple(selected),
         weights=weights,
-        intercept=float(doc["intercept"]),
-        lambda_l2=float(doc["lambda_l2"]),
+        intercept=float(intercept),
+        lambda_l2=float(lambda_l2),
         training_provenance=doc["provenance"],
     )
+
+
+def _model_numbers(doc: dict, name: str, path, ndim: int) -> np.ndarray:
+    """Field ``name`` as finite float64: a list for ``ndim`` 1, a number for 0."""
+    try:
+        value = np.asarray(doc[name], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged lists, strings, objects
+        value = None
+    if value is None or value.ndim != ndim or not np.isfinite(value).all():
+        shape = "a list of finite numbers" if ndim else "a finite number"
+        raise ModelError(f"model file {path}: {name} must be {shape}")
+    return value

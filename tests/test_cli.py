@@ -251,6 +251,27 @@ class TestScoreCompareCommands:
         assert ("model reads 0 of 61 feature columns; feature layers run: none"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("edit,field", [
+        ({"sigma": [0.0] * 61, "intercept": float("nan")}, "intercept"),
+        ({"sigma": [0.0] * 61}, "sigma"),
+        ({"selected": [0], "weights": [[1.0]]}, "weights"),
+        ({"selected": [0, 0], "weights": [1.0, 1.0]}, "selected"),
+        ({"selected": [0.5], "weights": [1.0]}, "selected"),
+    ], ids=["sigma=0,intercept=nan", "sigma=0", "weights=2d", "selected=dup", "selected=0.5"])
+    def test_score_rejects_a_corrupt_model_exit_3(self, trained_model, tmp_path, capsys,
+                                                 edit, field):
+        doc = json.loads(trained_model.read_text())
+        doc.update(edit)
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text(json.dumps(doc))
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\n")
+        out = tmp_path / "s.csv"
+        assert main(["score", "--model", str(corrupt), "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"ERROR codereadability: model file {corrupt}: {field} " in capsys.readouterr().err
+
     def test_compare_with_itself_degenerate(self, trained_model, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -338,6 +359,44 @@ class TestCliContract:
         assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
         assert not out.exists()
         assert "[tf.dbscan]" in caplog.text
+
+    @pytest.mark.parametrize("section,key", [
+        ("[tf.dbscan]\nepsilon = 0.9", "epsilon"),
+        ("[tf.dbscan]\neps = 0.9\nmin_sample = 3", "min_sample"),
+        ("[bwf]\ntabwidth = 8", "tabwidth"),
+        ("[model]\nlambda = 0.5", "lambda"),
+        ("[dictionary]\ndir = /nowhere", "dir"),
+        ("[lexical]\nprofile = p.ini", "profile"),
+    ])
+    def test_unknown_key_exit_3_names_file_section_and_key(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(section + "\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\nx = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        name = section[1:section.index("]")]
+        assert f"{cfg}: unknown key '{key}' in section [{name}]" in capsys.readouterr().err
+
+    def test_unknown_section_warns_and_default_keys_are_accepted(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("\tx = 1\nx = 1\n")
+        cfg, plain = tmp_path / "conf.ini", tmp_path / "plain.ini"
+        plain.write_text("[bwf]\ntab_width = 8\n")
+        # a [DEFAULT] key reaches every section: only its interpolation uses it here
+        cfg.write_text("[DEFAULT]\nwidth = 8\n\n[bwf]\ntab_width = %(width)s\n\n"
+                       "[tf.dbsan]\neps = 0.9\n")
+        out, expected = tmp_path / "m.csv", tmp_path / "expected.csv"
+        assert main(["--config", str(plain), "featurize", "--in", str(src),
+                     "--out", str(expected)]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert (f"WARNING codereadability.config: {cfg}: ignoring unknown section [tf.dbsan]"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("section", ["eps = 0.5\nmin_samples = 2", "eps = 0\nmin_samples = 1",
                                          "eps = 1.5"])

@@ -349,9 +349,12 @@ class TestEvaluateFanOut:
             processes = {r.process for r in caplog.records}
             assert (os.getpid() in processes) == (cpus == 1)
         assert seen[0] == seen[1]
-        messages = [message for _, _, message in seen[0]]
-        assert messages[0::2] == [f"selecting with seed {1000 * (f + 1)}" for f in range(3)]
-        assert all("fits stopped at max_iter=1" in m for m in messages[1::2])
+        # per fold: its selection, then its final fit; 62 = (16 + 15) candidates x 2 inner folds
+        assert seen[0] == [("codereadability.model", logging.WARNING, message)
+                           for f in range(3)
+                           for message in (f"selecting with seed {1000 * (f + 1)}",
+                                           "sfs_path: 62 of 62 fits stopped at max_iter=1 above tol=1e-08",
+                                           "train_logreg: the fit stopped at max_iter=1 above tol=1e-08")]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_each_fold_is_train_model_on_its_training_rows(self, monkeypatch, cpus):
@@ -462,6 +465,58 @@ class TestPredictAndPersistence:
         path.write_text("{not json")
         with pytest.raises(ModelError):
             load_model(path)
+
+    @pytest.mark.parametrize("edit,field", [
+        ({"sigma": [0.0] * N_FEATURES}, "sigma"),
+        ({"sigma": [1.0] * 60 + [-1.0]}, "sigma"),
+        ({"sigma": [1.0] * 60 + [float("inf")]}, "sigma"),
+        ({"mu": [0.0] * 60 + [float("nan")]}, "mu"),
+        ({"mu": 0.0}, "mu"),
+        ({"weights": [1.5, float("-inf")]}, "weights"),
+        ({"weights": [[1.5], [-0.5]]}, "weights"),
+        ({"weights": ["a", "b"]}, "weights"),
+        ({"intercept": float("nan")}, "intercept"),
+        ({"intercept": [0.0]}, "intercept"),
+        ({"intercept": None}, "intercept"),
+        ({"lambda_l2": float("inf")}, "lambda_l2"),
+        ({"selected": [3, 3]}, "selected"),
+        ({"selected": [3, 10.5]}, "selected"),
+        ({"selected": [3.0, 10]}, "selected"),
+        ({"selected": [True, 10]}, "selected"),
+        ({"selected": 3}, "selected"),
+    ])
+    def test_corrupt_fields_rejected_by_name(self, tmp_path, edit, field):
+        path = tmp_path / "model.json"
+        save_model(self._tiny_model(), path)
+        doc = json.loads(path.read_text())
+        doc.update(edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=rf"model file .*: {field} "):
+            load_model(path)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ModelError, match="not a JSON object"):
+            load_model(path)
+
+    @given(st.lists(st.integers(0, N_FEATURES - 1), max_size=8, unique=True),
+           st.floats(-1e6, 1e6), st.floats(1e-300, 1e300), st.floats(0, 1e6))
+    @settings(max_examples=40, deadline=None)
+    def test_saved_models_load_unchanged(self, tmp_path_factory, selected, value, spread, lambda_l2):
+        model = ReadabilityModel(
+            scaler=ScalerParams(mu=np.full(N_FEATURES, value), sigma=np.full(N_FEATURES, spread)),
+            selected=tuple(selected), weights=np.full(len(selected), value),
+            intercept=value, lambda_l2=lambda_l2,
+        )
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.selected == model.selected
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.scaler.mu.tobytes() == model.scaler.mu.tobytes()
+        assert loaded.scaler.sigma.tobytes() == model.scaler.sigma.tobytes()
+        assert (loaded.intercept, loaded.lambda_l2) == (model.intercept, model.lambda_l2)
 
 
 class TestTrainModel:

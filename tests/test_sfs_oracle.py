@@ -271,12 +271,13 @@ class TestTieBreak:
 
 
 class TestConvergenceWarning:
-    def test_train_logreg_warns_at_max_iter(self, caplog):
+    def test_train_logreg_warns_at_max_iter(self, monkeypatch, caplog):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 3))
         y = (X[:, 0] > 0).astype(float)
+        monkeypatch.setattr(model, "NEWTON_MAX_ITER", 1)
         with caplog.at_level(logging.WARNING, logger="codereadability.model"):
-            train_logreg(X, y, 1.0, max_iter=1)
+            train_logreg(X, y, 1.0)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "max_iter=1" in warnings[0].getMessage()

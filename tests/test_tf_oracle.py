@@ -237,6 +237,40 @@ def test_no_neighbour_at_nan_eps():
     assert concept_count(prof, math.nan, 0) == ref_concept_count(prof, math.nan, 0) == (3.0, 1.0)
 
 
+def ref_weighted_cluster_count(multiplicity, pairs, min_samples):
+    """The DBSCAN count with every weighted point spelled out as that many
+    copies, each a neighbour of itself, of its copies and of its pair's."""
+    near = np.eye(len(multiplicity), dtype=bool)
+    for i, j in pairs:
+        near[i, j] = near[j, i] = True
+    point = np.repeat(np.arange(len(multiplicity)), multiplicity)
+    return ref_dbscan_cluster_count(near[np.ix_(point, point)], min_samples)
+
+
+@st.composite
+def weighted_graphs(draw):
+    multiplicity = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    n = len(multiplicity)
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if not all_pairs:
+        return multiplicity, []
+    return multiplicity, draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs(), st.integers(-1, 9), st.data())
+def test_cluster_count_is_dbscan_in_any_pair_order(graph, min_samples, data):
+    """The one clusterer of both joins: any order of the pairs and of the
+    ends within a pair gives the brute-force DBSCAN count."""
+    multiplicity, pairs = graph
+    shuffled = data.draw(st.permutations(pairs))
+    swapped = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    reordered = [(j, i) if swap else (i, j) for (i, j), swap in zip(shuffled, swapped)]
+    expected = ref_weighted_cluster_count(multiplicity, pairs, min_samples)
+    assert tf._cluster_count(multiplicity, pairs, min_samples) == expected
+    assert tf._cluster_count(multiplicity, iter(reordered), min_samples) == expected
+
+
 def test_compute_tf_memory_is_bounded():
     """20k lines: the dense kernels needed gigabytes here; never run them at this size."""
     s = repo_snippet(0, 20_000)
