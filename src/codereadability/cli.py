@@ -137,8 +137,7 @@ def cmd_score(args) -> int:
     if unreadable and not args.keep_going:
         return EXIT_DATA
     d = load_dictionary(cfg.dictionary_path)
-    table = analytics.score_corpus(trained, snippets, d=d, config=cfg,
-                                   label=args.in_path)
+    table = analytics.score_corpus(trained, snippets, d=d, config=cfg)
     analytics.write_score_table(table, args.out)
     log.info("scored %d snippets to %s", len(table), args.out)
     return EXIT_DATA if unreadable else EXIT_OK

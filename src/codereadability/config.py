@@ -16,8 +16,11 @@ INI layout mirrors the dotted key names used throughout the docs::
     lambda_l2 = 1.0    ; finite, >= 0
     inner_cv = 5       ; >= 2
 
-An unknown key of these sections or of [lexical] (``profiles``) is an
-error, unless [DEFAULT] has it; another section is ignored with a warning.
+A ``;`` after a value starts a comment. An unknown key of these sections
+or of [lexical] (``profiles``) is an error, unless [DEFAULT] has it;
+another section is ignored with a warning. A file that is not INI at all
+(no section header, a section twice, a lone ``%``) raises ``ValueError``
+too.
 """
 
 from __future__ import annotations
@@ -75,13 +78,26 @@ _SECTIONS = {
 }
 
 
+def read_ini(path: str | Path, **options) -> configparser.ConfigParser:
+    """The parsed INI file, ``options`` going to ``ConfigParser``. A file
+    it cannot parse, or a value it cannot interpolate (a lone ``%``),
+    raises ``ValueError`` naming the file."""
+    parser = configparser.ConfigParser(**options)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            parser.read_file(fh)
+            for section in parser.sections():
+                parser.items(section)  # interpolation errors would otherwise wait for a get
+        except configparser.Error as exc:  # not a ValueError, so not a data error
+            raise ValueError(f"{path}: malformed INI: {exc}") from exc
+    return parser
+
+
 def load_config(path: str | Path | None) -> AnalysisConfig:
     """The configuration of an INI file, or the defaults for None."""
     if path is None:
         return AnalysisConfig()
-    parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+    parser = read_ini(path, inline_comment_prefixes=(";",))
     kwargs = {}
     for section in parser.sections():
         keys = _SECTIONS.get(section)

@@ -10,14 +10,12 @@ exact integer sum divided once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple
 
 from ..lexical import LexicalProfile, LineStats
 
 
-@dataclass(frozen=True)
-class BwfFeatures:
+class BwfFeatures(NamedTuple):
     line_len_avg: float
     line_len_max: float
     id_len_avg: float
@@ -45,12 +43,7 @@ class BwfFeatures:
     max_char_occurrence: float
     max_identifier_occurrence: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return _FIELD_VALUES(self)
 
-
-# the fields in declaration order; dataclasses.astuple would deep-copy each value
-_FIELD_VALUES = attrgetter(*(f.name for f in fields(BwfFeatures)))
 _NO_LINES = LineStats(*((),) * len(LineStats._fields))
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple
 
 from ..dictionary import DictionaryProvider
 from ..lexical import LexicalProfile, identifier_terms
@@ -27,8 +26,7 @@ _CHARSET_NORM = 95
 _WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*")
 
 
-@dataclass(frozen=True)
-class DfFeatures:
+class DfFeatures(NamedTuple):
     vkd: float
     vsd: float
     vcd: float
@@ -44,13 +42,6 @@ class DfFeatures:
     text_comment: float
     text_vocab: float
     text_id_len: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return _FIELD_VALUES(self)
-
-
-# the fields in declaration order; dataclasses.astuple would deep-copy each value
-_FIELD_VALUES = attrgetter(*(f.name for f in fields(DfFeatures)))
 
 
 def _mean(values) -> float:
@@ -117,14 +108,6 @@ def text_features(profile: LexicalProfile, dictionary: DictionaryProvider) -> tu
 
 
 def compute_df(profile: LexicalProfile, dictionary: DictionaryProvider) -> DfFeatures:
-    vkd, vsd, vcd, vc = visual_densities(profile)
-    saa, sra, sr, sd = spatial(profile)
-    align_op, align_br, align_cons = alignment(profile)
-    text_english, text_comment, text_vocab, text_id_len = text_features(profile, dictionary)
-    return DfFeatures(
-        vkd=vkd, vsd=vsd, vcd=vcd, vc=vc,
-        saa=saa, sra=sra, sr=sr, sd=sd,
-        align_op=align_op, align_br=align_br, align_cons=align_cons,
-        text_english=text_english, text_comment=text_comment,
-        text_vocab=text_vocab, text_id_len=text_id_len,
-    )
+    # each helper returns its fields in declaration order
+    return DfFeatures(*visual_densities(profile), *spatial(profile), *alignment(profile),
+                      *text_features(profile, dictionary))

@@ -11,26 +11,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
 from functools import partial
-from operator import attrgetter
+from typing import NamedTuple
 
 from ..lexical import BoundedMemo, LexicalProfile
 
 
-@dataclass(frozen=True)
-class PfFeatures:
+class PfFeatures(NamedTuple):
     loc: float
     entropy_avg: float
     entropy_std: float
     halstead_volume: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return _FIELD_VALUES(self)
-
-
-# the fields in declaration order; dataclasses.astuple would deep-copy each value
-_FIELD_VALUES = attrgetter(*(f.name for f in fields(PfFeatures)))
 
 
 def _entropy_term(total: int, c: int) -> float:

@@ -42,9 +42,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields
 from operator import attrgetter, countOf
 from itertools import chain, count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ _BITSET_CHUNK_WORDS = 1 << 15
 _JOIN_MIN_SETS = 128
 
 
-@dataclass(frozen=True)
-class TfFeatures:
+class TfFeatures(NamedTuple):
     cic: float
     cic_syn: float
     itid_min: float
@@ -87,13 +86,7 @@ class TfFeatures:
     noc: float
     noc_norm: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return _FIELD_VALUES(self)
 
-
-# the fields in declaration order; dataclasses.astuple would deep-copy each value
-_FIELD_NAMES = tuple(f.name for f in fields(TfFeatures))
-_FIELD_VALUES = attrgetter(*_FIELD_NAMES)
 # the fields each piece of TF work fills, in the order it returns them
 TF_GROUPS = {
     "cic": ("cic", "cic_syn"),
@@ -103,8 +96,8 @@ TF_GROUPS = {
     "text_coherence": ("tc_min", "tc_avg", "tc_max"),
     "concept_count": ("noc", "noc_norm"),
 }
-_ALL_FIELDS = frozenset(_FIELD_NAMES)
-assert sorted(chain.from_iterable(TF_GROUPS.values())) == sorted(_FIELD_NAMES)
+_ALL_FIELDS = frozenset(TfFeatures._fields)
+assert sorted(chain.from_iterable(TF_GROUPS.values())) == sorted(TfFeatures._fields)
 _IN_DICTIONARY, _MAX_DEPTH, _SENSES = map(attrgetter, ("in_dictionary", "max_depth", "senses"))
 
 
@@ -466,5 +459,5 @@ def compute_tf(profile: LexicalProfile, blocks: list[frozenset[str]],
     for group, names in TF_GROUPS.items():
         if not wanted.isdisjoint(names):
             values.update(zip(names, work[group]()))
-    return TfFeatures(**{name: values[name] if name in wanted else math.nan
-                         for name in _FIELD_NAMES})
+    return TfFeatures._make(values[name] if name in wanted else math.nan
+                            for name in TfFeatures._fields)

@@ -14,12 +14,13 @@ here keeps state between calls, and the built-ins cannot be changed.
 
 from __future__ import annotations
 
-import configparser
 import keyword
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+
+from .config import read_ini
 
 
 @dataclass(frozen=True)
@@ -165,29 +166,45 @@ def load_profiles(path: str | Path | None) -> dict[str, LanguageProfile]:
         line_comments = #
         block_comments = /* */
         strings = " '
+
+    A key that no profile takes is an error, unless [DEFAULT] has it. A
+    ``;`` after a value is a token, not a comment.
     """
     profiles = dict(_BUILTIN_PROFILES)
     if not path:
         return profiles
-    parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+    parser = read_ini(path)
+    base = PYTHON_PROFILE
+    # each key a section takes, and its value when the section leaves it out
+    defaults = {
+        "keywords": "", "line_comments": "", "block_comments": "", "strings": '"',
+        "builtins": "", "branch_keywords": "if", "loop_keywords": "for while",
+        "assignment_ops": " ".join(base.assignment_ops),
+        "arithmetic_ops": " ".join(base.arithmetic_ops),
+        "comparison_ops": " ".join(base.comparison_ops),
+        "punctuation": " ".join(base.punctuation),
+        "docstring_delims": "",
+    }
     for section in parser.sections():
         sec = parser[section]
-        base = PYTHON_PROFILE
+        for key in sec:
+            if key not in defaults and key not in parser.defaults():
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]; "
+                                 f"it takes {', '.join(defaults)}")
+        raw = {key: sec.get(key, default) for key, default in defaults.items()}
         profiles[section] = LanguageProfile(
             name=section,
-            keyword_set=frozenset(_split_list(sec.get("keywords", ""))),
-            line_comment_markers=_split_list(sec.get("line_comments", "")),
-            block_comment_delims=_split_pairs(sec.get("block_comments", "")),
-            string_delims=_split_list(sec.get("strings", '"')),
-            builtin_names=frozenset(_split_list(sec.get("builtins", ""))),
-            branch_keywords=frozenset(_split_list(sec.get("branch_keywords", "if"))),
-            loop_keywords=frozenset(_split_list(sec.get("loop_keywords", "for while"))),
-            assignment_ops=_split_list(sec.get("assignment_ops", " ".join(base.assignment_ops))),
-            arithmetic_ops=_split_list(sec.get("arithmetic_ops", " ".join(base.arithmetic_ops))),
-            comparison_ops=_split_list(sec.get("comparison_ops", " ".join(base.comparison_ops))),
-            punctuation=_split_list(sec.get("punctuation", " ".join(base.punctuation))),
-            docstring_delims=_split_list(sec.get("docstring_delims", "")),
+            keyword_set=frozenset(_split_list(raw["keywords"])),
+            line_comment_markers=_split_list(raw["line_comments"]),
+            block_comment_delims=_split_pairs(raw["block_comments"]),
+            string_delims=_split_list(raw["strings"]),
+            builtin_names=frozenset(_split_list(raw["builtins"])),
+            branch_keywords=frozenset(_split_list(raw["branch_keywords"])),
+            loop_keywords=frozenset(_split_list(raw["loop_keywords"])),
+            assignment_ops=_split_list(raw["assignment_ops"]),
+            arithmetic_ops=_split_list(raw["arithmetic_ops"]),
+            comparison_ops=_split_list(raw["comparison_ops"]),
+            punctuation=_split_list(raw["punctuation"]),
+            docstring_delims=_split_list(raw["docstring_delims"]),
         )
     return profiles

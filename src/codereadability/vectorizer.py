@@ -14,7 +14,7 @@ of their family. The columns that are not wanted are NaN.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -50,10 +50,10 @@ class FeatureSpec:
 
 
 def _build_schema() -> tuple[FeatureSpec, ...]:
-    """One spec per field of each family's dataclass, in field order."""
-    return tuple(FeatureSpec(f"{family.lower()}.{f.name}", family)
+    """One spec per field of each family's record, in field order."""
+    return tuple(FeatureSpec(f"{family.lower()}.{name}", family)
                  for family, cls in zip(FAMILIES, (TfFeatures, BwfFeatures, PfFeatures, DfFeatures))
-                 for f in fields(cls))
+                 for name in cls._fields)
 
 
 _SCHEMA = _build_schema()
@@ -160,13 +160,13 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
         if plan.tf_fields:
             blocks = extract_blocks(s, p, profile=profile) if "extract_blocks" in plan.layers else []
             values[_TF] = compute_tf(profile, blocks, d, config.dbscan_eps,
-                                     config.dbscan_min_samples, plan.tf_fields).as_tuple()
+                                     config.dbscan_min_samples, plan.tf_fields)
         if "bwf" in plan.layers:
-            values[_BWF] = compute_bwf(profile).as_tuple()
+            values[_BWF] = compute_bwf(profile)
         if "pf" in plan.layers:
-            values[_PF] = compute_pf(profile).as_tuple()
+            values[_PF] = compute_pf(profile)
         if "df" in plan.layers:
-            values[_DF] = compute_df(profile, d).as_tuple()
+            values[_DF] = compute_df(profile, d)
     values[~plan.wanted] = np.nan
     return FeatureVector(values=values)
 

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from codereadability.cli import build_parser, main
+from codereadability.config import AnalysisConfig, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -379,6 +381,50 @@ class TestCliContract:
         assert not out.exists()
         name = section[1:section.index("]")]
         assert f"{cfg}: unknown key '{key}' in section [{name}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["x = 1\n", "[bwf]\ntab_width = 4\n\n[bwf]\ntab_width = 2\n",
+                                      "[bwf]\ntab_width = 4 %\n"],
+                             ids=["no-section-header", "section-twice", "lone-percent"])
+    @pytest.mark.parametrize("via", ["config", "profiles"])
+    def test_malformed_ini_exit_3_names_the_file(self, tmp_path, capsys, text, via):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        cfg = bad
+        if via == "profiles":
+            cfg = tmp_path / "conf.ini"
+            cfg.write_text(f"[lexical]\nprofiles = {bad}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed INI: " in err
+        assert "internal error" not in err
+
+    def test_unknown_profile_key_exit_3_names_file_section_and_key(self, tmp_path, capsys):
+        profiles = tmp_path / "p.ini"
+        profiles.write_text("[mylang]\nkeyword = fn let\n")  # for "keywords"
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[lexical]\nprofiles = {profiles}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.ml").write_text("fn f\nlet x = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--lang", "mylang",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        assert (f"{profiles}: unknown key 'keyword' in section [mylang]"
+                in capsys.readouterr().err)
+
+    def test_readme_ini_example_loads(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1), encoding="utf-8")
+        assert load_config(cfg) == AnalysisConfig(
+            dictionary_path="/usr/share/wordnet/dict", dbscan_eps=0.5, dbscan_min_samples=2,
+            tab_width=4, lambda_l2=1.0, inner_cv=5, profiles_path="my_profiles.ini")
 
     def test_unknown_section_warns_and_default_keys_are_accepted(self, tmp_path, capsys):
         src = tmp_path / "src"

@@ -9,7 +9,6 @@ of any other.
 """
 
 import math
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +100,9 @@ class TestComputeTfFields:
             full = compute_tf(profile, blocks, bundled_dict)
             for name in TF_GROUPS[group]:
                 part = compute_tf(profile, blocks, bundled_dict, fields={name})
-                for field in fields(TfFeatures):
-                    value = getattr(part, field.name)
-                    if field.name == name:
+                for field in TfFeatures._fields:
+                    value = getattr(part, field)
+                    if field == name:
                         assert value.hex() == getattr(full, name).hex()
                     else:
                         assert math.isnan(value)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -42,7 +41,7 @@ class TestExamples:
 
     def test_empty_snippet_all_zero(self):
         feats = compute_bwf(tokenize(snip("")))
-        assert all(v == 0.0 for v in feats.as_tuple())
+        assert all(v == 0.0 for v in tuple(feats))
 
     def test_identifier_stats(self):
         # occurrences alpha, beta, alpha: lengths 5+4+5 over 3
@@ -75,10 +74,10 @@ class TestInvariants:
         extended = bwf_of_lines(lines + [""])
         assert extended.blank_ratio > base.blank_ratio
         # every per-code-line statistic is untouched
-        for field in dataclasses.fields(base):
-            if field.name in ("blank_ratio", "comment_ratio"):
+        for field in base._fields:
+            if field in ("blank_ratio", "comment_ratio"):
                 continue
-            assert getattr(extended, field.name) == getattr(base, field.name)
+            assert getattr(extended, field) == getattr(base, field)
 
     @given(SAFE_LINES)
     def test_avg_le_max_pairs(self, lines):
@@ -104,4 +103,4 @@ class TestInvariants:
 
     @given(SAFE_LINES)
     def test_all_nonnegative(self, lines):
-        assert all(v >= 0.0 for v in bwf_of_lines(lines).as_tuple())
+        assert all(v >= 0.0 for v in tuple(bwf_of_lines(lines)))

@@ -54,7 +54,7 @@ class TestComputePf:
 
     def test_empty_snippet(self):
         feats = compute_pf(tokenize(snip("")))
-        assert feats.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert tuple(feats) == (0.0, 0.0, 0.0, 0.0)
 
     def test_population_std(self):
         # entropies: "abab" -> 1.0, "abcd" -> 2.0; population std = 0.5

@@ -193,7 +193,7 @@ class TestComputeTf:
             s = snip(text)
             prof = tokenize(s)
             feats = compute_tf(prof, extract_blocks(s, profile=prof), bundled_dict)
-            assert all(math.isfinite(v) for v in feats.as_tuple())
+            assert all(math.isfinite(v) for v in tuple(feats))
 
     def test_ordering_invariants(self, bundled_dict):
         s = snip("dog = cat\nentity\n\nperson = dog  # a dog")

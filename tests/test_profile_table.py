@@ -8,6 +8,7 @@ the next one.
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,3 +141,18 @@ def test_profile_table_is_builtins_overlaid_by_ini(tmp_path):
     assert get_profile("python") is PYTHON_PROFILE and load_profiles(None)["python"] is PYTHON_PROFILE
     with pytest.raises(ValueError, match="unsupported language 'rust'"):
         get_profile("rust")
+
+
+def test_profile_ini_keys(tmp_path):
+    path = tmp_path / "profiles.ini"
+    path.write_text("[DEFAULT]\nops = = +=\nnote = a [DEFAULT] key no profile reads\n\n"
+                    "[mylang]\nkeywords = fn let\nassignment_ops = %(ops)s\n"
+                    "punctuation = ( ) ; ,\narithmetic_ops = + %%\n", encoding="utf-8")
+    profile = load_profiles(path)["mylang"]
+    assert profile.assignment_ops == ("=", "+=")
+    assert profile.arithmetic_ops == ("+", "%")
+    assert profile.punctuation == ("(", ")", ";", ",")  # a ";" is a token, not a comment
+    path.write_text("[mylang]\nkeyword = fn let\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: unknown key 'keyword' "
+                                         r"in section \[mylang\]; it takes keywords, "):
+        load_profiles(path)

@@ -10,6 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codereadability.features import (
+    BwfFeatures,
+    DfFeatures,
+    PfFeatures,
+    TfFeatures,
+    compute_bwf,
+    compute_df,
+    compute_pf,
+    compute_tf,
+)
+from codereadability.lexical import extract_blocks, tokenize
+from codereadability.profiles import get_profile
 from codereadability.vectorizer import (
     FAMILIES,
     FeatureVector,
@@ -23,6 +35,7 @@ from codereadability.vectorizer import (
 )
 
 from conftest import snip
+from lexer_samples import fixture_snippets, ini_profile, ini_snippet
 from test_cli import write_labeled_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +67,31 @@ class TestSchema:
 
     def test_stable_across_calls(self):
         assert schema() == schema()
+
+
+class TestFamilyRecords:
+    """Each family's result is a tuple in schema order, and ``featurize``
+    copies it into its slice unchanged."""
+
+    def test_schema_is_the_records_fields_in_order(self):
+        records = (TfFeatures, BwfFeatures, PfFeatures, DfFeatures)
+        assert schema_names() == [f"{family.lower()}.{name}"
+                                  for family, record in zip(FAMILIES, records)
+                                  for name in record._fields]
+
+    def test_featurize_copies_each_record_bit_for_bit(self, bundled_dict):
+        samples = [(s, get_profile(s.language)) for s in fixture_snippets()]
+        samples.append((ini_snippet(), ini_profile()))
+        for s, p in samples:
+            profile = tokenize(s, p)
+            blocks = extract_blocks(s, p, profile=profile)
+            records = (compute_tf(profile, blocks, bundled_dict), compute_bwf(profile),
+                       compute_pf(profile), compute_df(profile, bundled_dict))
+            values = featurize(s, p, bundled_dict).values
+            for family, record in zip(FAMILIES, records):
+                assert isinstance(record, tuple)
+                copied = values[family_indices(family)]
+                assert [v.hex() for v in copied] == [float(v).hex() for v in record], (s.id, family)
 
 
 class TestFeaturize:
