@@ -54,9 +54,9 @@ interesting = [
 names = [e.name for e in entries]
 for name in interesting:
     i = names.index(name)
-    print(f"{name:<28}{vec_clean.values[i]:>10.3f}{vec_messy.values[i]:>10.3f}")
+    print(f"{name:<28}{vec_clean[i]:>10.3f}{vec_messy[i]:>10.3f}")
 
 # A degenerate snippet has no evidence at all, so every feature defaults to 0.
 empty = featurize(preprocess(load_snippet("", "python", "empty")), d=dictionary)
 print()
-print("empty snippet is all zeros:", bool(np.all(empty.values == 0.0)))
+print("empty snippet is all zeros:", bool(np.all(empty == 0.0)))

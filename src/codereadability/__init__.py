@@ -26,7 +26,6 @@ from .dictionary import DictionaryProvider, count_syllables, load_dictionary
 from .lexical import extract_blocks, split_identifier, tokenize
 from .profiles import LanguageProfile, get_profile, load_profiles
 from .vectorizer import (
-    FeatureVector,
     SCHEMA_VERSION,
     family_indices,
     featurize,
@@ -52,7 +51,6 @@ __all__ = [
     "ComparisonReport",
     "DictionaryProvider",
     "EvaluationReport",
-    "FeatureVector",
     "LabeledDataset",
     "LanguageProfile",
     "ReadabilityModel",

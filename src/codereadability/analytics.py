@@ -25,9 +25,9 @@ from .model import ReadabilityModel, predict, rankdata
 from .profiles import get_profile, load_profiles
 from .vectorizer import featurize
 
+# up to this many nonzero pairs the p-value is exact; the 2^n
+# sign-assignment counts stay exact in int64 only for n <= 62
 EXACT_TEST_MAX_PAIRS = 25
-# largest n whose 2^n sign-assignment counts stay exact in int64
-EXACT_TEST_LIMIT = 62
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def _exact_two_sided_p(w_plus: float, ranks: np.ndarray) -> float:
     """Exact p over all 2^n sign assignments, via the rank-sum distribution.
 
     Average ranks can be half-integers, so everything is doubled to stay
-    integral; counts are exact int64 (safe for n <= EXACT_TEST_LIMIT).
+    integral; counts are exact int64 (safe for n <= 62).
     """
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     total = int(doubled.sum())
@@ -134,17 +134,13 @@ class WilcoxonResult:
     method: str         # "exact", "normal", or "degenerate"
 
 
-def wilcoxon_signed_rank(differences, exact_max: int = EXACT_TEST_MAX_PAIRS) -> WilcoxonResult:
+def wilcoxon_signed_rank(differences) -> WilcoxonResult:
     """Two-sided test on paired differences; zeros dropped.
 
-    ``exact_max`` above EXACT_TEST_LIMIT is rejected: the exact counts
-    would overflow int64 and give silently wrong p-values. A NaN
-    difference is rejected too: it has no rank. ±inf ranks last and ties
-    with itself.
+    The p-value is exact up to ``EXACT_TEST_MAX_PAIRS`` nonzero pairs and
+    normal beyond. A NaN difference is rejected: it has no rank. ±inf
+    ranks last and ties with itself.
     """
-    if exact_max > EXACT_TEST_LIMIT:
-        raise ValueError(f"exact_max={exact_max} exceeds {EXACT_TEST_LIMIT}, "
-                         "the largest n the exact test counts without overflow")
     diffs = np.asarray(differences, dtype=np.float64)
     nan_at = np.flatnonzero(np.isnan(diffs))
     if len(nan_at):
@@ -167,7 +163,7 @@ def wilcoxon_signed_rank(differences, exact_max: int = EXACT_TEST_MAX_PAIRS) -> 
     variance -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     z = (w_plus - mean) / np.sqrt(variance)
 
-    if n <= exact_max:
+    if n <= EXACT_TEST_MAX_PAIRS:
         p = _exact_two_sided_p(w_plus, ranks)
         method = "exact"
     else:
@@ -199,10 +195,6 @@ class ComparisonReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ComparisonReport":
-        return cls(**doc)
 
 
 def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
@@ -294,7 +286,3 @@ def render_report(reports, format: str = "table") -> str:
                              "no nonzero pairs; test degenerate")
         return "\n".join(lines)
     raise ValueError(f"unknown report format {format!r}")
-
-
-def parse_report_json(text: str) -> list[ComparisonReport]:
-    return [ComparisonReport.from_dict(doc) for doc in json.loads(text)]

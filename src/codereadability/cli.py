@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import AnalysisConfig, load_config
 from .corpus import (
-    DatasetError,
     Snippet,
     SnippetDecodeError,
     load_labeled_dataset,
@@ -36,9 +35,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-# model.ModelError is a ValueError; analytics and model are imported by the
-# commands that use them, so featurize never loads scipy
-_DATA_ERRORS = (DatasetError, SnippetDecodeError, DictionaryError, ValueError, OSError)
+# corpus.DatasetError, corpus.SnippetDecodeError and model.ModelError are
+# ValueErrors; analytics and model are imported by the commands that use
+# them, so featurize never loads scipy
+_DATA_ERRORS = (DictionaryError, ValueError, OSError)
 
 
 def _resolve_config(args) -> AnalysisConfig:

@@ -99,6 +99,8 @@ def load_config(path: str | Path | None) -> AnalysisConfig:
         return AnalysisConfig()
     parser = read_ini(path, inline_comment_prefixes=(";",))
     kwargs = {}
+    # each value error names the file, the section and the key; the range
+    # checks of AnalysisConfig name the section and the key themselves
     for section in parser.sections():
         keys = _SECTIONS.get(section)
         if keys is None:
@@ -107,8 +109,14 @@ def load_config(path: str | Path | None) -> AnalysisConfig:
         for key in parser[section]:
             if key in keys:
                 field, convert = keys[key]
-                kwargs[field] = convert(parser.get(section, key))
+                try:
+                    kwargs[field] = convert(parser.get(section, key))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
             elif key not in parser.defaults():  # [DEFAULT] keys reach every section
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]; "
                                  f"it takes {', '.join(keys)}")
-    return AnalysisConfig(**kwargs)
+    try:
+        return AnalysisConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -62,53 +62,39 @@ class _WordNetDatabase:
             index_file = directory / f"index.{suffix}"
             data_file = directory / f"data.{suffix}"
             if index_file.exists():
-                self._parse_index(index_file, pos)
+                _parse_records(index_file, self._index_record, pos)
                 loaded += 1
             if data_file.exists():
-                self._parse_data(data_file, pos)
+                _parse_records(data_file, self._data_record, pos)
         if not loaded:
             raise DictionaryError(f"no index.* files under {directory}")
 
-    def _parse_index(self, path: Path, pos: str) -> None:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DictionaryError(f"cannot read {path}: {exc}") from exc
-        for line in text.splitlines():
-            if not line or line.startswith(" "):
-                continue
-            fields = line.split()
-            lemma = fields[0]
-            synset_cnt = int(fields[2])
-            offsets = [int(off) for off in fields[-synset_cnt:]]
-            self.lemma_synsets.setdefault(lemma, []).extend((pos, off) for off in offsets)
+    def _index_record(self, line: str, pos: str) -> None:
+        fields = line.split()
+        lemma = fields[0]
+        synset_cnt = int(fields[2])
+        offsets = [int(off) for off in fields[-synset_cnt:]]
+        self.lemma_synsets.setdefault(lemma, []).extend((pos, off) for off in offsets)
 
-    def _parse_data(self, path: Path, pos: str) -> None:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DictionaryError(f"cannot read {path}: {exc}") from exc
-        for line in text.splitlines():
-            if not line or line.startswith(" "):
-                continue
-            body = line.split("|", 1)[0]
-            fields = body.split()
-            offset = int(fields[0])
-            w_cnt = int(fields[3], 16)
-            words = [fields[4 + 2 * i] for i in range(w_cnt)]
-            key = (pos, offset)
-            self.synset_words[key] = words
-            p_idx = 4 + 2 * w_cnt
-            p_cnt = int(fields[p_idx])
-            hypers = []
-            for i in range(p_cnt):
-                symbol = fields[p_idx + 1 + 4 * i]
-                target_off = int(fields[p_idx + 2 + 4 * i])
-                target_pos = fields[p_idx + 3 + 4 * i]
-                if symbol in _HYPERNYM_SYMBOLS:
-                    hypers.append((target_pos, target_off))
-            if hypers:
-                self.hypernyms[key] = hypers
+    def _data_record(self, line: str, pos: str) -> None:
+        body = line.split("|", 1)[0]
+        fields = body.split()
+        offset = int(fields[0])
+        w_cnt = int(fields[3], 16)
+        words = [fields[4 + 2 * i] for i in range(w_cnt)]
+        key = (pos, offset)
+        self.synset_words[key] = words
+        p_idx = 4 + 2 * w_cnt
+        p_cnt = int(fields[p_idx])
+        hypers = []
+        for i in range(p_cnt):
+            symbol = fields[p_idx + 1 + 4 * i]
+            target_off = int(fields[p_idx + 2 + 4 * i])
+            target_pos = fields[p_idx + 3 + 4 * i]
+            if symbol in _HYPERNYM_SYMBOLS:
+                hypers.append((target_pos, target_off))
+        if hypers:
+            self.hypernyms[key] = hypers
 
     def depth(self, key: tuple[str, int]) -> int:
         """Longest hypernym path measured in synsets; a root counts 1."""
@@ -137,6 +123,23 @@ class _WordNetDatabase:
                 if word != term and "_" not in word:
                     synonyms.add(word)
         return LexEntry(True, len(synsets), max_depth, frozenset(synonyms))
+
+
+def _parse_records(path: Path, parse, pos: str) -> None:
+    """``parse(line, pos)`` on each record line of a WordNet file; the
+    license header lines start with a space. A record it cannot parse
+    raises ``DictionaryError`` naming the file and the line."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DictionaryError(f"cannot read {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line or line.startswith(" "):
+            continue
+        try:
+            parse(line, pos)
+        except (IndexError, ValueError) as exc:
+            raise DictionaryError(f"{path}, line {lineno}: malformed WordNet record: {exc}") from None
 
 
 def _load_fallback_words() -> frozenset[str]:

@@ -63,7 +63,7 @@ def visual_densities(profile: LexicalProfile) -> tuple[float, float, float, floa
         profile.keyword_chars / denom,
         profile.string_chars / denom,
         profile.comment_chars / denom,
-        len(profile.char_vocab) / _CHARSET_NORM,
+        len(profile.char_counts) / _CHARSET_NORM,
     )
 
 
@@ -95,7 +95,7 @@ def text_features(profile: LexicalProfile, dictionary: DictionaryProvider) -> tu
 
     occurrences = Counter(user)  # each distinct identifier is checked once
     english = sum(n for ident, n in occurrences.items() if is_english_ident(ident))
-    comment_text = " ".join(c.text for c in profile.comments)
+    comment_text = " ".join(profile.comments)
     w_com = len(_WORD_RE.findall(comment_text))
     # the lexer's identifier terms are the non-digit terms of every identifier
     w_code = sum(map(len, profile.line_identifier_terms))

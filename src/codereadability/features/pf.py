@@ -40,8 +40,8 @@ def line_entropy(line: str) -> float:
 
 
 def halstead_volume(profile: LexicalProfile) -> float:
-    eta = profile.eta1 + profile.eta2
-    total = profile.n1 + profile.n2
+    eta = len(set(profile.operators)) + len(set(profile.operands))
+    total = len(profile.operators) + len(profile.operands)
     if total == 0 or eta <= 1:
         return 0.0
     return total * math.log2(eta)

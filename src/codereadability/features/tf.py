@@ -147,7 +147,7 @@ def identifier_semantics(profile: LexicalProfile, dictionary: DictionaryProvider
 
 def comment_readability(profile: LexicalProfile) -> float:
     """Flesch reading ease over all comment text concatenated."""
-    text = " ".join(c.text for c in profile.comments)
+    text = " ".join(profile.comments)
     words = _WORD_RE.findall(text)
     n_words = len(words)
     if n_words == 0:

@@ -1,7 +1,7 @@
 """Language-aware lexical extraction.
 
 One pass over a snippet yields everything the four feature families
-consume: token multisets, identifier terms, comment segments, per-line
+consume: token multisets, identifier terms, comment texts, per-line
 category counts, Halstead operator/operand tallies, character vocabularies,
 and the column positions of assignment operators and opening brackets.
 
@@ -72,14 +72,6 @@ _CAMEL_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class CommentSegment:
-    line: int   # 0-based line index
-    col: int
-    raw: str    # full segment including markers/delimiters
-    text: str   # comment text with markers stripped
-
-
 class LineStats(NamedTuple):
     length: int
     indent: int
@@ -111,7 +103,7 @@ class LexicalProfile:
     line_tokens: list[list[str]] = field(default_factory=list)
     identifiers: list[str] = field(default_factory=list)
     identifiers_user: list[str] = field(default_factory=list)
-    comments: list[CommentSegment] = field(default_factory=list)
+    comments: list[str] = field(default_factory=list)  # texts, markers stripped
     terms_comment: frozenset[str] = frozenset()
     terms_identifier: frozenset[str] = frozenset()
     line_identifier_terms: list[list[str]] = field(default_factory=list)
@@ -125,26 +117,6 @@ class LexicalProfile:
     char_counts: Counter = field(default_factory=Counter)
     assign_columns: list[int] = field(default_factory=list)
     bracket_columns: list[int] = field(default_factory=list)
-
-    @property
-    def char_vocab(self) -> frozenset[str]:
-        return frozenset(self.char_counts)
-
-    @property
-    def eta1(self) -> int:
-        return len(set(self.operators))
-
-    @property
-    def eta2(self) -> int:
-        return len(set(self.operands))
-
-    @property
-    def n1(self) -> int:
-        return len(self.operators)
-
-    @property
-    def n2(self) -> int:
-        return len(self.operands)
 
 
 def split_identifier(ident: str) -> list[str]:
@@ -193,8 +165,8 @@ def normalize_terms(tokens) -> list[str]:
 
 # marker groups, in alternation order
 _LINE_COMMENT, _BLOCK_COMMENT, _DOCSTRING, _QUOTE = range(4)
-# segment kinds: (_CODE, start, end), (_COMMENT, col, raw, text),
-# (_STRING, col, raw, opens); opens is False on continuation fragments
+# segment kinds: (_CODE, start, end), (_COMMENT, raw, text),
+# (_STRING, raw, opens); opens is False on continuation fragments
 _CODE, _COMMENT, _STRING = range(3)
 
 _OPEN_BRACKETS = frozenset("([{")
@@ -225,8 +197,8 @@ def _escaped_close_re(delim: str) -> re.Pattern:
     return re.compile(r"(?:[^\\]|\\.)*?" + re.escape(delim), re.DOTALL)
 
 
-def _literal(as_comment: bool, col: int, raw: str, text: str, opens: bool) -> tuple:
-    return (_COMMENT, col, raw, text) if as_comment else (_STRING, col, raw, opens)
+def _literal(as_comment: bool, raw: str, text: str, opens: bool) -> tuple:
+    return (_COMMENT, raw, text) if as_comment else (_STRING, raw, opens)
 
 
 @lru_cache(maxsize=64)
@@ -308,9 +280,9 @@ class _Scanner:
             close, escaped, as_comment = state.mode
             end = self._close(line, 0, close, escaped)
             if end == -1:
-                segments.append(_literal(as_comment, 0, line, line, False))
+                segments.append(_literal(as_comment, line, line, False))
                 return segments
-            segments.append(_literal(as_comment, 0, line[:end], line[:end - len(close)], False))
+            segments.append(_literal(as_comment, line[:end], line[:end - len(close)], False))
             state.mode = None
             i = end
 
@@ -328,11 +300,11 @@ class _Scanner:
                     had_code = True
                 end = -1 if group == _LINE_COMMENT else self._close(line, body, close, False)
                 if end == -1:
-                    segments.append((_COMMENT, j, line[j:], line[body:]))
+                    segments.append((_COMMENT, line[j:], line[body:]))
                     if group == _BLOCK_COMMENT:
                         state.mode = (close, False, True)
                     return segments
-                segments.append((_COMMENT, j, line[j:end], line[body:end - len(close)]))
+                segments.append((_COMMENT, line[j:end], line[body:end - len(close)]))
                 i = end
                 continue
 
@@ -348,13 +320,11 @@ class _Scanner:
                 had_code = True
             end = self._close(line, body, close, True)
             if end == -1:
-                segments.append(_literal(as_comment, start, line[start:], line[body:], True))
+                segments.append(_literal(as_comment, line[start:], line[body:], True))
                 if group == _DOCSTRING:
                     state.mode = (close, True, as_comment)
                 return segments
-            segments.append(
-                _literal(as_comment, start, line[start:end], line[body:end - len(close)], True)
-            )
+            segments.append(_literal(as_comment, line[start:end], line[body:end - len(close)], True))
             i = end
 
         if i < len(line):
@@ -404,7 +374,7 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
     columns: list[int] = []   # and its column
     state = _ScanState()
 
-    for lineno, line in enumerate(s.lines):
+    for line in s.lines:
         tokens: list[str] = []     # every token of the line, literals too
         line_code: list[str] = []  # its code tokens
         has_comment = has_string = False
@@ -419,12 +389,12 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
                 line_code += toks
                 tokens += toks
             elif kind == _COMMENT:
-                _, col, raw, body = seg
+                _, raw, body = seg
                 has_comment = True
                 prof.comment_chars += len(raw)
-                prof.comments.append(CommentSegment(line=lineno, col=col, raw=raw, text=body))
+                prof.comments.append(body)
             else:
-                _, col, raw, opens = seg
+                _, raw, opens = seg
                 has_string = True
                 prof.string_chars += len(raw)
                 tokens.append(raw)
@@ -452,17 +422,14 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
     prof.keyword_chars = sum(map(_KEYWORD_CHARS, entries))
     prof.assign_columns = list(compress(columns, map(_ASSIGN, entries)))
     prof.bracket_columns = list(compress(columns, map(_OPEN, entries)))
-    comment_words = _WORD_SPLIT_RE.findall(" ".join(c.text for c in prof.comments))
+    comment_words = _WORD_SPLIT_RE.findall(" ".join(prof.comments))
     prof.terms_comment = frozenset(normalize_terms(comment_words))
     prof.terms_identifier = frozenset(chain.from_iterable(prof.line_identifier_terms))
     return prof
 
 
-def extract_blocks(s: Snippet, p: LanguageProfile | None = None,
-                   profile: LexicalProfile | None = None) -> list[frozenset[str]]:
+def extract_blocks(profile: LexicalProfile) -> list[frozenset[str]]:
     """The token set of each blank-line-delimited group of non-blank lines."""
-    if profile is None:
-        profile = tokenize(s, p)
     runs = groupby(zip(profile.per_line, profile.line_tokens), key=lambda line: line[0].is_blank)
     return [frozenset(chain.from_iterable(tokens for _, tokens in run))
             for blank, run in runs if not blank]

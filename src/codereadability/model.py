@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .config import check_lambda_l2
-from .vectorizer import N_FEATURES, SCHEMA_VERSION, FeatureVector, family_indices
+from .vectorizer import N_FEATURES, SCHEMA_VERSION, family_indices
 
 log = logging.getLogger(__name__)
 
@@ -88,15 +88,6 @@ def _objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     grad = np.concatenate([(X.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0] + lambda_l2 * w,
                            resid.sum(axis=1, keepdims=True)], axis=1)
     return loss, grad
-
-
-def logloss_and_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     lambda_l2: float) -> tuple[float, np.ndarray]:
-    """Objective and gradient; ``params`` is weights with the intercept last."""
-    loss, grad = _objective(np.asarray(params, dtype=np.float64)[None],
-                            np.asarray(X, dtype=np.float64)[None],
-                            np.asarray(y, dtype=np.float64), lambda_l2)
-    return float(loss[0]), grad[0]
 
 
 def _solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -336,15 +327,14 @@ class ReadabilityModel:
     training_provenance: str = ""
 
 
-def predict(model: ReadabilityModel, x: FeatureVector | np.ndarray) -> tuple[float, float]:
+def predict(model: ReadabilityModel, x: np.ndarray) -> tuple[float, float]:
     """(probability, linear_score) for one feature vector.
 
     The linear score is the weighted sum of scaled selected features,
     without the intercept; the probability adds the intercept and applies
     the sigmoid.
     """
-    values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    scaled = (values - model.scaler.mu) / model.scaler.sigma
+    scaled = (np.asarray(x, dtype=np.float64) - model.scaler.mu) / model.scaler.sigma
     picked = scaled[list(model.selected)]
     linear = float(picked @ model.weights)
     probability = float(expit(linear + model.intercept))

@@ -80,15 +80,6 @@ def family_indices(family: str) -> list[int]:
     return [i for i, spec in enumerate(_SCHEMA) if spec.family == family]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray  # shape (61,), float64
-
-    def __post_init__(self):
-        if self.values.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got {self.values.shape}")
-
-
 class _ColumnPlan(NamedTuple):
     """The feature work behind a set of wanted schema columns."""
     wanted: np.ndarray          # bool, one per schema column (read-only)
@@ -133,8 +124,8 @@ _TF, _BWF, _PF, _DF = (slice(idx[0], idx[-1] + 1) for idx in map(family_indices,
 def featurize(s: Snippet, p: LanguageProfile | None = None,
               d: DictionaryProvider | None = None,
               config: AnalysisConfig | None = None,
-              columns=None) -> FeatureVector:
-    """Compute the 61-feature vector for a preprocessed snippet.
+              columns=None) -> np.ndarray:
+    """The (61,) float64 feature vector of a preprocessed snippet.
 
     ``columns`` lists the wanted schema column indices (all 61 for None).
     Only the feature work those columns read runs (see
@@ -158,7 +149,7 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
     if s.lines and plan.layers:
         profile = tokenize(s, p, tab_width=config.tab_width)
         if plan.tf_fields:
-            blocks = extract_blocks(s, p, profile=profile) if "extract_blocks" in plan.layers else []
+            blocks = extract_blocks(profile) if "extract_blocks" in plan.layers else []
             values[_TF] = compute_tf(profile, blocks, d, config.dbscan_eps,
                                      config.dbscan_min_samples, plan.tf_fields)
         if "bwf" in plan.layers:
@@ -168,7 +159,7 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
         if "df" in plan.layers:
             values[_DF] = compute_df(profile, d)
     values[~plan.wanted] = np.nan
-    return FeatureVector(values=values)
+    return values
 
 
 def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = None,
@@ -185,7 +176,7 @@ def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = Non
     table = load_profiles(config.profiles_path)
     matrix = np.empty((len(snippets), N_FEATURES))
     for row, s in zip(matrix, snippets):
-        row[:] = featurize(s, get_profile(s.language, table), d, config).values
+        row[:] = featurize(s, get_profile(s.language, table), d, config)
     return matrix
 
 

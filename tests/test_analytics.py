@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -6,10 +7,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codereadability import analytics
 from codereadability.analytics import (
     ScoreTable,
     paired_compare,
-    parse_report_json,
     read_score_table,
     render_report,
     score_corpus,
@@ -82,26 +83,24 @@ class TestWilcoxon:
         ours = wilcoxon_signed_rank(diffs)
         assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-12)
 
-    def test_exact_close_to_normal_in_band(self):
+    def test_exact_close_to_normal_in_band(self, monkeypatch):
         rng = np.random.default_rng(12)
-        for n in range(20, 26):
-            for _ in range(20):
-                diffs = rng.normal(0.2, 1.0, size=n)
-                exact = wilcoxon_signed_rank(diffs, exact_max=25)
-                approx = wilcoxon_signed_rank(diffs, exact_max=0)
-                assert approx.method == "normal"
-                assert abs(exact.p_value - approx.p_value) < 0.05
+        samples = [rng.normal(0.2, 1.0, size=n) for n in range(20, 26) for _ in range(20)]
+        exact = [wilcoxon_signed_rank(diffs) for diffs in samples]
+        monkeypatch.setattr(analytics, "EXACT_TEST_MAX_PAIRS", 0)
+        for diffs, e in zip(samples, exact):
+            approx = wilcoxon_signed_rank(diffs)
+            assert e.method == "exact" and approx.method == "normal"
+            assert abs(e.p_value - approx.p_value) < 0.05
 
-    def test_exact_matches_scipy_at_largest_exact_n(self):
+    def test_exact_matches_scipy_at_largest_exact_n(self, monkeypatch):
+        # 62 is the largest n whose exact counts stay within int64
+        monkeypatch.setattr(analytics, "EXACT_TEST_MAX_PAIRS", 62)
         diffs = np.random.default_rng(62).normal(0.1, 1.0, size=62)
         theirs = scipy.stats.wilcoxon(diffs, method="exact", zero_method="wilcox")
-        ours = wilcoxon_signed_rank(diffs, exact_max=62)
+        ours = wilcoxon_signed_rank(diffs)
         assert ours.method == "exact"
         assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-12)
-
-    def test_exact_max_beyond_int64_range_rejected(self):
-        with pytest.raises(ValueError, match="exact_max"):
-            wilcoxon_signed_rank([1.0, 2.0, 3.0], exact_max=63)
 
     def test_large_n_uses_normal(self):
         diffs = np.random.default_rng(5).normal(size=40)
@@ -228,8 +227,7 @@ class TestRender:
 
     def test_json_round_trip(self):
         report = self._report()
-        parsed = parse_report_json(render_report(report, format="json"))
-        assert parsed == [report]
+        assert json.loads(render_report(report, format="json")) == [report.to_dict()]
 
     def test_win_rate_two_decimals(self):
         ids = [f"s{i}" for i in range(1000)]

@@ -479,6 +479,42 @@ class TestCliContract:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,message", [
+        ("[model]\ninner_cv = 5.0", "[model] inner_cv: invalid literal for int() with base 10: '5.0'"),
+        ("[tf.dbscan]\neps = wide", "[tf.dbscan] eps: could not convert string to float: 'wide'"),
+        ("[bwf]\ntab_width = 0", "[bwf] tab_width must be >= 1, got 0"),
+    ], ids=["inner_cv=5.0", "eps=wide", "tab_width=0"])
+    def test_invalid_value_names_file_section_and_key(self, tmp_path, capsys, section, message):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(section + "\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\n")
+        assert main(["--config", str(cfg), "featurize", "--in", str(src),
+                     "--out", str(tmp_path / "m.csv")]) == 3
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,record", [
+        ("index.noun", "garbage"),
+        ("data.noun", "00000002 05 n 01 animal 0 001 @"),  # a pointer without its target
+    ])
+    def test_malformed_wordnet_file_exit_3_names_file_and_line(self, tmp_path, capsys, name, record):
+        wordnet = tmp_path / "wordnet"
+        wordnet.mkdir()
+        (wordnet / "index.noun").write_text("  1 license header\nanimal n 1 1 @ 1 0 00000002\n")
+        (wordnet / name).write_text(f"  1 license header\n{record}\n")
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[dictionary]\npath = {wordnet}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("animal = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{wordnet / name}, line 2: malformed WordNet record" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_invalid_lambda_flag_exit_3(self, tmp_path, capsys, value):
         manifest = write_labeled_dataset(tmp_path / "data")

@@ -44,7 +44,7 @@ def _samples():
 
 
 SAMPLES = _samples()
-FULL = {s.id: featurize(s).values for s in SAMPLES}
+FULL = {s.id: featurize(s) for s in SAMPLES}
 
 
 def assert_only(values: np.ndarray, full: np.ndarray, columns) -> None:
@@ -58,11 +58,11 @@ class TestFeaturizeColumns:
     @pytest.mark.parametrize("column", range(N_FEATURES), ids=NAMES)
     def test_each_column_alone(self, column):
         for s in SAMPLES:
-            assert_only(featurize(s, columns=[column]).values, FULL[s.id], [column])
+            assert_only(featurize(s, columns=[column]), FULL[s.id], [column])
 
     def test_all_columns(self):
         for s in SAMPLES:
-            assert featurize(s, columns=range(N_FEATURES)).values.tobytes() == FULL[s.id].tobytes()
+            assert featurize(s, columns=range(N_FEATURES)).tobytes() == FULL[s.id].tobytes()
 
     def test_no_column_is_all_nan_and_runs_nothing(self, monkeypatch):
         def never(*args, **kwargs):
@@ -70,19 +70,19 @@ class TestFeaturizeColumns:
 
         monkeypatch.setattr(vectorizer, "tokenize", never)
         for s in SAMPLES:
-            assert np.isnan(featurize(s, columns=()).values).all()
+            assert np.isnan(featurize(s, columns=())).all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.sets(st.integers(0, N_FEATURES - 1)), st.sampled_from(SAMPLES))
     def test_column_subsets(self, columns, s):
-        assert_only(featurize(s, columns=sorted(columns)).values, FULL[s.id], columns)
+        assert_only(featurize(s, columns=sorted(columns)), FULL[s.id], columns)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(source_texts(), st.sampled_from(["python", "java", "cuda"]),
            st.lists(st.integers(0, N_FEATURES - 1), max_size=8))
     def test_column_subsets_of_generated_snippets(self, text, language, columns):
         s = preprocess(load_snippet(text, language, "fuzz"))
-        assert_only(featurize(s, columns=columns).values, featurize(s).values, columns)
+        assert_only(featurize(s, columns=columns), featurize(s), columns)
 
     @pytest.mark.parametrize("columns", [[-1], [N_FEATURES], [3, 61]])
     def test_out_of_range_columns_rejected(self, columns):
@@ -96,7 +96,7 @@ class TestComputeTfFields:
         for s in SAMPLES[-3:]:
             p = get_profile(s.language)
             profile = tokenize(s, p)
-            blocks = extract_blocks(s, p, profile=profile)
+            blocks = extract_blocks(profile)
             full = compute_tf(profile, blocks, bundled_dict)
             for name in TF_GROUPS[group]:
                 part = compute_tf(profile, blocks, bundled_dict, fields={name})

@@ -99,7 +99,7 @@ class TestInvariants:
         feats = compute_bwf(prof)
         total = prof.total_chars
         if total > 0:
-            assert feats.max_char_occurrence >= math.ceil(total / len(prof.char_vocab))
+            assert feats.max_char_occurrence >= math.ceil(total / len(prof.char_counts))
 
     @given(SAFE_LINES)
     def test_all_nonnegative(self, lines):

@@ -143,7 +143,7 @@ class TestTextCoherence:
         assert text_coherence([]) == (0.0, 0.0, 0.0)
 
     def test_end_to_end_blocks(self):
-        blocks = extract_blocks(snip("a = 1\n\na = 1"))
+        blocks = extract_blocks(tokenize(snip("a = 1\n\na = 1")))
         assert text_coherence(blocks) == (1.0, 1.0, 1.0)
 
 
@@ -192,13 +192,13 @@ class TestComputeTf:
         for text in ("", "x", "# only a comment", "'''s'''", "if:", "1 1 1"):
             s = snip(text)
             prof = tokenize(s)
-            feats = compute_tf(prof, extract_blocks(s, profile=prof), bundled_dict)
+            feats = compute_tf(prof, extract_blocks(prof), bundled_dict)
             assert all(math.isfinite(v) for v in tuple(feats))
 
     def test_ordering_invariants(self, bundled_dict):
         s = snip("dog = cat\nentity\n\nperson = dog  # a dog")
         prof = tokenize(s)
-        feats = compute_tf(prof, extract_blocks(s, profile=prof), bundled_dict)
+        feats = compute_tf(prof, extract_blocks(prof), bundled_dict)
         assert feats.itid_min <= feats.itid_avg <= feats.itid_max
         assert feats.nmi_min <= feats.nmi_avg <= feats.nmi_max
         assert feats.tc_min <= feats.tc_avg <= feats.tc_max

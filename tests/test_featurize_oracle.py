@@ -32,7 +32,6 @@ from codereadability.features.tf import comment_readability, cic, concept_count,
 from codereadability.lexical import (
     IDENT_RE,
     NUMBER_RE,
-    CommentSegment,
     LexicalProfile,
     extract_blocks,
     split_identifier,
@@ -145,7 +144,7 @@ def ref_tokenize(s, p, tab_width):
     prof.total_chars = len(text)
     prof.char_counts.update(text)
     state = lexical._ScanState()
-    for lineno, line in enumerate(s.lines):
+    for line in s.lines:
         tokens, code, idents, code_operands = [], [], [], []
         has_comment = has_string = False
         for seg in scan(line, state):
@@ -174,12 +173,12 @@ def ref_tokenize(s, p, tab_width):
                         if tok in _OPEN_BRACKETS:
                             prof.bracket_columns.append(m.start(3))
             elif seg[0] == lexical._COMMENT:
-                _, col, raw, body = seg
+                _, raw, body = seg
                 has_comment = True
                 prof.comment_chars += len(raw)
-                prof.comments.append(CommentSegment(line=lineno, col=col, raw=raw, text=body))
+                prof.comments.append(body)
             else:
-                _, col, raw, opens = seg
+                _, raw, opens = seg
                 has_string = True
                 prof.string_chars += len(raw)
                 tokens.append(raw)
@@ -194,7 +193,7 @@ def ref_tokenize(s, p, tab_width):
         prof.per_line.append(stats)
         if not stats.is_blank:
             prof.m_ne += 1
-    comment_words = lexical._WORD_SPLIT_RE.findall(" ".join(c.text for c in prof.comments))
+    comment_words = lexical._WORD_SPLIT_RE.findall(" ".join(prof.comments))
     prof.terms_comment = frozenset(ref_normalize_terms(comment_words))
     prof.terms_identifier = frozenset(chain.from_iterable(prof.line_identifier_terms))
     return prof
@@ -295,7 +294,7 @@ def ref_text_features(profile, dictionary):
         return bool(terms) and all(dictionary.is_english(t) for t in terms)
 
     english = sum(1 for ident in user if is_english_ident(ident))
-    w_com = len(_WORD_RE.findall(" ".join(c.text for c in profile.comments)))
+    w_com = len(_WORD_RE.findall(" ".join(profile.comments)))
     w_code = sum(
         1 for ident in profile.identifiers
         for term in split_identifier(ident)
@@ -318,14 +317,14 @@ def ref_featurize(s, p, d, config):
     if not s.lines:
         return np.zeros(61)
     profile = ref_tokenize(s, p or get_profile(s.language), config.tab_width)
-    blocks = extract_blocks(s, p, profile=profile)
+    blocks = extract_blocks(profile)
     return np.array(ref_tf(profile, blocks, d, config) + ref_bwf(profile)
                     + ref_pf(profile) + ref_df(profile, d), dtype=np.float64)
 
 
 def assert_same(s, d, p=None, tab_width=4):
     config = AnalysisConfig(tab_width=tab_width)
-    got = featurize(s, p, d, config).values
+    got = featurize(s, p, d, config)
     want = ref_featurize(s, p, d, config)
     assert got.tobytes() == want.tobytes(), [
         (i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w or math.isnan(g) != math.isnan(w)

@@ -38,5 +38,5 @@ def test_featurize_any_text(bundled_dict, text, language):
         vec = featurize(preprocess(load_snippet(text, language, "fuzz")), d=bundled_dict)
     except SnippetDecodeError:
         return
-    assert len(vec.values) == N_FEATURES == 61
-    assert all(math.isfinite(v) for v in vec.values)
+    assert len(vec) == N_FEATURES == 61
+    assert all(math.isfinite(v) for v in vec)

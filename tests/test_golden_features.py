@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_features.csv"
 def write_golden_matrix(path, d):
     """Featurize every sample (the INI one under its own profile) into ``path``."""
     snippets = [(s, None) for s in fixture_snippets()] + [(ini_snippet(), ini_profile())]
-    matrix = np.vstack([featurize(s, p, d).values for s, p in snippets])
+    matrix = np.vstack([featurize(s, p, d) for s, p in snippets])
     write_feature_matrix(path, [s.id for s, _ in snippets], matrix)
 
 

@@ -20,7 +20,6 @@ from codereadability.lexical import (
     IDENT_RE,
     NUMBER_RE,
     STRING_PREFIX_RE,
-    CommentSegment,
     LexicalProfile,
     LineStats,
     split_identifier,
@@ -276,7 +275,7 @@ def ref_tokenize(s, p=None, tab_width=4):
     prof.m = len(s.lines)
     state = _ScanState()
 
-    for lineno, line in enumerate(s.lines):
+    for line in s.lines:
         prof.total_chars += len(line)
         prof.char_counts.update(line)
 
@@ -290,7 +289,7 @@ def ref_tokenize(s, p=None, tab_width=4):
             if seg.kind == _COMMENT:
                 has_comment = True
                 prof.comment_chars += len(seg.raw)
-                prof.comments.append(CommentSegment(line=lineno, col=seg.col, raw=seg.raw, text=seg.text))
+                prof.comments.append(seg.text)
             elif seg.kind == _STRING:
                 has_string = True
                 prof.string_chars += len(seg.raw)
@@ -348,7 +347,7 @@ def ref_tokenize(s, p=None, tab_width=4):
         if not is_blank:
             prof.m_ne += 1
 
-    comment_words = _WORD_SPLIT_RE.findall(" ".join(c.text for c in prof.comments))
+    comment_words = _WORD_SPLIT_RE.findall(" ".join(prof.comments))
     prof.terms_comment = frozenset(ref_normalize_terms(comment_words))
     prof.terms_identifier = frozenset(ref_normalize_terms(prof.identifiers))
     return prof
@@ -400,9 +399,11 @@ def test_mylang_profile_gets_its_own_scanner():
     s = Snippet(id="s", language="generic", lines=MYLANG_LINES)
     assert_same(s, profile)
     prof = tokenize(s, profile)
-    assert [c.text for c in prof.comments] == [' bind "q" # not a comment']
+    assert prof.comments == [' bind "q" # not a comment']
     # the python profile, cached earlier under the same snippet, sees a comment at '#'
-    assert [c.raw for c in tokenize(s).comments] == ["# not a comment", '"""x"""']
+    python = tokenize(s)
+    assert python.comments == [" not a comment", "x"]
+    assert python.comment_chars == len("# not a comment") + len('"""x"""')
 
 
 def test_ini_profile_named_generic_is_not_the_builtin(tmp_path):
@@ -411,9 +412,9 @@ def test_ini_profile_named_generic_is_not_the_builtin(tmp_path):
     tokenize(s)  # the built-in generic (python) scanner is built first
     assert_same(s, generic)
     prof = tokenize(s, generic)
-    assert [c.text for c in prof.comments] == [" note # more"]
+    assert prof.comments == [" note # more"]
     assert "blop" in prof.operators
-    assert [c.text for c in tokenize(s).comments] == [" more", " c"]
+    assert tokenize(s).comments == [" more", " c"]
 
 
 def test_profile_without_block_comments_or_docstrings(tmp_path):
@@ -422,7 +423,8 @@ def test_profile_without_block_comments_or_docstrings(tmp_path):
     s = Snippet(id="s", language="generic",
                 lines=('/* x */ a = """b""" // c', "*/ d = '''e'''"))
     assert_same(s, bare)
-    assert [c.raw for c in tokenize(s, bare).comments] == ["// c"]
+    prof = tokenize(s, bare)
+    assert prof.comments == [" c"] and prof.comment_chars == len("// c")
 
 
 def test_profile_without_operator_symbols(tmp_path):

@@ -14,12 +14,12 @@ from codereadability.model import (
     ModelError,
     ReadabilityModel,
     ScalerParams,
+    _objective,
     accuracy,
     auc,
     evaluate,
     fit_scaler,
     load_model,
-    logloss_and_grad,
     predict,
     save_model,
     sfs,
@@ -89,15 +89,15 @@ class TestLogreg:
         X = rng.normal(size=(20, N_FEATURES))
         y = (rng.random(20) > 0.5).astype(float)
         params = rng.normal(scale=0.5, size=N_FEATURES + 1)
-        _, grad = logloss_and_grad(params, X, y, lambda_l2=0.7)
+        grad = _objective(params[None], X[None], y, 0.7)[1][0]
         h = 1e-5
         fd = np.empty_like(params)
         for j in range(len(params)):
             up, down = params.copy(), params.copy()
             up[j] += h
             down[j] -= h
-            fd[j] = (logloss_and_grad(up, X, y, 0.7)[0]
-                     - logloss_and_grad(down, X, y, 0.7)[0]) / (2 * h)
+            fd[j] = (_objective(up[None], X[None], y, 0.7)[0][0]
+                     - _objective(down[None], X[None], y, 0.7)[0][0]) / (2 * h)
         assert np.max(np.abs(grad - fd)) < 1e-5
 
     def test_single_class_rejected(self):
@@ -109,7 +109,7 @@ class TestLogreg:
         X = rng.normal(size=(60, 5))
         y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(float)
         w, b = train_logreg(X, y, lambda_l2=0.5)
-        _, grad = logloss_and_grad(np.append(w, b), X, y, 0.5)
+        grad = _objective(np.append(w, b)[None], X[None], y, 0.5)[1][0]
         assert np.max(np.abs(grad)) <= 1e-8
 
     # NaN ran all 10,000 Newton iterations and returned NaN weights

@@ -26,7 +26,7 @@ EXPORTS = {
               "load_model", "predict", "save_model", "sfs", "stratified_folds",
               "train_logreg", "train_model"],
     "profiles": ["LanguageProfile", "get_profile", "load_profiles"],
-    "vectorizer": ["FeatureVector", "SCHEMA_VERSION", "family_indices", "featurize",
+    "vectorizer": ["SCHEMA_VERSION", "family_indices", "featurize",
                    "featurize_corpus", "schema", "schema_names"],
 }
 

@@ -96,14 +96,14 @@ def test_library_calls_use_the_config_profiles(setup, tmp_path, bundled_dict):
 
     # the library first, so nothing a CLI call might leave behind can help it
     matrix = featurize_corpus(snippets, config=cfg)
-    singles = np.array([featurize(s, config=cfg).values for s in snippets])
+    singles = np.array([featurize(s, config=cfg) for s in snippets])
     model = ReadabilityModel(scaler=ScalerParams(mu=np.zeros(N_FEATURES), sigma=np.ones(N_FEATURES)),
                              selected=tuple(range(N_FEATURES)),
                              weights=np.random.default_rng(0).normal(size=N_FEATURES) / 10,
                              intercept=0.1, lambda_l2=1.0)
     table = score_corpus(model, snippets, config=cfg)
 
-    python_default = featurize(snippets[0], d=bundled_dict).values
+    python_default = featurize(snippets[0], d=bundled_dict)
     assert not np.array_equal(matrix[0], python_default)  # the INI [python] profile was used
     assert np.array_equal(singles, matrix)
 

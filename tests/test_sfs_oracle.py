@@ -18,8 +18,8 @@ from scipy.stats import rankdata
 
 from codereadability import model
 from codereadability.model import (
+    _objective,
     fit_scaler,
-    logloss_and_grad,
     sfs_path,
     stratified_folds,
     train_logreg,
@@ -207,7 +207,8 @@ class TestTrainLogregOracle:
         X = rng.normal(size=(25, 7))
         y = (rng.random(25) > 0.5).astype(float)
         params = rng.normal(size=8)
-        loss, grad = logloss_and_grad(params, X, y, 0.3)
+        loss, grad = _objective(params[None], X[None], y, 0.3)
+        loss, grad = loss[0], grad[0]
         loss_ref, grad_ref = ref_logloss_and_grad(params, X, y, 0.3)
         assert loss == loss_ref
         assert grad.tobytes() == grad_ref.tobytes()

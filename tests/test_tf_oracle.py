@@ -158,7 +158,7 @@ def repo_snippet(start, n_lines):
 
 def assert_same(s, p=None, cases=((0.5, 2),)):
     prof = tokenize(s, p)
-    blocks = extract_blocks(s, profile=prof)
+    blocks = extract_blocks(prof)
     assert text_coherence(blocks) == ref_text_coherence(blocks)
     for eps, min_samples in cases:
         assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
@@ -275,7 +275,7 @@ def test_compute_tf_memory_is_bounded():
     """20k lines: the dense kernels needed gigabytes here; never run them at this size."""
     s = repo_snippet(0, 20_000)
     prof = tokenize(s)
-    blocks = extract_blocks(s, profile=prof)
+    blocks = extract_blocks(prof)
     d = DictionaryProvider.bundled()
     tracemalloc.start()
     try:
@@ -299,7 +299,7 @@ def assert_same_bits(blocks):
 @pytest.fixture(scope="module")
 def long_blocks():
     s = repo_snippet(0, 4000)
-    return extract_blocks(s, profile=tokenize(s))
+    return extract_blocks(tokenize(s))
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from codereadability.lexical import extract_blocks, tokenize
 from codereadability.profiles import get_profile
 from codereadability.vectorizer import (
     FAMILIES,
-    FeatureVector,
     family_indices,
     featurize,
     featurize_corpus,
@@ -84,10 +83,10 @@ class TestFamilyRecords:
         samples.append((ini_snippet(), ini_profile()))
         for s, p in samples:
             profile = tokenize(s, p)
-            blocks = extract_blocks(s, p, profile=profile)
+            blocks = extract_blocks(profile)
             records = (compute_tf(profile, blocks, bundled_dict), compute_bwf(profile),
                        compute_pf(profile), compute_df(profile, bundled_dict))
-            values = featurize(s, p, bundled_dict).values
+            values = featurize(s, p, bundled_dict)
             for family, record in zip(FAMILIES, records):
                 assert isinstance(record, tuple)
                 copied = values[family_indices(family)]
@@ -97,29 +96,25 @@ class TestFamilyRecords:
 class TestFeaturize:
     def test_empty_snippet_all_zero(self, bundled_dict):
         vec = featurize(snip(""), d=bundled_dict)
-        assert vec.values.shape == (61,)
-        assert np.all(vec.values == 0.0)
+        assert vec.shape == (61,) and vec.dtype == np.float64
+        assert np.all(vec == 0.0)
 
     def test_halstead_position_matches_schema(self, bundled_dict):
         vec = featurize(snip("x = a + b"), d=bundled_dict)
         idx = schema_names().index("pf.halstead_volume")
-        assert vec.values[idx] == pytest.approx(5 * math.log2(5), abs=1e-9)
+        assert vec[idx] == pytest.approx(5 * math.log2(5), abs=1e-9)
 
     def test_deterministic(self, bundled_dict):
         text = "def f(x):\n    return x + 1  # inc"
         a = featurize(snip(text), d=bundled_dict)
         b = featurize(snip(text), d=bundled_dict)
-        assert np.array_equal(a.values, b.values)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureVector(values=np.zeros(60))
+        assert np.array_equal(a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(st.text(max_size=120))
     def test_every_entry_finite(self, bundled_dict, text):
         vec = featurize(snip(text), d=bundled_dict)
-        assert np.all(np.isfinite(vec.values))
+        assert np.all(np.isfinite(vec))
 
 
 class TestCorpusMatrix:
