@@ -76,25 +76,30 @@ def write_score_table(table: ScoreTable, path: str | Path) -> None:
 
 
 def read_score_table(path: str | Path, label: str = "") -> ScoreTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["id", "linear_score", "probability"]:
-            raise ValueError(f"unexpected score table header in {path}: {header}")
-        ids, scores, probs = [], [], []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != 3:
-                raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
-            try:
-                score, prob = float(row[1]), float(row[2])
-            except ValueError:
-                raise ValueError(f"non-numeric score in {where} (id {row[0]!r})") from None
-            if math.isnan(score) or math.isnan(prob):
-                raise ValueError(f"NaN score in {where} (id {row[0]!r})")
-            ids.append(row[0])
-            scores.append(score)
-            probs.append(prob)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"empty score table: {path}")
+            if header != ["id", "linear_score", "probability"]:
+                raise ValueError(f"unexpected score table header in {path}: {header}")
+            ids, scores, probs = [], [], []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != 3:
+                    raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+                try:
+                    score, prob = float(row[1]), float(row[2])
+                except ValueError:
+                    raise ValueError(f"non-numeric score in {where} (id {row[0]!r})") from None
+                if math.isnan(score) or math.isnan(prob):
+                    raise ValueError(f"NaN score in {where} (id {row[0]!r})")
+                ids.append(row[0])
+                scores.append(score)
+                probs.append(prob)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     return ScoreTable(tuple(ids), tuple(scores), tuple(probs),
                       corpus_label=label or Path(path).stem)
 

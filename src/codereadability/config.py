@@ -90,6 +90,8 @@ def read_ini(path: str | Path, **options) -> configparser.ConfigParser:
                 parser.items(section)  # interpolation errors would otherwise wait for a get
         except configparser.Error as exc:  # not a ValueError, so not a data error
             raise ValueError(f"{path}: malformed INI: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from None
     return parser
 
 

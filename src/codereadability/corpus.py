@@ -122,27 +122,30 @@ def load_labeled_dataset(manifest_path: str | Path) -> LabeledDataset:
 
     entries: list[tuple[str, Snippet, int]] = []
     seen_ids: set[str] = set()
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
-            raise DatasetError(
-                f"manifest header must be {','.join(MANIFEST_COLUMNS)!r}, "
-                f"got {reader.fieldnames!r}"
-            )
-        for rownum, row in enumerate(reader, start=2):
-            sid = row["id"]
-            if sid in seen_ids:
-                raise DatasetError(f"row {rownum}: duplicate snippet id {sid!r}")
-            seen_ids.add(sid)
-            if row["label"] not in ("0", "1"):
+    try:
+        with open(manifest_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
                 raise DatasetError(
-                    f"row {rownum}: label must be 0 or 1, got {row['label']!r}"
+                    f"manifest header must be {','.join(MANIFEST_COLUMNS)!r}, "
+                    f"got {reader.fieldnames!r}"
                 )
-            snippet_path = base / row["path"]
-            if not snippet_path.exists():
-                raise DatasetError(f"row {rownum}: snippet file not found: {snippet_path}")
-            snippet = preprocess(load_snippet_file(snippet_path, row["language"], sid))
-            entries.append((sid, snippet, int(row["label"])))
+            for rownum, row in enumerate(reader, start=2):
+                sid = row["id"]
+                if sid in seen_ids:
+                    raise DatasetError(f"row {rownum}: duplicate snippet id {sid!r}")
+                seen_ids.add(sid)
+                if row["label"] not in ("0", "1"):
+                    raise DatasetError(
+                        f"row {rownum}: label must be 0 or 1, got {row['label']!r}"
+                    )
+                snippet_path = base / row["path"]
+                if not snippet_path.exists():
+                    raise DatasetError(f"row {rownum}: snippet file not found: {snippet_path}")
+                snippet = preprocess(load_snippet_file(snippet_path, row["language"], sid))
+                entries.append((sid, snippet, int(row["label"])))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from None
 
     if not entries:
         log.warning("manifest %s contains no rows", manifest_path)

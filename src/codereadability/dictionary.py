@@ -16,6 +16,7 @@ sense/depth quantities zero and no synonyms.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -142,6 +143,7 @@ def _parse_records(path: Path, parse, pos: str) -> None:
             raise DictionaryError(f"{path}, line {lineno}: malformed WordNet record: {exc}") from None
 
 
+@functools.cache  # the bundled list never changes; read it once per process
 def _load_fallback_words() -> frozenset[str]:
     data = resources.files("codereadability").joinpath("data/wordlist.txt").read_text("utf-8")
     return frozenset(w for w in data.split() if w)

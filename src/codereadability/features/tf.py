@@ -10,38 +10,39 @@ blocks or lines, but neither holds an m×m matrix:
 
 * TC streams the block pairs in (i, j) order through one builtin ``sum``
   and tracks min and max on the way. Below ``_BITSET_MIN_BLOCKS`` blocks
-  each pair is one set intersection. From there on, each token found in
-  two or more blocks gets one bit (a token of one block never overlaps),
-  every block is packed into one row of a uint64 matrix, and a chunk of
-  rows is intersected with all later rows at once by popcount; a matrix
-  over ``_BITSET_MAX_WORDS`` words keeps the set loop, so memory stays
-  bounded. Both paths return the same bits: the overlap counts and set
-  sizes are exact ints below 2**53, so the float64 division is the one
-  Python does on them, min and max are exact, and the average is the
-  same values, in the same order, into the same ``sum``.
+  the pairs come from the all-pairs loop (:func:`_jaccard_rows`), one set
+  intersection each. From there on, each token found in two or more
+  blocks gets one bit (a token of one block never overlaps), every block
+  is packed into one row of a uint64 matrix, and a chunk of rows is
+  intersected with all later rows at once by popcount; a matrix over
+  ``_BITSET_MAX_WORDS`` words keeps the loop, so memory stays bounded.
+  Both paths return the same bits: the overlap counts and set sizes are
+  exact ints below 2**53, so the float64 division is the one Python does
+  on them, min and max are exact, and the average is the same values, in
+  the same order, into the same ``sum``.
 * NOC counts DBSCAN clusters of valid lines under the token-overlap
   distance, i.e. the connected components among core lines. Lines with
   the same token set are one point carrying their count. For
-  0 <= eps < 1 an exact Jaccard self-join with prefix and size filtering
-  yields only the pairs within reach, and one union-find
-  (:func:`_cluster_count`) joins them as they come; eps >= 1 (one
-  neighbourhood) and eps < 0 (none) have closed forms. Below
-  ``_JOIN_MIN_SETS`` distinct line sets the join is a set loop, one probe
-  at a time (:func:`similar_pairs`). From there on the same join runs on
-  arrays (:func:`_array_pairs`): the prefix entries are joined on token
-  rank in chunks of about ``_BITSET_CHUNK_WORDS`` words, and each
-  candidate is checked by popcount over the packed token bitsets that TC
-  uses. Bitsets over ``_BITSET_MAX_WORDS`` words keep the set loop. Both
-  joins find the same pairs, whatever the order of tokens with equal
-  counts, so NOC is the same integer. Memory grows with the number of
-  distinct lines, not its square.
+  0 <= eps < 1 the pairs within reach feed one union-find
+  (:func:`_cluster_count`) as they come; eps >= 1 (one neighbourhood)
+  and eps < 0 (none) have closed forms. Below ``_JOIN_MIN_SETS``
+  distinct line sets every pair is checked by the same all-pairs loop as
+  TC. From there on an exact Jaccard self-join with prefix and size
+  filtering (:func:`_array_pairs`) runs on arrays: the prefix entries are
+  joined on token rank in chunks of about ``_BITSET_CHUNK_WORDS`` words,
+  and each candidate is checked by popcount over the packed token bitsets
+  that TC uses, or by set intersection when they would exceed
+  ``_BITSET_MAX_WORDS`` words. Both paths keep exactly the pairs with
+  ``1.0 - inter / (la + lb - inter) <= eps``, whatever the order of
+  tokens with equal counts, so NOC is the same integer. Memory grows with
+  the number of distinct lines, not its square.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from operator import attrgetter, countOf
 from itertools import chain, count
 from typing import NamedTuple
@@ -63,9 +64,8 @@ _BITSET_MAX_WORDS = 1 << 18
 # ones), which bound each chunk's temporaries
 _BITSET_CHUNK_WORDS = 1 << 15
 # concept count: from this many distinct line sets the array join beats
-# the set loop (about 64 sets on real code; 1.4x at 128), within the same
-# cap and chunk size
-_JOIN_MIN_SETS = 128
+# the all-pairs loop (a tie at 32 sets of real code; 1.3x at 40, 2.3x at 64)
+_JOIN_MIN_SETS = 32
 
 
 class TfFeatures(NamedTuple):
@@ -168,24 +168,33 @@ def text_coherence(sets: list[frozenset[str]]) -> tuple[float, float, float]:
     n = len(sets)
     if n < 2:
         return 0.0, 0.0, 0.0
-    packed = _packed_blocks(sets) if n >= _BITSET_MIN_BLOCKS else None
+    packed = None
+    if n >= _BITSET_MIN_BLOCKS:
+        freq, singles, words = _token_counts(sets)
+        if n * words <= _BITSET_MAX_WORDS:  # over the cap nothing is ranked or packed
+            packed = _packed_blocks(n, *_ranked_tokens(sets, freq), singles, words)
     lo, total, hi = _set_pairs(sets) if packed is None else _bitset_pairs(packed, sets)
     return lo, total / (n * (n - 1) // 2), hi
 
 
-def _set_pairs(sets: list[frozenset]) -> tuple[float, float, float]:
-    """Min, sum and max over the pairs, one set intersection each."""
-    n = len(sets)
+def _jaccard_rows(sets: list[frozenset]):
+    """Row i holds the Jaccard values of set i and each later set, one set
+    intersection each; two empty sets give 0.0."""
     sizes = [len(s) for s in sets]
+    for i in range(len(sets) - 1):
+        a, la = sets[i], sizes[i]
+        yield [inter / (la + lb - inter) if la + lb else 0.0
+               for b, lb in zip(sets[i + 1:], sizes[i + 1:])
+               for inter in (len(a & b),)]
+
+
+def _set_pairs(sets: list[frozenset]) -> tuple[float, float, float]:
+    """Min, sum and max over the pairs of :func:`_jaccard_rows`."""
     lo, hi = 1.0, 0.0  # every value lies in [0, 1]
 
     def rows():
         nonlocal lo, hi
-        for i in range(n - 1):
-            a, la = sets[i], sizes[i]
-            row = [inter / (la + lb - inter) if la + lb else 0.0
-                   for b, lb in zip(sets[i + 1:], sizes[i + 1:])
-                   for inter in (len(a & b),)]
+        for row in _jaccard_rows(sets):
             lo, hi = min(lo, min(row)), max(hi, max(row))
             yield row
 
@@ -193,47 +202,37 @@ def _set_pairs(sets: list[frozenset]) -> tuple[float, float, float]:
     return lo, total, hi
 
 
-def _rarest_first(freq: Counter) -> dict:
-    """Each token's rank, rarest first; equal counts keep first-seen order."""
-    return dict(zip(sorted(freq, key=freq.__getitem__), count()))
-
-
-def _ranked_tokens(sets: list[frozenset]):
-    """Every set's tokens as ranks, rarest first, for the bitsets of the
-    tokens found in two or more sets; or None when those bitsets would
-    exceed ``_BITSET_MAX_WORDS``.
-
-    Returns the set and the rank of each entry, set after set and
-    ascending within a set; the number of tokens found in one set only,
-    which hold the ranks below it; and the words of a bitset row.
-    """
+def _token_counts(sets: list[frozenset]) -> tuple[Counter, int, int]:
+    """Each token's count over the sets; the number of tokens found in one
+    set only; and the words of a bitset row with one bit for each other
+    token."""
     freq = Counter(chain.from_iterable(sets))
     singles = countOf(freq.values(), 1)
-    words = max(1, -(-(len(freq) - singles) // 64))
-    if len(sets) * words > _BITSET_MAX_WORDS:
-        return None
-    rank = _rarest_first(freq)
+    return freq, singles, max(1, -(-(len(freq) - singles) // 64))
+
+
+def _ranked_tokens(sets: list[frozenset], freq: Counter) -> tuple[np.ndarray, np.ndarray]:
+    """The set and the rank of every entry, set after set and ascending
+    within a set. Tokens are ranked rarest first by ``freq``, equal counts
+    in first-seen order, so the tokens found in one set only hold the
+    lowest ranks."""
+    rank = dict(zip(sorted(freq, key=freq.__getitem__), count()))
     rows = np.repeat(np.arange(len(sets)), list(map(len, sets)))
     offsets = rows * len(rank)
     keys = np.fromiter(map(rank.__getitem__, chain.from_iterable(sets)), dtype=np.int64, count=len(rows))
     keys += offsets
     keys.sort()
     keys -= offsets
-    return rows, keys, singles, words
+    return rows, keys
 
 
-def _packed_blocks(sets: list[frozenset], ranked=None) -> np.ndarray | None:
-    """The (sets, words) uint64 bitsets of the tokens found in two or more
-    sets, one bit each, or None when they would exceed ``_BITSET_MAX_WORDS``.
-
-    ``ranked`` is ``_ranked_tokens(sets)``, when the caller has it already.
-    """
-    if ranked is None and (ranked := _ranked_tokens(sets)) is None:
-        return None
-    rows, ranks, singles, words = ranked
+def _packed_blocks(n: int, rows: np.ndarray, ranks: np.ndarray, singles: int, words: int) -> np.ndarray:
+    """The (n, words) uint64 bitsets of the ranked entries of n sets, one
+    bit for each token found in two or more sets (those ranked from
+    ``singles`` on)."""
     shared = ranks >= singles
     bits = ranks[shared] - singles
-    packed = np.zeros((len(sets), words), dtype=np.uint64)
+    packed = np.zeros((n, words), dtype=np.uint64)
     np.bitwise_or.at(packed, (rows[shared], bits >> 6), np.uint64(1) << (bits & 63).astype(np.uint64))
     return packed
 
@@ -270,40 +269,6 @@ def token_overlap_distance(a: frozenset | set, b: frozenset | set) -> float:
     return 1.0 - jaccard(a, b)
 
 
-def similar_pairs(token_sets: list[frozenset], eps: float):
-    """Yield every pair ``(i, j)``, ``i < j``, of non-empty sets with
-    ``token_overlap_distance <= eps``, for ``0 <= eps < 1``.
-
-    An exact Jaccard self-join at t = 1 - eps with prefix and size
-    filtering (Bayardo, Ma and Srikant, WWW 2007): tokens are ordered
-    rarest first and sets are visited in ascending size. A probe x and an
-    earlier set y within reach have |y| >= t|x| and share at least t|x|
-    and at least 2t/(1+t)|y| tokens, so their rarest common token lies
-    both in the probe's first |x| - ceil(t|x|) + 1 tokens and in y's first
-    |y| - ceil(2t/(1+t)|y|) + 1, the prefix that is indexed (Xiao et al.,
-    WWW 2008). Each candidate is checked with the exact distance.
-    """
-    t = 1.0 - eps - 1e-9  # below the threshold, so rounding only adds candidates
-    t_index = 2.0 * t / (1.0 + t)
-    rank = _rarest_first(Counter(chain.from_iterable(token_sets))).__getitem__
-    sizes = list(map(len, token_sets))
-    index = defaultdict(list)
-    for i in sorted(range(len(token_sets)), key=sizes.__getitem__):
-        a, la = token_sets[i], sizes[i]
-        min_size = t * la
-        ordered = sorted(a, key=rank)
-        candidates = set(chain.from_iterable(map(index.__getitem__, ordered[:la - math.ceil(min_size) + 1])))
-        for postings in map(index.__getitem__, ordered[:la - math.ceil(t_index * la) + 1]):
-            postings.append(i)
-        for j in candidates:
-            lb = sizes[j]
-            if lb < min_size:
-                continue
-            inter = len(a & token_sets[j])
-            if 1.0 - inter / (la + lb - inter) <= eps:
-                yield (j, i) if j < i else (i, j)
-
-
 def _cluster_count(multiplicity: list[int], pairs, min_samples: int) -> int:
     """DBSCAN cluster count over weighted points: the connected components
     among core points (Ester et al., KDD 1996).
@@ -337,27 +302,29 @@ def _cluster_count(multiplicity: list[int], pairs, min_samples: int) -> int:
 
 
 def _array_pairs(token_sets: list[frozenset], eps: float):
-    """The pairs of :func:`similar_pairs`, for ``0 <= eps < 1``, as chunks
-    of two index arrays ``(x, y)`` from one vectorized join; or None when
-    the packed bitsets of the sets would exceed ``_BITSET_MAX_WORDS``.
+    """Every pair ``(x, y)`` of non-empty sets with
+    ``1.0 - inter / (la + lb - inter) <= eps``, for ``0 <= eps < 1``, as
+    chunks of two index arrays from one vectorized join.
 
-    The candidates are those of :func:`similar_pairs` (see
-    :func:`_prefix_runs`), taken a chunk of probe sets at a time, about
-    ``_BITSET_CHUNK_WORDS`` words of gathered rows. A sort drops the pairs
-    found through several tokens, the size filter follows, and each pair
-    left is checked exactly, its overlap counted by popcount.
+    The candidates are those of :func:`_prefix_runs`, taken a chunk of
+    probe sets at a time, about ``_BITSET_CHUNK_WORDS`` words of gathered
+    rows. A sort drops the pairs found through several tokens, the size
+    filter follows, and each pair left is checked exactly. Its overlap is
+    counted by popcount over the packed token bitsets, or by set
+    intersection when they would exceed ``_BITSET_MAX_WORDS`` words, and
+    then nothing is packed.
     """
     n = len(token_sets)
-    ranked = _ranked_tokens(token_sets)
-    if ranked is None:
-        return None
-    packed = _packed_blocks(token_sets, ranked)
+    freq, singles, words = _token_counts(token_sets)
+    rows, ranks = _ranked_tokens(token_sets, freq)
+    del freq  # not held through the join
+    packed = _packed_blocks(n, rows, ranks, singles, words) if n * words <= _BITSET_MAX_WORDS else None
     t = 1.0 - eps - 1e-9
     sizes = np.fromiter(map(len, token_sets), dtype=np.int64, count=n)
-    px, lo, found, iy = _prefix_runs(ranked, sizes, t)
+    px, lo, found, iy = _prefix_runs(rows, ranks, singles, sizes, t)
     # chunks of whole probe sets, cut where the candidates ahead cross a
     # multiple of the budget; a set over budget is a chunk of its own
-    budget = max(1, _BITSET_CHUNK_WORDS // packed.shape[1])
+    budget = max(1, _BITSET_CHUNK_WORDS // words)
     firsts = np.flatnonzero(np.diff(px, prepend=-1))
     ahead = (np.cumsum(found) - found)[firsts] // budget
     cuts = firsts[np.diff(ahead, prepend=-1) > 0].tolist()
@@ -372,25 +339,35 @@ def _array_pairs(token_sets: list[frozenset], eps: float):
             la, lb = sizes[xs], sizes[ys]
             fits = lb >= t * la
             xs, ys, la, lb = xs[fits], ys[fits], la[fits], lb[fits]
-            common = packed[xs]
-            common &= packed[ys]
-            inter = np.bitwise_count(common).sum(-1, dtype=np.int64)
+            if packed is None:
+                inter = np.array([len(token_sets[x] & token_sets[y]) for x, y in zip(xs.tolist(), ys.tolist())],
+                                 dtype=np.int64)
+            else:
+                common = packed[xs]
+                common &= packed[ys]
+                inter = np.bitwise_count(common).sum(-1, dtype=np.int64)
             near = 1.0 - inter / (la + lb - inter) <= eps
             yield xs[near], ys[near]
 
     return chunks()
 
 
-def _prefix_runs(ranked, sizes: np.ndarray, t: float):
-    """The candidate runs of the join at threshold ``t``: for each probe
-    entry ``(px[k], token)``, the earlier sets ``iy[lo[k]:lo[k] + found[k]]``
-    that hold the token in their index prefix.
+def _prefix_runs(rows: np.ndarray, ranks: np.ndarray, singles: int, sizes: np.ndarray, t: float):
+    """The candidate runs of an exact Jaccard self-join at threshold ``t``
+    with prefix and size filtering (Bayardo, Ma and Srikant, WWW 2007): for
+    each probe entry ``(px[k], token)``, the earlier sets
+    ``iy[lo[k]:lo[k] + found[k]]`` that hold the token in their index prefix.
 
-    The prefix lengths are the float expressions of :func:`similar_pairs`,
-    and "earlier" is its size-then-index visit order. Tokens of one set
-    only join nothing; they are dropped once the prefixes are cut.
+    ``rows`` and ``ranks`` are :func:`_ranked_tokens`, so tokens run rarest
+    first, and sets are visited in ascending size, then index. A probe x
+    and an earlier set y within reach have |y| >= t|x| and share at least
+    t|x| and at least 2t/(1+t)|y| tokens, so their rarest common token lies
+    both in the probe's first |x| - ceil(t|x|) + 1 tokens and in y's first
+    |y| - ceil(2t/(1+t)|y|) + 1, the prefix that is indexed (Xiao et al.,
+    WWW 2008). ``t`` sits just below 1 - eps, so rounding only adds
+    candidates. Tokens of one set only join nothing; they are dropped once
+    the prefixes are cut.
     """
-    rows, ranks, singles, _ = ranked
     n = len(sizes)
     t_index = 2.0 * t / (1.0 + t)
     ends = np.cumsum(sizes)  # each set's entries end here
@@ -429,9 +406,11 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
         noc = m_val if min_samples <= 0 else 0
     else:
         sets = list(lines)
-        chunks = _array_pairs(sets, eps) if len(sets) >= _JOIN_MIN_SETS else None
-        pairs = similar_pairs(sets, eps) if chunks is None else chain.from_iterable(
-            zip(xs.tolist(), ys.tolist()) for xs, ys in chunks)
+        if len(sets) < _JOIN_MIN_SETS:
+            pairs = ((i, j) for i, row in enumerate(_jaccard_rows(sets))
+                     for j, v in enumerate(row, i + 1) if 1.0 - v <= eps)
+        else:
+            pairs = chain.from_iterable(zip(xs.tolist(), ys.tolist()) for xs, ys in _array_pairs(sets, eps))
         noc = _cluster_count(list(lines.values()), pairs, min_samples)
     return float(noc), noc / m_val
 

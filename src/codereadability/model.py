@@ -500,7 +500,7 @@ def save_model(model: ReadabilityModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> ReadabilityModel:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
 
     if not isinstance(doc, dict):

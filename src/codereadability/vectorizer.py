@@ -199,10 +199,11 @@ def write_feature_matrix(path: str | Path, ids: list[str], matrix: np.ndarray) -
 def read_feature_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["id"] + schema_names()
-        if header != expected:
-            raise ValueError(f"feature matrix header does not match schema {SCHEMA_VERSION}")
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty feature matrix: {path}")
+        if header != ["id"] + schema_names():
+            raise ValueError(f"feature matrix header in {path} does not match schema {SCHEMA_VERSION}")
         ids: list[str] = []
         rows: list[list[float]] = []
         for row in reader:

@@ -299,6 +299,15 @@ class TestScoreCompareCommands:
         assert "ERROR codereadability: NaN score in" in err
         assert "a.csv, line 3 (id 'y')" in err
 
+    def test_compare_empty_score_table_exit_3_names_the_file(self, tmp_path, capsys):
+        empty, one = tmp_path / "empty.csv", tmp_path / "one.csv"
+        empty.write_bytes(b"")
+        one.write_text("id,linear_score,probability\nx,0.1,0.5\n", encoding="utf-8")
+        assert main(["compare", "--a", str(empty), "--b", str(one)]) == 3
+        err = capsys.readouterr().err
+        assert f"ERROR codereadability: empty score table: {empty}" in err
+        assert "internal error" not in err
+
     def test_compare_disjoint_ids_error(self, tmp_path):
         for name, sid in (("a.csv", "only_a"), ("b.csv", "only_b")):
             with open(tmp_path / name, "w", newline="") as fh:
@@ -532,6 +541,29 @@ class TestCliContract:
         (src / "a.py").write_text("\tx = 1\n")
         assert main(["--config", str(cfg), "featurize", "--in", str(src),
                      "--out", str(tmp_path / "m.csv")]) == 0
+
+
+@pytest.mark.parametrize("kind", ["model", "score table", "config", "manifest"])
+def test_undecodable_file_exit_3_names_the_file(tmp_path, capsys, kind):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe not UTF-8\n")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text("x = 1\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,linear_score,probability\nx,0.1,0.5\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = {
+        "model": ["score", "--model", str(bad), "--in", str(src), "--out", str(out)],
+        "score table": ["compare", "--a", str(scores), "--b", str(bad)],
+        "config": ["--config", str(bad), "featurize", "--in", str(src), "--out", str(out)],
+        "manifest": ["featurize", "--in", str(bad), "--out", str(out)],
+    }[kind]
+    assert main(argv) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert re.search(rf"ERROR codereadability: cannot read .*{re.escape(str(bad))}: 'utf-8' codec can't decode", err)
+    assert "internal error" not in err
 
 
 def test_each_main_call_logs_to_its_own_stderr_and_level(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from codereadability.dictionary import (
     DictionaryError,
     DictionaryProvider,
     count_syllables,
+    load_dictionary,
 )
 
 FIXTURE_TERMS = ["dog", "cat", "big", "large", "entity", "person", "chase", "qqzx"]
@@ -92,6 +93,9 @@ class TestBundledFallback:
     def test_expansion_is_identity(self, bundled_dict):
         terms = frozenset({"big", "value"})
         assert bundled_dict.expand_synonyms(terms) == terms
+
+    def test_providers_share_one_word_set(self):
+        assert load_dictionary()._fallback is DictionaryProvider.bundled()._fallback
 
 
 class TestSyllables:

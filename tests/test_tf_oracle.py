@@ -6,11 +6,14 @@ over its thresholded rows, and a list of every block-pair Jaccard value.
 ``concept_count`` and ``text_coherence`` must return equal tuples (same
 floats, bit for bit) on every sample, window, long snippet and generated
 case, over the whole ``eps``/``min_samples`` range. Both functions are
-checked on both of their kernels. ``text_coherence`` runs the set loop
-below ``tf._BITSET_MIN_BLOCKS`` blocks or over ``tf._BITSET_MAX_WORDS``
-packed words, the packed bitsets otherwise. ``concept_count`` runs the
-set loop (``similar_pairs``) below ``tf._JOIN_MIN_SETS`` distinct line
-sets or over the same cap, the array join otherwise.
+checked on both of their paths. Below a size both check every pair with
+the all-pairs set loop (``tf._jaccard_rows``): ``text_coherence`` below
+``tf._BITSET_MIN_BLOCKS`` blocks or over ``tf._BITSET_MAX_WORDS`` packed
+words, ``concept_count`` below ``tf._JOIN_MIN_SETS`` distinct line sets.
+Above it ``text_coherence`` runs the packed bitsets and ``concept_count``
+the array join (``tf._array_pairs``), whose pairs are also checked
+against brute force: by popcount under the packed cap, by set
+intersection over it.
 """
 
 import math
@@ -29,7 +32,6 @@ from codereadability.features import tf
 from codereadability.features.tf import (
     compute_tf,
     concept_count,
-    similar_pairs,
     text_coherence,
     token_overlap_distance,
 )
@@ -218,17 +220,25 @@ def test_generated_lines_match_reference(lines, eps, min_samples):
     assert_same(snip("\n".join(lines)), cases=((eps, min_samples),))
 
 
+def assert_join_finds_brute_pairs(token_sets, eps):
+    """The array join finds every pair within reach, once, checked by
+    popcount under the packed cap and by set intersection over it."""
+    brute = brute_pairs(token_sets, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in (tf._BITSET_MAX_WORDS, 0):
+            mp.setattr(tf, "_BITSET_MAX_WORDS", cap)
+            found = array_join_pairs(token_sets, eps)
+            assert len(found) == len(set(found))
+            assert set(found) == brute
+
+
 class TestJaccardProperties:
     sets = st.frozensets(st.sampled_from("abcdefghij"), min_size=1, max_size=8)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(sets, min_size=1, max_size=60), st.sampled_from(JOIN_EPS))
     def test_join_pairs_match_scalar_distance(self, token_sets, eps):
-        """The set join and the array join each find every pair within reach, once."""
-        brute = brute_pairs(token_sets, eps)
-        for found in (list(similar_pairs(token_sets, eps)), array_join_pairs(token_sets, eps)):
-            assert len(found) == len(set(found))
-            assert set(found) == brute
+        assert_join_finds_brute_pairs(token_sets, eps)
 
 
 def test_no_neighbour_at_nan_eps():
@@ -324,7 +334,7 @@ def test_block_counts_around_the_bitset_threshold(long_blocks, bitset_calls, n_b
     assert_same_bits(blocks)
     assert bitset_calls == ([n_blocks] if n_blocks >= tf._BITSET_MIN_BLOCKS else [])
     if n_blocks >= 63:  # rows span several words
-        assert tf._packed_blocks(blocks).shape[1] > 1
+        assert tf._token_counts(blocks)[2] > 1
 
 
 @pytest.mark.parametrize("tokens", [frozenset(), frozenset({"x"}), frozenset(map(str, range(100)))])
@@ -386,7 +396,7 @@ def test_blocks_over_the_packed_cap_keep_the_set_loop(bitset_calls):
 
 
 # --------------------------------------------------------------------------
-# Concept count on both kernels: the set loop and the array join
+# Concept count on both paths: the all-pairs loop and the array join
 # --------------------------------------------------------------------------
 
 def distinct_line_sets(prof):
@@ -396,26 +406,27 @@ def distinct_line_sets(prof):
 
 
 @contextmanager
-def spy_on_join():
-    """(set count, whether the join ran) for every call of the array join."""
+def spy_on(name):
+    """The set count of every call of ``tf.<name>``: the length of its
+    first argument, or that argument when it is the count itself."""
     calls = []
 
-    def spy(token_sets, eps):
-        chunks = kernel(token_sets, eps)
-        calls.append((len(token_sets), chunks is not None))
-        return chunks
+    def spy(first, *args):
+        calls.append(first if isinstance(first, int) else len(first))
+        return kernel(first, *args)
 
-    kernel = tf._array_pairs
-    tf._array_pairs = spy
+    kernel = getattr(tf, name)
+    setattr(tf, name, spy)
     try:
         yield calls
     finally:
-        tf._array_pairs = kernel
+        setattr(tf, name, kernel)
 
 
 @pytest.fixture
 def join_calls():
-    with spy_on_join() as calls:
+    """The set counts that reached the array join."""
+    with spy_on("_array_pairs") as calls:
         yield calls
 
 
@@ -424,7 +435,8 @@ def long_profile():
     return tokenize(repo_snippet(0, 4000))
 
 
-@pytest.mark.parametrize("n_sets", [tf._JOIN_MIN_SETS - 1, tf._JOIN_MIN_SETS, tf._JOIN_MIN_SETS + 1])
+@pytest.mark.parametrize("n_sets", sorted({tf._JOIN_MIN_SETS - 1, tf._JOIN_MIN_SETS,
+                                           tf._JOIN_MIN_SETS + 1, 127, 128, 129}))
 def test_line_set_counts_around_the_join_threshold(long_profile, join_calls, n_sets):
     """The first lines of a long snippet that hold exactly ``n_sets`` distinct line sets."""
     seen, n_lines = set(), 0
@@ -438,7 +450,7 @@ def test_line_set_counts_around_the_join_threshold(long_profile, join_calls, n_s
     for eps, min_samples in ALL_CASES:
         assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
     runs = len([e for e, _ in ALL_CASES if 0 <= e < 1])
-    assert join_calls == ([(n_sets, True)] * runs if n_sets >= tf._JOIN_MIN_SETS else [])
+    assert join_calls == ([n_sets] * runs if n_sets >= tf._JOIN_MIN_SETS else [])
 
 
 @st.composite
@@ -451,7 +463,7 @@ def many_lines(draw):
     pool = [f"p{k}" for k in range(draw(st.integers(1, 150)))]
     halves = (pool[:len(pool) // 2] or pool, pool[len(pool) // 2:])
     kinds = draw(st.lists(st.sampled_from(("duplicate", "singletons", "pool", "half", "hub")),
-                          min_size=1, max_size=tf._JOIN_MIN_SETS + 64))
+                          min_size=1, max_size=192))
     sets = []
     for i, kind in enumerate(kinds):
         if kind == "duplicate" and sets:
@@ -476,14 +488,11 @@ def test_generated_many_lines_match_reference(lines, eps, min_samples):
     prof = tokenize(snip("\n".join(lines)))
     n_sets = len(distinct_line_sets(prof))
     assert n_sets >= tf._JOIN_MIN_SETS
-    with spy_on_join() as calls:
+    with spy_on("_array_pairs") as calls:
         assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
-    assert calls == ([(n_sets, True)] if 0 <= eps < 1 else [])
+    assert calls == ([n_sets] if 0 <= eps < 1 else [])
     if 0 <= eps < 1:
-        token_sets = distinct_line_sets(prof)
-        found = array_join_pairs(token_sets, eps)
-        assert len(found) == len(set(found))
-        assert set(found) == brute_pairs(token_sets, eps) == set(similar_pairs(token_sets, eps))
+        assert_join_finds_brute_pairs(distinct_line_sets(prof), eps)
 
 
 def test_array_join_chunks_bound_the_gathered_rows(monkeypatch):
@@ -507,28 +516,32 @@ def test_concept_count_memory_is_bounded(join_calls):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert join_calls and join_calls[0][1]
+    assert join_calls
     assert peak <= 6 * 2**20, f"concept_count peaked at {peak / 2**20:.1f} MB"
 
 
-def test_lines_over_the_packed_cap_keep_the_set_loop(join_calls):
+def test_lines_over_the_packed_cap_join_by_set_intersection(join_calls):
     """1024 lines, each sharing 17 tokens with the next only: 272 words a
-    row, over the cap, so the join gives up before it packs anything."""
+    row, over the cap, so the join packs nothing and checks its candidates
+    by set intersection (the set join it replaced peaked at 4.9 MB here)."""
     n, k = 1024, 17
     lines = [" ".join([f"t{i - 1}_{j}" for j in range(k) if i] + [f"t{i}_{j}" for j in range(k) if i < n - 1])
              for i in range(n)]
     prof = tokenize(snip("\n".join(lines)))
     token_sets = distinct_line_sets(prof)
     assert len(token_sets) == n and n * -(-k * (n - 1) // 64) > tf._BITSET_MAX_WORDS
-    tracemalloc.start()
-    try:
-        assert tf._array_pairs(token_sets, 0.5) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2**20, f"the array join peaked at {peak / 2**20:.2f} MB"
-    join_calls.clear()
     # neighbours are at distance 2/3; the two end lines, at 1/2 from theirs
-    assert concept_count(prof, 0.5, 2) == (2.0, 2 / n)
-    assert concept_count(prof, 0.75, 2) == (1.0, 1 / n)
-    assert join_calls == [(n, False), (n, False)]
+    assert sorted(array_join_pairs(token_sets, 0.5)) == [(0, 1), (n - 2, n - 1)]
+    assert sorted(array_join_pairs(token_sets, 0.75)) == [(i, i + 1) for i in range(n - 1)]
+    join_calls.clear()
+    with spy_on("_packed_blocks") as packed:
+        for eps, noc in ((0.5, 2), (0.75, 1)):
+            tracemalloc.start()
+            try:
+                assert concept_count(prof, eps, 2) == (float(noc), noc / n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.75 * 2**20, f"concept_count peaked at {peak / 2**20:.2f} MB"
+    assert join_calls == [n, n]
+    assert packed == []

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,12 @@ class TestCorpusMatrix:
         path = tmp_path / "bad.csv"
         path.write_text("id,not_a_feature\nx,1\n")
         with pytest.raises(ValueError, match="header"):
+            read_feature_matrix(path)
+
+    def test_empty_file_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=f"empty feature matrix: {re.escape(str(path))}"):
             read_feature_matrix(path)
 
 
