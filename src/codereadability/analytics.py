@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -19,15 +19,16 @@ import numpy as np
 from scipy.special import ndtr
 
 from .config import AnalysisConfig
-from .corpus import Snippet
+from .corpus import Snippet, read_id_table, write_table
 from .dictionary import DictionaryProvider, load_dictionary
 from .model import ReadabilityModel, predict, rankdata
-from .profiles import get_profile, load_profiles
-from .vectorizer import featurize
+from .vectorizer import featurize, snippet_profiles
 
 # up to this many nonzero pairs the p-value is exact; the 2^n
 # sign-assignment counts stay exact in int64 only for n <= 62
 EXACT_TEST_MAX_PAIRS = 25
+
+_SCORE_COLUMNS = ("id", "linear_score", "probability")
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
                  d: DictionaryProvider | None = None,
                  config: AnalysisConfig | None = None,
                  label: str = "") -> ScoreTable:
-    """Score snippets in input order, each under its language's profile in
-    the profile table of ``config``.
+    """Score snippets in input order, each under its profile from
+    :func:`vectorizer.snippet_profiles`.
 
     Each snippet is featurized for the model's selected columns only; the
     scores have the bits of ``predict`` on the full 61-feature vector.
@@ -55,10 +56,8 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    table = load_profiles(config.profiles_path)
-    results = [predict(model, featurize(s, get_profile(s.language, table), d, config,
-                                        columns=model.selected))
-               for s in snippets]
+    results = [predict(model, featurize(s, p, d, config, columns=model.selected))
+               for s, p in zip(snippets, snippet_profiles(snippets, config))]
     return ScoreTable(
         ids=tuple(s.id for s in snippets),
         linear_scores=tuple(linear for _, linear in results),
@@ -68,39 +67,13 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
 
 
 def write_score_table(table: ScoreTable, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "linear_score", "probability"])
-        for sid, score, prob in zip(table.ids, table.linear_scores, table.probabilities):
-            writer.writerow([sid, f"{score:.12g}", f"{prob:.12g}"])
+    write_table(path, _SCORE_COLUMNS, zip(table.ids, table.linear_scores, table.probabilities))
 
 
 def read_score_table(path: str | Path, label: str = "") -> ScoreTable:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"empty score table: {path}")
-            if header != ["id", "linear_score", "probability"]:
-                raise ValueError(f"unexpected score table header in {path}: {header}")
-            ids, scores, probs = [], [], []
-            for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                if len(row) != 3:
-                    raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
-                try:
-                    score, prob = float(row[1]), float(row[2])
-                except ValueError:
-                    raise ValueError(f"non-numeric score in {where} (id {row[0]!r})") from None
-                if math.isnan(score) or math.isnan(prob):
-                    raise ValueError(f"NaN score in {where} (id {row[0]!r})")
-                ids.append(row[0])
-                scores.append(score)
-                probs.append(prob)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    return ScoreTable(tuple(ids), tuple(scores), tuple(probs),
+    """A :func:`corpus.read_table` file with no NaN score, labeled ``label`` or its stem."""
+    ids, values = read_id_table(path, _SCORE_COLUMNS, "score table", allow_nan=False)
+    return ScoreTable(tuple(ids), *map(tuple, values.T.tolist()),
                       corpus_label=label or Path(path).stem)
 
 
@@ -204,12 +177,13 @@ class ComparisonReport:
 
 def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
     """Compare two score tables over their shared snippet ids."""
+    for side, table in (("a", a), ("b", b)):
+        repeated = [sid for sid, count in Counter(table.ids).items() if count > 1]
+        if repeated:
+            raise ValueError(f"score table {table.corpus_label or side}: "
+                             f"duplicate id {repeated[0]!r}")
     ids_a = set(a.ids)
-    if len(ids_a) != len(a.ids):
-        raise ValueError("duplicate ids in table a")
     index_b = {sid: i for i, sid in enumerate(b.ids)}
-    if len(index_b) != len(b.ids):
-        raise ValueError("duplicate ids in table b")
     missing_in_b = [sid for sid in a.ids if sid not in index_b]
     missing_in_a = [sid for sid in index_b if sid not in ids_a]
     if missing_in_b or missing_in_a:

@@ -56,7 +56,7 @@ def _load_corpus(in_path: str, language: str) -> tuple[list[Snippet], bool]:
     """
     path = Path(in_path)
     if not path.is_dir():
-        return load_labeled_dataset(path).snippets, False
+        return list(load_labeled_dataset(path).snippets), False
     snippets: list[Snippet] = []
     unreadable = False
     for file in sorted(p for p in path.rglob("*") if p.is_file()):

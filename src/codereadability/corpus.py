@@ -9,9 +9,13 @@ comments are layout signals and must survive untouched.
 from __future__ import annotations
 
 import csv
+import io
 import logging
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +30,7 @@ class SnippetDecodeError(ValueError):
 
 
 class DatasetError(ValueError):
-    """Structured labeled-dataset load failure, naming the offending row."""
+    """A table file or labeled dataset that breaks its format, naming the file and line."""
 
 
 @dataclass(frozen=True)
@@ -46,18 +50,11 @@ class Snippet:
 class LabeledDataset:
     """Snippets paired with binary readability labels (1 readable, 0 not)."""
 
-    entries: tuple[tuple[str, Snippet, int], ...]
+    snippets: tuple[Snippet, ...]
+    labels: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def snippets(self) -> list[Snippet]:
-        return [s for _, s, _ in self.entries]
-
-    @property
-    def labels(self) -> list[int]:
-        return [y for _, _, y in self.entries]
+        return len(self.snippets)
 
 
 def load_snippet(source_text: str, language: str, id: str) -> Snippet:
@@ -105,6 +102,68 @@ def preprocess(s: Snippet) -> Snippet:
     return replace(s, lines=tuple(lines[start:end]))
 
 
+def read_table(path: str | Path, columns: tuple[str, ...], what: str) -> list[tuple[str, list[str]]]:
+    """The data rows of a CSV table file (a ``what``), each with its place "<path>, line <n>".
+
+    Every table file follows one set of rules: UTF-8 text, blank lines
+    skipped, a header of exactly ``columns``, then rows of as many fields
+    whose first field is a unique id. A file that breaks one raises
+    :class:`DatasetError` naming the file and, for a row, its physical line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise DatasetError(f"{what} not found: {path}") from None
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        records = [(f"{path}, line {reader.line_num}", row) for row in reader if row]
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"cannot read {path}: {exc} (line {line})") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not records:
+        raise DatasetError(f"empty {what}: {path}")
+    (where, header), *rows = records
+    if tuple(header) != columns:
+        raise DatasetError(f"{where}: {what} header must be {','.join(columns)!r}, "
+                           f"got {','.join(header)!r}")
+    seen_ids: set[str] = set()
+    for where, row in rows:
+        if len(row) != len(columns):
+            raise DatasetError(f"{where}: expected {len(columns)} fields, got {len(row)}")
+        if row[0] in seen_ids:
+            raise DatasetError(f"{where}: duplicate id {row[0]!r}")
+        seen_ids.add(row[0])
+    return rows
+
+
+def read_id_table(path: str | Path, columns: tuple[str, ...], what: str,
+                  allow_nan: bool = True) -> tuple[list[str], np.ndarray]:
+    """The ids and float64 values of a :func:`read_table` file whose fields
+    after the id are numbers; with ``allow_nan`` false a NaN is an error."""
+    rows = read_table(path, columns, what)
+    values = np.empty((len(rows), len(columns) - 1))
+    for (where, (sid, *cells)), out in zip(rows, values):
+        try:
+            out[:] = [float(cell) for cell in cells]
+        except ValueError:
+            raise DatasetError(f"{where}: non-numeric value (id {sid!r})") from None
+        if not allow_nan and np.isnan(out).any():
+            raise DatasetError(f"{where}: NaN value (id {sid!r})")
+    return [row[0] for _, row in rows], values
+
+
+def write_table(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequence]) -> None:
+    """Write the header ``columns`` and then ``rows`` as a :func:`read_table`
+    file; float cells keep 12 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([f"{cell:.12g}" if isinstance(cell, float) else cell for cell in row]
+                         for row in rows)
+
+
 MANIFEST_COLUMNS = ("id", "path", "language", "label")
 
 
@@ -113,57 +172,32 @@ def load_labeled_dataset(manifest_path: str | Path) -> LabeledDataset:
 
     Manifest columns: ``id,path,language,label``; paths are resolved
     relative to the manifest's directory; labels must already be binary.
-    Every snippet is preprocessed on load.
+    The file follows the table rules of :func:`read_table`. Every snippet
+    is preprocessed on load.
     """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise DatasetError(f"manifest not found: {manifest_path}")
-    base = manifest_path.parent
-
-    entries: list[tuple[str, Snippet, int]] = []
-    seen_ids: set[str] = set()
-    try:
-        with open(manifest_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
-                raise DatasetError(
-                    f"manifest header must be {','.join(MANIFEST_COLUMNS)!r}, "
-                    f"got {reader.fieldnames!r}"
-                )
-            for rownum, row in enumerate(reader, start=2):
-                sid = row["id"]
-                if sid in seen_ids:
-                    raise DatasetError(f"row {rownum}: duplicate snippet id {sid!r}")
-                seen_ids.add(sid)
-                if row["label"] not in ("0", "1"):
-                    raise DatasetError(
-                        f"row {rownum}: label must be 0 or 1, got {row['label']!r}"
-                    )
-                snippet_path = base / row["path"]
-                if not snippet_path.exists():
-                    raise DatasetError(f"row {rownum}: snippet file not found: {snippet_path}")
-                snippet = preprocess(load_snippet_file(snippet_path, row["language"], sid))
-                entries.append((sid, snippet, int(row["label"])))
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from None
-
-    if not entries:
+    base = Path(manifest_path).parent
+    snippets, labels = [], []
+    for where, (sid, rel, language, label) in read_table(manifest_path, MANIFEST_COLUMNS, "manifest"):
+        if label not in ("0", "1"):
+            raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
+        snippet_path = base / rel
+        if not snippet_path.exists():
+            raise DatasetError(f"{where}: snippet file not found: {snippet_path}")
+        snippets.append(preprocess(load_snippet_file(snippet_path, language, sid)))
+        labels.append(int(label))
+    if not snippets:
         log.warning("manifest %s contains no rows", manifest_path)
-    return LabeledDataset(entries=tuple(entries))
+    return LabeledDataset(tuple(snippets), tuple(labels))
 
 
 def save_labeled_dataset(dataset: LabeledDataset, directory: str | Path) -> Path:
     """Write snippets plus a manifest CSV; inverse of load_labeled_dataset."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    snippets_dir = directory / "snippets"
-    snippets_dir.mkdir(exist_ok=True)
-    manifest = directory / "manifest.csv"
-    with open(manifest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for sid, snippet, label in dataset.entries:
-            rel = Path("snippets") / f"{sid}.txt"
-            (directory / rel).write_text(snippet.raw_text, encoding="utf-8")
-            writer.writerow([sid, str(rel), snippet.language, label])
-    return manifest
+    (directory / "snippets").mkdir(parents=True, exist_ok=True)
+    rows = []
+    for snippet, label in zip(dataset.snippets, dataset.labels):
+        rel = Path("snippets") / f"{snippet.id}.txt"
+        (directory / rel).write_text(snippet.raw_text, encoding="utf-8")
+        rows.append([snippet.id, str(rel), snippet.language, label])
+    write_table(directory / "manifest.csv", MANIFEST_COLUMNS, rows)
+    return directory / "manifest.csv"

@@ -13,17 +13,14 @@ dictionary once per snippet, weighted by its occurrences.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from typing import NamedTuple
 
 from ..dictionary import DictionaryProvider
-from ..lexical import LexicalProfile, identifier_terms
+from ..lexical import COMMENT_WORD_RE, LexicalProfile, identifier_terms
 
 # printable ASCII range, the divisor for character-set "visual complexity"
 _CHARSET_NORM = 95
-
-_WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*")
 
 
 class DfFeatures(NamedTuple):
@@ -96,7 +93,7 @@ def text_features(profile: LexicalProfile, dictionary: DictionaryProvider) -> tu
     occurrences = Counter(user)  # each distinct identifier is checked once
     english = sum(n for ident, n in occurrences.items() if is_english_ident(ident))
     comment_text = " ".join(profile.comments)
-    w_com = len(_WORD_RE.findall(comment_text))
+    w_com = len(COMMENT_WORD_RE.findall(comment_text))
     # the lexer's identifier terms are the non-digit terms of every identifier
     w_code = sum(map(len, profile.line_identifier_terms))
     return (

@@ -50,9 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dictionary import DictionaryProvider, count_syllables
-from ..lexical import LexicalProfile
+from ..lexical import COMMENT_WORD_RE, LexicalProfile
 
-_WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*")
 _SENTENCE_RE = re.compile(r"[.!?]+")
 
 # block coherence: from this many blocks the packed bitsets beat the set
@@ -148,7 +147,7 @@ def identifier_semantics(profile: LexicalProfile, dictionary: DictionaryProvider
 def comment_readability(profile: LexicalProfile) -> float:
     """Flesch reading ease over all comment text concatenated."""
     text = " ".join(profile.comments)
-    words = _WORD_RE.findall(text)
+    words = COMMENT_WORD_RE.findall(text)
     n_words = len(words)
     if n_words == 0:
         return 0.0

@@ -67,6 +67,7 @@ NUMBER_RE = re.compile(
 )
 STRING_PREFIX_RE = re.compile(r"(?:^|(?<=[^A-Za-z0-9_]))([rRbBuUfF]{1,2})$")
 _WORD_SPLIT_RE = re.compile(r"[A-Za-z]+|\d+")
+COMMENT_WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*")
 _CAMEL_RE = re.compile(
     r"[A-Z]+(?![a-z])|[A-Z][a-z]+|[a-z]+|\d+"
 )

@@ -13,7 +13,6 @@ of their family. The columns that are not wanted are NaN.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import AnalysisConfig
-from .corpus import Snippet
+from .corpus import Snippet, read_id_table, write_table
 from .dictionary import DictionaryProvider, load_dictionary
 from .features import (
     BwfFeatures,
@@ -36,7 +35,7 @@ from .features import (
     compute_tf,
 )
 from .lexical import extract_blocks, tokenize
-from .profiles import LanguageProfile, get_profile, load_profiles
+from .profiles import LanguageProfile, load_profiles
 
 SCHEMA_VERSION = "1.0"
 
@@ -58,6 +57,7 @@ def _build_schema() -> tuple[FeatureSpec, ...]:
 
 _SCHEMA = _build_schema()
 N_FEATURES = len(_SCHEMA)
+_MATRIX_COLUMNS = ("id", *(spec.name for spec in _SCHEMA))
 assert N_FEATURES == 61
 
 
@@ -134,12 +134,12 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
 
     Without ``p`` the snippet's language is looked up in the profile table
     of ``config`` (the built-ins and its ``profiles_path``, read on each such
-    call); an unsupported language raises ``ValueError``.
+    call) by :func:`snippet_profiles`.
     """
     if config is None:
         config = AnalysisConfig()
     if p is None:
-        p = get_profile(s.language, load_profiles(config.profiles_path))
+        [p] = snippet_profiles([s], config)
     if d is None:
         d = load_dictionary(config.dictionary_path)
     plan = _column_plan(None if columns is None else tuple(columns))
@@ -166,18 +166,27 @@ def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = Non
                      config: AnalysisConfig | None = None) -> np.ndarray:
     """Feature matrix for a snippet list, one row per snippet in input order.
 
-    The profile table of ``config`` is built once; each snippet is
-    featurized under its language's profile in it.
+    Each snippet is featurized under its profile from
+    :func:`snippet_profiles`.
     """
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    table = load_profiles(config.profiles_path)
     matrix = np.empty((len(snippets), N_FEATURES))
-    for row, s in zip(matrix, snippets):
-        row[:] = featurize(s, get_profile(s.language, table), d, config)
+    for row, s, p in zip(matrix, snippets, snippet_profiles(snippets, config)):
+        row[:] = featurize(s, p, d, config)
     return matrix
+
+
+def snippet_profiles(snippets: list[Snippet], config: AnalysisConfig) -> list[LanguageProfile]:
+    """Each snippet's profile in the profile table of ``config``; an
+    unsupported language raises ``ValueError`` naming its snippet."""
+    table = load_profiles(config.profiles_path)
+    for s in snippets:
+        if s.language not in table:
+            raise ValueError(f"snippet {s.id!r}: unsupported language {s.language!r}")
+    return [table[s.language] for s in snippets]
 
 
 # --------------------------------------------------------------------------
@@ -187,27 +196,12 @@ def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = Non
 def write_feature_matrix(path: str | Path, ids: list[str], matrix: np.ndarray) -> None:
     """CSV with header ``id`` + 61 schema names; 12 significant digits."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != N_FEATURES:
-        raise ValueError(f"matrix must be (n, {N_FEATURES}), got {matrix.shape}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + schema_names())
-        for sid, row in zip(ids, matrix):
-            writer.writerow([sid] + [f"{v:.12g}" for v in row])
+    if matrix.shape != (len(ids), N_FEATURES):
+        raise ValueError(f"matrix must be ({len(ids)}, {N_FEATURES}) for {len(ids)} ids, "
+                         f"got {matrix.shape}")
+    write_table(path, _MATRIX_COLUMNS, ([sid, *row] for sid, row in zip(ids, matrix.tolist())))
 
 
 def read_feature_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty feature matrix: {path}")
-        if header != ["id"] + schema_names():
-            raise ValueError(f"feature matrix header in {path} does not match schema {SCHEMA_VERSION}")
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, N_FEATURES))
-    return ids, matrix
+    """The ids and (n, 61) matrix of a :func:`corpus.read_table` file; NaN stays."""
+    return read_id_table(path, _MATRIX_COLUMNS, "feature matrix")

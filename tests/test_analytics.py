@@ -151,6 +151,14 @@ class TestPairedCompare:
         with pytest.raises(ValueError, match="only in a: \\['x'\\], only in b: \\['z'\\]"):
             paired_compare(a, b)
 
+    def test_repeated_id_names_the_table_and_the_id(self, bundled_dict):
+        snippets = [snip("x = 1", id="s"), snip("y = 2", id="t"), snip("z = 3", id="t")]
+        scored = score_corpus(TestScoreCorpus()._model(), snippets, d=bundled_dict, label="llm")
+        with pytest.raises(ValueError, match=r"^score table llm: duplicate id 't'$"):
+            paired_compare(table(["s", "t"], [1, 2]), scored)
+        with pytest.raises(ValueError, match=r"^score table a: duplicate id 'x'$"):
+            paired_compare(table(["x", "y", "x"], [1, 2, 3]), table(["x", "y"], [1, 2]))
+
     def test_mismatch_message_lists_the_first_ten_ids_of_each_side(self):
         a = table([f"a{i}" for i in range(12)] + ["shared"], range(13))
         b = table(["shared"] + [f"b{i}" for i in range(12)], range(13))
@@ -288,13 +296,13 @@ class TestScoreCorpus:
         path = tmp_path / "scores.csv"
         path.write_text("id,linear_score,probability\na,0.1,0.52\n" + ",".join(row) + "\n",
                         encoding="utf-8")
-        with pytest.raises(ValueError, match=r"NaN score in .*scores.csv, line 3 \(id 'b'\)"):
+        with pytest.raises(ValueError, match=r"scores\.csv, line 3: NaN value \(id 'b'\)"):
             read_score_table(path)
 
     @pytest.mark.parametrize("row,message", [
         ("b,0.2", "scores.csv, line 3: expected 3 fields, got 2"),
         ("b,0.2,0.5,extra", "scores.csv, line 3: expected 3 fields, got 4"),
-        ("b,abc,0.5", r"non-numeric score in .*scores.csv, line 3 \(id 'b'\)"),
+        ("b,abc,0.5", r"scores.csv, line 3: non-numeric value \(id 'b'\)"),
     ], ids=["short", "long", "non-numeric"])
     def test_malformed_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "scores.csv"

@@ -296,8 +296,7 @@ class TestScoreCompareCommands:
         assert main(["compare", "--a", str(tmp_path / "a.csv"),
                      "--b", str(tmp_path / "b.csv")]) == 3
         err = capsys.readouterr().err
-        assert "ERROR codereadability: NaN score in" in err
-        assert "a.csv, line 3 (id 'y')" in err
+        assert f"ERROR codereadability: {tmp_path / 'a.csv'}, line 3: NaN value (id 'y')" in err
 
     def test_compare_empty_score_table_exit_3_names_the_file(self, tmp_path, capsys):
         empty, one = tmp_path / "empty.csv", tmp_path / "one.csv"

@@ -126,7 +126,7 @@ class TestLabeledDataset:
         manifest = _write_dataset(tmp_path, [("a", "x=1"), ("b", "y=2"), ("c", "z=3")])
         ds = load_labeled_dataset(manifest)
         assert len(ds) == 3
-        assert ds.labels == [0, 1, 0]
+        assert ds.labels == (0, 1, 0)
 
     def test_empty_manifest_warns(self, tmp_path, caplog):
         manifest = _write_dataset(tmp_path, [])
@@ -139,7 +139,7 @@ class TestLabeledDataset:
         manifest = _write_dataset(tmp_path, [("a", "x=1")])
         text = manifest.read_text().replace("a.py,python,0", "a.py,python,2")
         manifest.write_text(text)
-        with pytest.raises(DatasetError, match="row 2.*label"):
+        with pytest.raises(DatasetError, match=r"manifest\.csv, line 2: label must be 0 or 1, got '2'"):
             load_labeled_dataset(manifest)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -152,7 +152,7 @@ class TestLabeledDataset:
     def test_missing_file_rejected(self, tmp_path):
         manifest = _write_dataset(tmp_path, [("a", "x=1")])
         (tmp_path / "a.py").unlink()
-        with pytest.raises(DatasetError, match="row 2.*not found"):
+        with pytest.raises(DatasetError, match=r"manifest\.csv, line 2: snippet file not found: .*a\.py"):
             load_labeled_dataset(manifest)
 
     def test_missing_manifest(self, tmp_path):
@@ -166,7 +166,7 @@ class TestLabeledDataset:
         ds = load_labeled_dataset(manifest)
         out = save_labeled_dataset(ds, tmp_path / "saved")
         again = load_labeled_dataset(out)
-        assert again.entries == ds.entries
+        assert again == ds
 
 
 def test_snippet_raw_text_reconstructs_lines():

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codereadability import analytics, vectorizer
 from codereadability.analytics import score_corpus, write_score_table
 from codereadability.cli import main
 from codereadability.config import load_config
@@ -116,6 +117,33 @@ def test_library_calls_use_the_config_profiles(setup, tmp_path, bundled_dict):
                  "--in", str(manifest), "--out", str(tmp_path / "cli_scores.csv")]) == 0
     assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
     assert (tmp_path / "lib_scores.csv").read_bytes() == (tmp_path / "cli_scores.csv").read_bytes()
+
+
+def test_unsupported_language_names_its_snippet_before_any_is_featurized(tmp_path, capsys,
+                                                                        monkeypatch, bundled_dict):
+    (tmp_path / "a.py").write_text(PYTHON_SOURCE, encoding="utf-8")
+    (tmp_path / "b.kl").write_text("qaStaH nuq\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("id,path,language,label\na,a.py,python,1\nb,b.kl,klingon,0\n",
+                        encoding="utf-8")
+    model = tmp_path / "model.json"
+    save_model(ReadabilityModel(scaler=ScalerParams(mu=np.zeros(N_FEATURES), sigma=np.ones(N_FEATURES)),
+                                selected=(0,), weights=np.ones(1), intercept=0.0, lambda_l2=1.0),
+               model)
+    featurized = []
+    for module in (vectorizer, analytics):
+        monkeypatch.setattr(module, "featurize",
+                            lambda *args, inner=module.featurize, **kw: featurized.append(args[0].id)
+                            or inner(*args, **kw))
+    for argv in (["featurize", "--in", str(manifest), "--out", str(tmp_path / "m.csv")],
+                 ["score", "--model", str(model), "--in", str(manifest),
+                  "--out", str(tmp_path / "s.csv")]):
+        assert main(argv) == 3
+        assert ("ERROR codereadability: snippet 'b': unsupported language 'klingon'\n"
+                in capsys.readouterr().err)
+    assert featurized == []
+    with pytest.raises(ValueError, match=r"^snippet 'b': unsupported language 'klingon'$"):
+        featurize(load_labeled_dataset(manifest).snippets[1], d=bundled_dict)
 
 
 def test_compare_does_not_read_the_profile_ini(tmp_path):

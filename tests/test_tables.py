@@ -1,0 +1,141 @@
+"""The table rules shared by the three CSV files the commands pass along:
+the labeled manifest, the feature matrix and the score table.
+
+Blank lines are skipped, the header is exact, every row has the header's
+field count and a unique id, and every error is a ``ValueError`` naming
+the file and, for a row, its physical line (exit 3 through the CLI).
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codereadability.analytics import read_score_table
+from codereadability.cli import main
+from codereadability.corpus import load_labeled_dataset
+from codereadability.vectorizer import (
+    N_FEATURES,
+    read_feature_matrix,
+    schema_names,
+    write_feature_matrix,
+)
+
+# each table's public reader, its header, a valid row for an id, and the
+# ids of what the reader returns
+TABLES = {
+    "manifest": (load_labeled_dataset, ["id", "path", "language", "label"],
+                 lambda sid: [sid, "a.py", "python", "1"],
+                 lambda loaded: [s.id for s in loaded.snippets]),
+    "feature matrix": (read_feature_matrix, ["id", *schema_names()],
+                       lambda sid: [sid, *["0.5"] * N_FEATURES],
+                       lambda loaded: loaded[0]),
+    "score table": (read_score_table, ["id", "linear_score", "probability"],
+                    lambda sid: [sid, "0.1", "0.5"],
+                    lambda loaded: list(loaded.ids)),
+}
+
+
+def _line(fields) -> bytes:
+    return ",".join(fields).encode() + b"\n"
+
+
+# each case: the file's bytes from (header, row) and the pattern of the
+# expected message, formatted with the path, the table's name and the
+# header's field count
+CASES = {
+    "empty file": (lambda header, row: b"", "empty {what}: {path}$"),
+    "wrong header": (lambda header, row: _line([*header[:-1], "other"]) + _line(row("x")),
+                     "{path}, line 1: {what} header must be "),
+    "short row": (lambda header, row: _line(header) + _line(row("x")) + _line(row("y")[:-1]),
+                  "{path}, line 3: expected {n} fields, got {n_minus_1}$"),
+    "long row": (lambda header, row: _line(header) + _line(row("x")) + _line(row("y") + ["1"]),
+                 "{path}, line 3: expected {n} fields, got {n_plus_1}$"),
+    # the blank line is skipped but still counted
+    "repeated id": (lambda header, row: _line(header) + _line(row("x")) + b"\n" + _line(row("x")),
+                    "{path}, line 4: duplicate id 'x'$"),
+    "undecodable byte": (lambda header, row: _line(header) + _line(row("x")) + b"\xff" + _line(row("y")),
+                         "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position "
+                         "[0-9]+: invalid start byte \\(line 3\\)$"),
+    "oversized field": (lambda header, row: _line(header) + _line(row("x" * 200_000)),
+                        "{path}, line 2: field larger than field limit"),
+}
+
+
+def _write_case(tmp_path, table, case):
+    _, header, row, _ = TABLES[table]
+    content, message = CASES[case]
+    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
+    path = tmp_path / "table.csv"
+    path.write_bytes(content(header, row))
+    n = len(header)
+    return path, message.format(path=re.escape(str(path)), what=table, n=n,
+                                n_minus_1=n - 1, n_plus_1=n + 1)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("table", TABLES)
+def test_each_table_reader_names_the_file_and_line(tmp_path, table, case):
+    path, pattern = _write_case(tmp_path, table, case)
+    with pytest.raises(ValueError, match=pattern):
+        TABLES[table][0](path)
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_blank_lines_are_skipped(tmp_path, table):
+    read, header, row, ids_of = TABLES[table]
+    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\n" + _line(header) + b"\n" + _line(row("x")) + b"\r\n\n"
+                     + _line(row("y")) + b"\n")
+    assert ids_of(read(path)) == ["x", "y"]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c != "oversized field"])
+@pytest.mark.parametrize("command", ["featurize", "train", "compare"])
+def test_each_table_error_exits_3_through_the_cli(tmp_path, capsys, command, case):
+    table = "score table" if command == "compare" else "manifest"
+    path, pattern = _write_case(tmp_path, table, case)
+    out = tmp_path / "out"
+    argv = {
+        "featurize": ["featurize", "--in", str(path), "--out", str(out)],
+        "train": ["train", "--data", str(path), "--out", str(out)],
+        "compare": ["compare", "--a", str(path), "--b", str(path), "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert re.search("ERROR codereadability: " + pattern, err, re.MULTILINE), err
+    assert "internal error" not in err
+
+
+def test_write_feature_matrix_refuses_ids_that_do_not_match_the_rows(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=r"matrix must be \(1, 61\) for 1 ids, got \(2, 61\)"):
+        write_feature_matrix(path, ["a"], np.zeros((2, N_FEATURES)))
+    assert not path.exists()
+
+
+# csv on Python 3.10 rejects NUL, so ids leave it out
+_ID_TEXT = st.text(alphabet=st.one_of(st.sampled_from(',"\n\r '),
+                                      st.characters(blacklist_categories=("Cs",),
+                                                    blacklist_characters="\x00")),
+                   max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ID_TEXT, unique=True, max_size=4).flatmap(lambda ids: st.tuples(
+    st.just(ids),
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=N_FEATURES, max_size=N_FEATURES),
+             min_size=len(ids), max_size=len(ids)))))
+def test_feature_matrix_round_trip_keeps_ids_and_12_digit_values(tmp_path_factory, ids_rows):
+    ids, rows = ids_rows
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    write_feature_matrix(path, ids, np.array(rows).reshape(len(ids), N_FEATURES))
+    read_ids, matrix = read_feature_matrix(path)
+    assert read_ids == ids
+    expected = np.array([[float(f"{v:.12g}") for v in row] for row in rows])
+    assert matrix.tobytes() == expected.reshape(len(ids), N_FEATURES).tobytes()
