@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "scoring, and paired statistical comparison.",
     )
     parser.add_argument("--config", help="INI config file", default=None)
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="increase log verbosity (repeatable)")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log the resolved configuration and progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     feat = sub.add_parser("featurize", help="compute the 61-column feature matrix")
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # one handler per call, on this call's stderr, so repeated calls in one
     # process each log where and at the level they were asked to
-    level = logging.WARNING - 10 * min(args.verbose, 2)
+    level = logging.INFO if args.verbose else logging.WARNING
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     previous_level = log.level

@@ -79,11 +79,11 @@ _SECTIONS = {
 
 
 def read_ini(path: str | Path, **options) -> configparser.ConfigParser:
-    """The parsed INI file, ``options`` going to ``ConfigParser``. A file
-    it cannot parse, or a value it cannot interpolate (a lone ``%``),
-    raises ``ValueError`` naming the file."""
+    """The parsed INI file (UTF-8, a BOM dropped), ``options`` going to
+    ``ConfigParser``. A file it cannot parse, or a value it cannot
+    interpolate (a lone ``%``), raises ``ValueError`` naming the file."""
     parser = configparser.ConfigParser(**options)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             parser.read_file(fh)
             for section in parser.sections():

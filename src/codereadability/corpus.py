@@ -105,20 +105,20 @@ def preprocess(s: Snippet) -> Snippet:
 def read_table(path: str | Path, columns: tuple[str, ...], what: str) -> list[tuple[str, list[str]]]:
     """The data rows of a CSV table file (a ``what``), each with its place "<path>, line <n>".
 
-    Every table file follows one set of rules: UTF-8 text, blank lines
-    skipped, a header of exactly ``columns``, then rows of as many fields
-    whose first field is a unique id. A file that breaks one raises
-    :class:`DatasetError` naming the file and, for a row, its physical line.
+    Every table file follows one set of rules: UTF-8 text, a BOM dropped,
+    blank lines skipped, a header of exactly ``columns``, then rows of as
+    many fields whose first field is a unique id. A file that breaks one
+    raises :class:`DatasetError` naming the file and, for a row, its physical line.
     """
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
         raise DatasetError(f"{what} not found: {path}") from None
     try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
         records = [(f"{path}, line {reader.line_num}", row) for row in reader if row]
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+    except UnicodeDecodeError as exc:  # its offset counts from after a BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DatasetError(f"cannot read {path}: {exc} (line {line})") from None
     except csv.Error as exc:
         raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
@@ -183,7 +183,12 @@ def load_labeled_dataset(manifest_path: str | Path) -> LabeledDataset:
         snippet_path = base / rel
         if not snippet_path.exists():
             raise DatasetError(f"{where}: snippet file not found: {snippet_path}")
-        snippets.append(preprocess(load_snippet_file(snippet_path, language, sid)))
+        try:
+            snippet = load_snippet_file(snippet_path, language, sid)
+        except SnippetDecodeError as exc:
+            raise DatasetError(f"{where}: snippet file {snippet_path}: "
+                               f"undecodable byte at offset {exc.offset}") from None
+        snippets.append(preprocess(snippet))
         labels.append(int(label))
     if not snippets:
         log.warning("manifest %s contains no rows", manifest_path)

@@ -128,12 +128,16 @@ class _WordNetDatabase:
 
 def _parse_records(path: Path, parse, pos: str) -> None:
     """``parse(line, pos)`` on each record line of a WordNet file; the
-    license header lines start with a space. A record it cannot parse
-    raises ``DictionaryError`` naming the file and the line."""
+    license header lines start with a space. A record it cannot parse, or
+    a byte that is not UTF-8, raises ``DictionaryError`` naming its line."""
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise DictionaryError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DictionaryError(f"cannot read {path}: {exc} (line {line})") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith(" "):
             continue

@@ -95,7 +95,6 @@ TF_GROUPS = {
     "text_coherence": ("tc_min", "tc_avg", "tc_max"),
     "concept_count": ("noc", "noc_norm"),
 }
-_ALL_FIELDS = frozenset(TfFeatures._fields)
 assert sorted(chain.from_iterable(TF_GROUPS.values())) == sorted(TfFeatures._fields)
 _IN_DICTIONARY, _MAX_DEPTH, _SENSES = map(attrgetter, ("in_dictionary", "max_depth", "senses"))
 
@@ -417,15 +416,13 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
 def compute_tf(profile: LexicalProfile, blocks: list[frozenset[str]],
                dictionary: DictionaryProvider,
                dbscan_eps: float = 0.5, dbscan_min_samples: int = 2,
-               fields=None) -> TfFeatures:
+               groups=None) -> TfFeatures:
     """The sixteen textual features of one snippet.
 
-    ``fields`` names the wanted ``TfFeatures`` fields (all of them for
-    None). Only the groups of :data:`TF_GROUPS` that fill a wanted field
-    run, and every field that is not wanted is NaN. ``blocks`` is read
-    only for the ``tc_*`` fields.
+    ``groups`` names the groups of :data:`TF_GROUPS` that run (all of them
+    for None); the fields of every other group are NaN. ``blocks`` is
+    read only by ``text_coherence``.
     """
-    wanted = _ALL_FIELDS if fields is None else frozenset(fields)
     work = {
         "cic": lambda: cic(profile, dictionary),
         "identifier_semantics": lambda: identifier_semantics(profile, dictionary),
@@ -433,9 +430,7 @@ def compute_tf(profile: LexicalProfile, blocks: list[frozenset[str]],
         "text_coherence": lambda: text_coherence(blocks),
         "concept_count": lambda: concept_count(profile, dbscan_eps, dbscan_min_samples),
     }
-    values = {}
-    for group, names in TF_GROUPS.items():
-        if not wanted.isdisjoint(names):
-            values.update(zip(names, work[group]()))
-    return TfFeatures._make(values[name] if name in wanted else math.nan
-                            for name in TfFeatures._fields)
+    values = dict.fromkeys(TfFeatures._fields, math.nan)
+    for group in TF_GROUPS if groups is None else groups:
+        values.update(zip(TF_GROUPS[group], work[group]()))
+    return TfFeatures._make(values.values())

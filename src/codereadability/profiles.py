@@ -147,10 +147,10 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(tok for tok in raw.split() if tok)
 
 
-def _split_pairs(raw: str) -> tuple[tuple[str, str], ...]:
+def _split_pairs(raw: str, where: str) -> tuple[tuple[str, str], ...]:
     toks = raw.split()
     if len(toks) % 2:
-        raise ValueError(f"block comment delimiters must come in open/close pairs: {raw!r}")
+        raise ValueError(f"{where}: block comment delimiters must come in open/close pairs: {raw!r}")
     return tuple((toks[i], toks[i + 1]) for i in range(0, len(toks), 2))
 
 
@@ -196,7 +196,7 @@ def load_profiles(path: str | Path | None) -> dict[str, LanguageProfile]:
             name=section,
             keyword_set=frozenset(_split_list(raw["keywords"])),
             line_comment_markers=_split_list(raw["line_comments"]),
-            block_comment_delims=_split_pairs(raw["block_comments"]),
+            block_comment_delims=_split_pairs(raw["block_comments"], f"{path}: [{section}] block_comments"),
             string_delims=_split_list(raw["strings"]),
             builtin_names=frozenset(_split_list(raw["builtins"])),
             branch_keywords=frozenset(_split_list(raw["branch_keywords"])),

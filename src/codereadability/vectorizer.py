@@ -4,11 +4,11 @@ Family blocks: 16 textual, 26 formatting, 4 information-theoretic,
 15 visual, concatenated in that order. A degenerate (empty) snippet maps
 to the all-zero vector.
 
-``featurize`` can be asked for some columns only. Each piece of feature
-work then runs only when one of its columns is wanted: the lexer for any
-column, block extraction for ``tf.tc_*``, each TF group of
-``features.TF_GROUPS`` for its fields, and BWF, PF and DF for any column
-of their family. The columns that are not wanted are NaN.
+``featurize`` can be asked for some columns only. One table names the
+feature layer that fills each column: a TF group of
+``features.TF_GROUPS``, or ``bwf``, ``pf`` or ``df``. Only the layers of
+the wanted columns run, after the lexer and, for ``tf.text_coherence``,
+block extraction. The columns that are not wanted are NaN.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,34 +79,25 @@ def family_indices(family: str) -> list[int]:
     return [i for i, spec in enumerate(_SCHEMA) if spec.family == family]
 
 
-class _ColumnPlan(NamedTuple):
-    """The feature work behind a set of wanted schema columns."""
-    wanted: np.ndarray          # bool, one per schema column (read-only)
-    tf_fields: frozenset[str]   # the wanted ``TfFeatures`` fields
-    layers: tuple[str, ...]     # the feature layers they need, in run order
+# the feature layer that fills each schema column: ``tf.<group>`` for the
+# group of ``features.TF_GROUPS`` with its field, else the family's name
+_TF_LAYERS = {f"tf.{name}": f"tf.{group}" for group, names in TF_GROUPS.items() for name in names}
+_COLUMN_LAYERS = tuple(_TF_LAYERS.get(spec.name, spec.family.lower()) for spec in _SCHEMA)
+# the layers in run order
+_LAYER_ORDER = (*(f"tf.{group}" for group in TF_GROUPS), *(family.lower() for family in FAMILIES[1:]))
 
 
 @lru_cache(maxsize=64)
-def _column_plan(columns: tuple[int, ...] | None) -> _ColumnPlan:
-    wanted = np.zeros(N_FEATURES, dtype=bool)
+def _feature_layers(columns: tuple[int, ...] | None) -> tuple[str, ...]:
     if columns is None:
-        wanted[:] = True
-    elif columns:
-        if not all(0 <= i < N_FEATURES for i in columns):
-            raise ValueError(f"feature columns must lie in [0, {N_FEATURES}), got {list(columns)}")
-        wanted[list(columns)] = True
-    wanted.flags.writeable = False
-    specs = [spec for spec, w in zip(_SCHEMA, wanted) if w]
-    tf_fields = frozenset(spec.name[3:] for spec in specs if spec.family == "TF")
-    tf_groups = [f"tf.{group}" for group, names in TF_GROUPS.items()
-                 if not tf_fields.isdisjoint(names)]
-    layers = ["tokenize"] if specs else []
-    if "tf.text_coherence" in tf_groups:
-        layers.append("extract_blocks")
-    layers += tf_groups
-    layers += [family.lower() for family in FAMILIES[1:]
-               if any(spec.family == family for spec in specs)]
-    return _ColumnPlan(wanted, tf_fields, tuple(layers))
+        columns = range(N_FEATURES)
+    elif not all(0 <= i < N_FEATURES for i in columns):
+        raise ValueError(f"feature columns must lie in [0, {N_FEATURES}), got {list(columns)}")
+    read = {_COLUMN_LAYERS[i] for i in columns}
+    if not read:
+        return ()
+    first = ("tokenize", "extract_blocks") if "tf.text_coherence" in read else ("tokenize",)
+    return (*first, *(layer for layer in _LAYER_ORDER if layer in read))
 
 
 def feature_layers(columns=None) -> list[str]:
@@ -115,7 +105,7 @@ def feature_layers(columns=None) -> list[str]:
     ``columns`` (all 61 for None), in run order: ``tokenize``,
     ``extract_blocks``, ``tf.<group>`` for each group of
     ``features.TF_GROUPS``, ``bwf``, ``pf`` and ``df``."""
-    return list(_column_plan(None if columns is None else tuple(columns)).layers)
+    return list(_feature_layers(None if columns is None else tuple(columns)))
 
 
 _TF, _BWF, _PF, _DF = (slice(idx[0], idx[-1] + 1) for idx in map(family_indices, FAMILIES))
@@ -142,23 +132,28 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
         [p] = snippet_profiles([s], config)
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    plan = _column_plan(None if columns is None else tuple(columns))
+    columns = None if columns is None else tuple(columns)
+    layers = _feature_layers(columns)
 
     # an empty snippet has no evidence at all: every feature takes its default
     values = np.zeros(N_FEATURES)
-    if s.lines and plan.layers:
+    if s.lines and layers:
         profile = tokenize(s, p, tab_width=config.tab_width)
-        if plan.tf_fields:
-            blocks = extract_blocks(profile) if "extract_blocks" in plan.layers else []
+        groups = [group for group in TF_GROUPS if f"tf.{group}" in layers]
+        if groups:
+            blocks = extract_blocks(profile) if "extract_blocks" in layers else []
             values[_TF] = compute_tf(profile, blocks, d, config.dbscan_eps,
-                                     config.dbscan_min_samples, plan.tf_fields)
-        if "bwf" in plan.layers:
+                                     config.dbscan_min_samples, groups)
+        if "bwf" in layers:
             values[_BWF] = compute_bwf(profile)
-        if "pf" in plan.layers:
+        if "pf" in layers:
             values[_PF] = compute_pf(profile)
-        if "df" in plan.layers:
+        if "df" in layers:
             values[_DF] = compute_df(profile, d)
-    values[~plan.wanted] = np.nan
+    if columns is not None:  # every column nobody asked for is NaN
+        wanted = np.zeros(N_FEATURES, dtype=bool)
+        wanted[list(columns)] = True
+        values[~wanted] = np.nan
     return values
 
 

@@ -426,6 +426,20 @@ class TestCliContract:
         assert (f"{profiles}: unknown key 'keyword' in section [mylang]"
                 in capsys.readouterr().err)
 
+    def test_invalid_profile_value_exit_3_names_file_section_and_key(self, tmp_path, capsys):
+        profiles = tmp_path / "p.ini"
+        profiles.write_text("[mylang]\nblock_comments = /*\n")
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[lexical]\nprofiles = {profiles}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("x = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert (f"{profiles}: [mylang] block_comments: block comment delimiters must come in "
+                f"open/close pairs: '/*'" in capsys.readouterr().err)
+
     def test_readme_ini_example_loads(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         cfg = tmp_path / "conf.ini"
@@ -523,6 +537,22 @@ class TestCliContract:
         assert f"{wordnet / name}, line 2: malformed WordNet record" in err
         assert "internal error" not in err
 
+    def test_undecodable_wordnet_file_exit_3_names_file_and_line(self, tmp_path, capsys):
+        wordnet = tmp_path / "wordnet"
+        wordnet.mkdir()
+        (wordnet / "index.noun").write_bytes(b"  1 license header\nanimal n 1 1 @ 1 0 00000002\n\xff\n")
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[dictionary]\npath = {wordnet}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("animal = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.search(rf"cannot read {re.escape(str(wordnet / 'index.noun'))}: .*\(line 3\)$", err, re.M)
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_invalid_lambda_flag_exit_3(self, tmp_path, capsys, value):
         manifest = write_labeled_dataset(tmp_path / "data")
@@ -563,6 +593,24 @@ def test_undecodable_file_exit_3_names_the_file(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert re.search(rf"ERROR codereadability: cannot read .*{re.escape(str(bad))}: 'utf-8' codec can't decode", err)
     assert "internal error" not in err
+
+
+def test_undecodable_snippet_of_a_manifest_exit_3_names_the_row(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "b.py").write_bytes(b"\xff\xfe\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,path,language,label\na,a.py,python,1\nb,b.py,python,0\n")
+    out = tmp_path / "out.csv"
+    assert main(["featurize", "--in", str(manifest), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert (f"ERROR codereadability: {manifest}, line 3: snippet file {tmp_path / 'b.py'}: "
+            f"undecodable byte at offset 0\n" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags,verbose", [([], False), (["-v"], True), (["--verbose"], True),
+                                           (["-vv"], True), (["-v", "-v"], True)])
+def test_verbose_is_one_flag(flags, verbose):
+    assert build_parser().parse_args([*flags, "compare", "--a", "x", "--b", "y"]).verbose is verbose
 
 
 def test_each_main_call_logs_to_its_own_stderr_and_level(tmp_path, capsys, monkeypatch):

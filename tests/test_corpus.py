@@ -155,6 +155,13 @@ class TestLabeledDataset:
         with pytest.raises(DatasetError, match=r"manifest\.csv, line 2: snippet file not found: .*a\.py"):
             load_labeled_dataset(manifest)
 
+    def test_undecodable_snippet_names_manifest_line_path_and_offset(self, tmp_path):
+        manifest = _write_dataset(tmp_path, [("a", "x=1"), ("b", "y=2")])
+        (tmp_path / "b.py").write_bytes(b"y = 2\n\xff\xfe\n")
+        with pytest.raises(DatasetError, match=r"manifest\.csv, line 3: snippet file .*b\.py: "
+                                               r"undecodable byte at offset 6$"):
+            load_labeled_dataset(manifest)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError, match="manifest not found"):
             load_labeled_dataset(tmp_path / "nope.csv")

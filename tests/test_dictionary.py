@@ -52,6 +52,12 @@ class TestWordNetBackend:
         with pytest.raises(DictionaryError, match="no index"):
             DictionaryProvider.from_wordnet(tmp_path)
 
+    def test_undecodable_file_names_the_file_and_line(self, tmp_path):
+        (tmp_path / "index.noun").write_bytes(b"  1 license header\nanimal n 1 1 @ 1 0 00000002\n\xff\n")
+        with pytest.raises(DictionaryError, match=r"cannot read .*index\.noun: 'utf-8' codec can't "
+                                                  r"decode byte 0xff .*\(line 3\)$"):
+            DictionaryProvider.from_wordnet(tmp_path)
+
     def test_lookup_is_pure(self, wordnet_dict):
         assert wordnet_dict.lookup("dog") == wordnet_dict.lookup("dog")
 

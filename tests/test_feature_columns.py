@@ -98,14 +98,13 @@ class TestComputeTfFields:
             profile = tokenize(s, p)
             blocks = extract_blocks(profile)
             full = compute_tf(profile, blocks, bundled_dict)
-            for name in TF_GROUPS[group]:
-                part = compute_tf(profile, blocks, bundled_dict, fields={name})
-                for field in TfFeatures._fields:
-                    value = getattr(part, field)
-                    if field == name:
-                        assert value.hex() == getattr(full, name).hex()
-                    else:
-                        assert math.isnan(value)
+            part = compute_tf(profile, blocks, bundled_dict, groups=[group])
+            for field in TfFeatures._fields:
+                value = getattr(part, field)
+                if field in TF_GROUPS[group]:
+                    assert value.hex() == getattr(full, field).hex()
+                else:
+                    assert math.isnan(value)
 
 
 class TestFeatureLayers:
@@ -119,6 +118,14 @@ class TestFeatureLayers:
         assert feature_layers([index("tf.tc_max"), index("pf.loc")]) == [
             "tokenize", "extract_blocks", "tf.text_coherence", "pf"]
         assert feature_layers([index("df.vkd"), index("bwf.kw_avg")]) == ["tokenize", "bwf", "df"]
+
+    @pytest.mark.parametrize("column", range(N_FEATURES), ids=NAMES)
+    def test_layers_of_each_column(self, column):
+        [layer] = [name for name, columns in _GROUP_COLUMNS.items() if column in columns]
+        if layer in TF_GROUPS:
+            layer = f"tf.{layer}"
+        blocks = ["extract_blocks"] if layer == "tf.text_coherence" else []
+        assert feature_layers([column]) == ["tokenize", *blocks, layer]
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,8 @@ the labeled manifest, the feature matrix and the score table.
 
 Blank lines are skipped, the header is exact, every row has the header's
 field count and a unique id, and every error is a ``ValueError`` naming
-the file and, for a row, its physical line (exit 3 through the CLI).
+the file and, for a row, its physical line (exit 3 through the CLI). A
+UTF-8 byte-order mark is dropped, as it is from the INI files.
 """
 
 import re
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from codereadability.analytics import read_score_table
 from codereadability.cli import main
+from codereadability.config import load_config
 from codereadability.corpus import load_labeled_dataset
+from codereadability.profiles import load_profiles
 from codereadability.vectorizer import (
     N_FEATURES,
     read_feature_matrix,
@@ -42,6 +45,9 @@ def _line(fields) -> bytes:
     return ",".join(fields).encode() + b"\n"
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
 # each case: the file's bytes from (header, row) and the pattern of the
 # expected message, formatted with the path, the table's name and the
 # header's field count
@@ -59,6 +65,11 @@ CASES = {
     "undecodable byte": (lambda header, row: _line(header) + _line(row("x")) + b"\xff" + _line(row("y")),
                          "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position "
                          "[0-9]+: invalid start byte \\(line 3\\)$"),
+    # the decoder's offset counts from after the BOM
+    "undecodable byte after a BOM": (
+        lambda header, row: _BOM + _line(header) + _line(row("x")) + b"\xff" + _line(row("y")),
+        "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position "
+        "[0-9]+: invalid start byte \\(line 3\\)$"),
     "oversized field": (lambda header, row: _line(header) + _line(row("x" * 200_000)),
                         "{path}, line 2: field larger than field limit"),
 }
@@ -91,6 +102,46 @@ def test_blank_lines_are_skipped(tmp_path, table):
     path.write_bytes(b"\n" + _line(header) + b"\n" + _line(row("x")) + b"\r\n\n"
                      + _line(row("y")) + b"\n")
     assert ids_of(read(path)) == ["x", "y"]
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_a_bom_is_dropped(tmp_path, table):
+    read, header, row, ids_of = TABLES[table]
+    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
+    path = tmp_path / "table.csv"
+    path.write_bytes(_BOM + _line(header) + _line(row("x")))
+    assert ids_of(read(path)) == ["x"]
+
+
+def test_a_bom_is_dropped_from_the_config(tmp_path):
+    path = tmp_path / "conf.ini"
+    path.write_bytes(_BOM + b"[bwf]\ntab_width = 8\n")
+    assert load_config(path).tab_width == 8
+
+
+def test_a_bom_is_dropped_from_the_profiles(tmp_path):
+    path = tmp_path / "p.ini"
+    path.write_bytes(_BOM + b"[mylang]\nkeywords = fn let\n")
+    assert load_profiles(path)["mylang"].keyword_set == {"fn", "let"}
+
+
+@pytest.mark.parametrize("bom_in", ["m.csv", "conf.ini", "p.ini"])
+def test_a_bom_changes_nothing_through_the_cli(tmp_path, bom_in):
+    (tmp_path / "a.ml").write_text("fn f\nlet x = 1\n", encoding="utf-8")
+    files = {
+        "m.csv": _line(["id", "path", "language", "label"]) + _line(["a", "a.ml", "mylang", "1"]),
+        "conf.ini": f"[bwf]\ntab_width = 8\n\n[lexical]\nprofiles = {tmp_path / 'p.ini'}\n".encode(),
+        "p.ini": b"[mylang]\nkeywords = fn let\n",
+    }
+    outputs = []
+    for bom in (b"", _BOM):
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(bom + content if name == bom_in else content)
+        out = tmp_path / f"out{len(outputs)}.csv"
+        assert main(["--config", str(tmp_path / "conf.ini"), "featurize",
+                     "--in", str(tmp_path / "m.csv"), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c != "oversized field"])
