@@ -21,6 +21,7 @@ from scipy.special import ndtr
 from .config import AnalysisConfig
 from .corpus import Snippet, read_id_table, write_table
 from .dictionary import DictionaryProvider, load_dictionary
+from .fanout import fan_out
 from .model import ReadabilityModel, predict, rankdata
 from .vectorizer import featurize, snippet_profiles
 
@@ -50,14 +51,19 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
     :func:`vectorizer.snippet_profiles`.
 
     Each snippet is featurized for the model's selected columns only; the
-    scores have the bits of ``predict`` on the full 61-feature vector.
+    scores have the bits of ``predict`` on the full 61-feature vector. The
+    snippets are split among the available CPUs by
+    :func:`fanout.fan_out`, weighted by line count.
     """
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    results = [predict(model, featurize(s, p, d, config, columns=model.selected))
-               for s, p in zip(snippets, snippet_profiles(snippets, config))]
+    profiles = snippet_profiles(snippets, config)
+    results = fan_out(
+        lambda i: predict(model, featurize(snippets[i], profiles[i], d, config,
+                                           columns=model.selected)),
+        [len(s.lines) for s in snippets])
     return ScoreTable(
         ids=tuple(s.id for s in snippets),
         linear_scores=tuple(linear for _, linear in results),

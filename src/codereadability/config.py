@@ -81,17 +81,22 @@ _SECTIONS = {
 def read_ini(path: str | Path, **options) -> configparser.ConfigParser:
     """The parsed INI file (UTF-8, a BOM dropped), ``options`` going to
     ``ConfigParser``. A file it cannot parse, or a value it cannot
-    interpolate (a lone ``%``), raises ``ValueError`` naming the file."""
+    interpolate (a lone ``%``), raises ``ValueError`` naming the file; an
+    undecodable byte names the file and its line."""
     parser = configparser.ConfigParser(**options)
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            parser.read_file(fh)
-            for section in parser.sections():
-                parser.items(section)  # interpolation errors would otherwise wait for a get
-        except configparser.Error as exc:  # not a ValueError, so not a data error
-            raise ValueError(f"{path}: malformed INI: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot read {path}: {exc}") from None
+    with open(path, "rb") as fh:
+        data, source = fh.read(), fh.name
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # its offset counts from after a BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"cannot read {path}: {exc} (line {line})") from None
+    try:
+        parser.read_string(text, source)
+        for section in parser.sections():
+            parser.items(section)  # interpolation errors would otherwise wait for a get
+    except configparser.Error as exc:  # not a ValueError, so not a data error
+        raise ValueError(f"{path}: malformed INI: {exc}") from exc
     return parser
 
 

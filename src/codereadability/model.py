@@ -12,8 +12,8 @@ fold at once; ``train_logreg`` is the batch of one. Each problem takes the
 same iterates, bit for bit, as it would alone, so no result depends on
 the batch. Each outer fold of ``evaluate`` is one ``train_model`` call on
 its training rows, scored on its held-out rows; the folds share nothing
-and run in one forked worker per available CPU on Linux, and serially on
-one CPU or elsewhere, with the same bits in either place. A model file
+and are split among the available CPUs by ``fanout.fan_out``, with the
+same bits at any CPU count. A model file
 carries the feature ``schema_version`` it was trained under, and
 ``load_model`` rejects any other. Everything is deterministic under a
 seed.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -32,6 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .config import check_lambda_l2
+from .fanout import fan_out
 from .vectorizer import N_FEATURES, SCHEMA_VERSION, family_indices
 
 log = logging.getLogger(__name__)
@@ -384,40 +384,18 @@ class EvaluationReport:
         return asdict(self)
 
 
-class _HeldRecords(logging.Handler):
-    """Keeps a pool worker's log records for the parent process to emit."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
 def _outer_fold(fold: int, X: np.ndarray, y: np.ndarray, folds: np.ndarray,
                 family: str, k_max: int | None, inner_cv: int, seed: int,
-                lambda_l2: float, in_worker: bool = False
-                ) -> tuple[tuple[float, float, list[int]], list[logging.LogRecord]]:
+                lambda_l2: float) -> tuple[float, float, list[int]]:
     """``train_model`` on the training rows of one outer fold, then its
-    held-out metrics: ``(accuracy, auc, selected)`` and the log records
-    the fold held back.
-
-    In a pool worker (``in_worker``) the records of this module's logger are
-    held and returned, because the caller's handlers live in the parent.
-    Otherwise they go straight to the handlers and none are returned.
-    """
-    held = _HeldRecords()
-    if in_worker:
-        # the worker's own copy of the logger, so it is not restored
-        log.handlers, log.propagate = [held], False
+    held-out ``(accuracy, auc, selected)``."""
     test = folds == fold
     trained = train_model(X[~test], y[~test], family, lambda_l2, k_max, inner_cv,
                           seed=seed + 1000 * (fold + 1))
     selected = list(trained.selected)
     probs = expit(transform(trained.scaler, X[test])[:, selected] @ trained.weights
                   + trained.intercept)
-    return (accuracy(probs, y[test]), auc(probs, y[test]), selected), held.records
+    return accuracy(probs, y[test]), auc(probs, y[test]), selected
 
 
 def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
@@ -425,48 +403,26 @@ def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
              inner_cv: int = 5) -> EvaluationReport:
     """Cross-validated accuracy/AUC with per-fold scaling and selection.
 
-    The outer folds share nothing, so they run side by side in a pool of
-    ``min(k, available CPUs)`` forked workers. They run serially on one
-    CPU, where ``os.sched_getaffinity`` is missing (no safe fork), and in
-    a daemonic process, which may not have children. Each fold computes
-    the same bits either way; its log records reach this process's
-    handlers in fold order, and the first failing fold's exception is
-    raised. The pool is gone when this returns or raises.
+    The outer folds share nothing, so they run side by side through
+    :func:`fanout.fan_out`, one item per fold, on ``min(k, available
+    CPUs)`` processes. Each fold computes the same bits wherever it runs;
+    its log records reach this process's handlers in fold order, and the
+    first failing fold's exception is raised.
     """
-    import multiprocessing
-
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     family_indices(family)  # an unknown family fails here, before any fork
     folds = stratified_folds(y, k, seed)
 
-    report = EvaluationReport(family=family, k=k, seed=seed, lambda_l2=lambda_l2,
-                              accuracy=0.0, auc=0.0, n_selected=0.0,
-                              fold_assignment=folds.tolist())
-    workers = 1
-    if hasattr(os, "sched_getaffinity") and not multiprocessing.current_process().daemon:
-        workers = min(k, len(os.sched_getaffinity(0)))
     run = partial(_outer_fold, X=X, y=y, folds=folds, family=family, k_max=k_max,
-                  inner_cv=inner_cv, seed=seed, lambda_l2=lambda_l2, in_worker=workers > 1)
-    pool = multiprocessing.get_context("fork").Pool(workers) if workers > 1 else None
-    try:
-        # imap yields in fold order, so the lowest failing fold raises, as in map
-        outcomes = pool.imap(run, range(k)) if pool else map(run, range(k))
-        for (fold_accuracy, fold_auc, selected), records in outcomes:
-            for record in records:
-                log.handle(record)
-            report.fold_accuracy.append(fold_accuracy)
-            report.fold_auc.append(fold_auc)
-            report.fold_selected.append(selected)
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-    report.accuracy = float(np.mean(report.fold_accuracy))
-    report.auc = float(np.mean(report.fold_auc))
-    report.n_selected = float(np.mean([len(s) for s in report.fold_selected]))
-    return report
+                  inner_cv=inner_cv, seed=seed, lambda_l2=lambda_l2)
+    fold_accuracy, fold_auc, fold_selected = map(list, zip(*fan_out(run, [1] * k)))
+    return EvaluationReport(family=family, k=k, seed=seed, lambda_l2=lambda_l2,
+                            accuracy=float(np.mean(fold_accuracy)),
+                            auc=float(np.mean(fold_auc)),
+                            n_selected=float(np.mean([len(s) for s in fold_selected])),
+                            fold_accuracy=fold_accuracy, fold_auc=fold_auc,
+                            fold_selected=fold_selected, fold_assignment=folds.tolist())
 
 
 def render_evaluation_table(reports: list[EvaluationReport]) -> str:

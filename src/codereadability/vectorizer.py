@@ -9,6 +9,10 @@ feature layer that fills each column: a TF group of
 ``features.TF_GROUPS``, or ``bwf``, ``pf`` or ``df``. Only the layers of
 the wanted columns run, after the lexer and, for ``tf.text_coherence``,
 block extraction. The columns that are not wanted are NaN.
+
+``featurize_corpus`` featurizes each snippet on its own, so it splits the
+snippets among the available CPUs with ``fanout.fan_out``, weighted by
+line count; its matrix has the same bits at any CPU count.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .config import AnalysisConfig
 from .corpus import Snippet, read_id_table, write_table
 from .dictionary import DictionaryProvider, load_dictionary
+from .fanout import fan_out
 from .features import (
     BwfFeatures,
     DfFeatures,
@@ -162,16 +167,18 @@ def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = Non
     """Feature matrix for a snippet list, one row per snippet in input order.
 
     Each snippet is featurized under its profile from
-    :func:`snippet_profiles`.
+    :func:`snippet_profiles`. The snippets are split among the available
+    CPUs by :func:`fanout.fan_out`, weighted by line count; the matrix
+    has the same bits at any CPU count.
     """
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    matrix = np.empty((len(snippets), N_FEATURES))
-    for row, s, p in zip(matrix, snippets, snippet_profiles(snippets, config)):
-        row[:] = featurize(s, p, d, config)
-    return matrix
+    profiles = snippet_profiles(snippets, config)
+    rows = fan_out(lambda i: featurize(snippets[i], profiles[i], d, config),
+                   [len(s.lines) for s in snippets])
+    return np.array(rows).reshape(len(snippets), N_FEATURES)
 
 
 def snippet_profiles(snippets: list[Snippet], config: AnalysisConfig) -> list[LanguageProfile]:

@@ -595,6 +595,21 @@ def test_undecodable_file_exit_3_names_the_file(tmp_path, capsys, kind):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+def test_undecodable_config_names_its_line_past_a_long_line(tmp_path, capsys, bom):
+    cfg = tmp_path / "conf.ini"
+    cfg.write_bytes(bom + b"[bwf]\n; " + b"c" * 20000 + b"\ntab_width = \xff\n")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text("x = 1\n")
+    out = tmp_path / "m.csv"
+    assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert re.search(rf"ERROR codereadability: cannot read {re.escape(str(cfg))}: 'utf-8' codec "
+                     r"can't decode byte 0xff in position 20021: .* \(line 3\)$", err, re.M), err
+
+
 def test_undecodable_snippet_of_a_manifest_exit_3_names_the_row(tmp_path, capsys):
     (tmp_path / "a.py").write_text("x = 1\n")
     (tmp_path / "b.py").write_bytes(b"\xff\xfe\n")

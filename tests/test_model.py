@@ -295,7 +295,8 @@ def _report_json(X, y, **kwargs):
 @pytest.mark.skipif(sys.platform != "linux", reason="the outer folds fork only on Linux")
 class TestEvaluateFanOut:
     """The outer folds give the same report, errors, log records and no
-    leftover process whether they run serially or in forked workers."""
+    leftover process whether they run serially or split by ``fan_out``
+    among 2, 3 or 4 processes."""
 
     @pytest.mark.parametrize("family,k_max", [("all", 2), ("tf", 3), ("tf", None)])
     @pytest.mark.parametrize("k", [2, 3, 10])
@@ -304,9 +305,10 @@ class TestEvaluateFanOut:
         kwargs = dict(family=family, k=k, seed=7, k_max=k_max, inner_cv=3)
         _cpus(monkeypatch, 1)
         serial = _report_json(X, y, **kwargs)
-        _cpus(monkeypatch, 2)
-        assert _report_json(X, y, **kwargs) == serial
-        assert multiprocessing.active_children() == []
+        for cpus in (2, 3, 4):
+            _cpus(monkeypatch, cpus)
+            assert _report_json(X, y, **kwargs) == serial
+            assert multiprocessing.active_children() == []
 
     def test_failing_fold_raises_the_serial_error(self, monkeypatch):
         X, y = _feature_matrix_61(n=40, seed=6)
@@ -320,13 +322,14 @@ class TestEvaluateFanOut:
         monkeypatch.setattr(model, "sfs", sfs_failing_in_fold_2)
         kwargs = dict(family="tf", k=4, seed=3, k_max=2, inner_cv=2)
         raised = []
-        for cpus in (1, 2):
+        # fold 2 runs in this process on 2 CPUs and in a worker on 3 and 4
+        for cpus in (1, 2, 3, 4):
             _cpus(monkeypatch, cpus)
             with pytest.raises(ValueError) as info:
                 evaluate(X, y, **kwargs)
             raised.append((type(info.value), str(info.value)))
             assert multiprocessing.active_children() == []
-        assert raised[0] == raised[1] == (ValueError, "no selection for seed 2003")
+        assert raised == [(ValueError, "no selection for seed 2003")] * 4
 
     def test_fold_log_records_reach_the_caller_in_fold_order(self, monkeypatch, caplog):
         X, y = _feature_matrix_61(n=40, seed=7)
@@ -340,15 +343,16 @@ class TestEvaluateFanOut:
         monkeypatch.setattr(model, "NEWTON_MAX_ITER", 1)
         kwargs = dict(family="tf", k=3, seed=0, k_max=2, inner_cv=2)
         seen = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3, 4):
             _cpus(monkeypatch, cpus)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="codereadability.model"):
                 evaluate(X, y, **kwargs)
             seen.append([(r.name, r.levelno, r.getMessage()) for r in caplog.records])
+            # share 0 runs in this process, each other share in a forked worker
             processes = {r.process for r in caplog.records}
-            assert (os.getpid() in processes) == (cpus == 1)
-        assert seen[0] == seen[1]
+            assert os.getpid() in processes and len(processes) == min(cpus, 3)
+        assert seen[1:] == seen[:1] * 3
         # per fold: its selection, then its final fit; 62 = (16 + 15) candidates x 2 inner folds
         assert seen[0] == [("codereadability.model", logging.WARNING, message)
                            for f in range(3)

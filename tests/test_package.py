@@ -86,7 +86,7 @@ def test_modules_load_on_first_access():
     assert steps["cli"] == {"model": False, "analytics": False, "multiprocessing": False,
                             "scipy": []}
     assert steps["auc"]["model"] and not steps["auc"]["analytics"]
-    # only a call to evaluate loads multiprocessing
+    # only a fan-out over two CPUs or more loads multiprocessing
     assert not steps["auc"]["multiprocessing"]
     assert "scipy.special" in steps["auc"]["scipy"]
     assert steps["paired_compare"]["analytics"]

@@ -146,7 +146,9 @@ class TestCorpusMatrix:
 
 
 _TRACED_FEATURIZE_AND_SCORE = """
-import json, sys
+import json, os, sys
+# the tracer counts calls in this process only, so nothing may fan out
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import tracing
 from codereadability.cli import main
 manifest, model, every_layer_model, matrix, scores, every_layer_scores, columns = sys.argv[1:]
