@@ -51,9 +51,10 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
     :func:`vectorizer.snippet_profiles`.
 
     Each snippet is featurized for the model's selected columns only; the
-    scores have the bits of ``predict`` on the full 61-feature vector. The
-    snippets are split among the available CPUs by
-    :func:`fanout.fan_out`, weighted by line count.
+    scores have the bits of ``predict`` on the full 61-feature vector.
+    :func:`fanout.fan_out` cuts the snippets into contiguous runs of about
+    equal line count, one per available CPU at most, and the log records
+    come in snippet order.
     """
     if config is None:
         config = AnalysisConfig()

@@ -31,6 +31,8 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .corpus import decode_utf8
+
 log = logging.getLogger(__name__)
 
 
@@ -87,12 +89,7 @@ def read_ini(path: str | Path, **options) -> configparser.ConfigParser:
     with open(path, "rb") as fh:
         data, source = fh.read(), fh.name
     try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:  # its offset counts from after a BOM
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"cannot read {path}: {exc} (line {line})") from None
-    try:
-        parser.read_string(text, source)
+        parser.read_string(decode_utf8(data, path, ValueError), source)
         for section in parser.sections():
             parser.items(section)  # interpolation errors would otherwise wait for a get
     except configparser.Error as exc:  # not a ValueError, so not a data error

@@ -102,6 +102,16 @@ def preprocess(s: Snippet) -> Snippet:
     return replace(s, lines=tuple(lines[start:end]))
 
 
+def decode_utf8(data: bytes, path: str | Path, error: type[Exception]) -> str:
+    """``data``, the bytes of the file ``path``, decoded as UTF-8 with a BOM
+    dropped; an undecodable byte raises ``error`` naming the file and line."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # its offset counts from after a BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"cannot read {path}: {exc} (line {line})") from None
+
+
 def read_table(path: str | Path, columns: tuple[str, ...], what: str) -> list[tuple[str, list[str]]]:
     """The data rows of a CSV table file (a ``what``), each with its place "<path>, line <n>".
 
@@ -114,12 +124,9 @@ def read_table(path: str | Path, columns: tuple[str, ...], what: str) -> list[tu
         data = Path(path).read_bytes()
     except FileNotFoundError:
         raise DatasetError(f"{what} not found: {path}") from None
+    reader = csv.reader(io.StringIO(decode_utf8(data, path, DatasetError), newline=""))
     try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
         records = [(f"{path}, line {reader.line_num}", row) for row in reader if row]
-    except UnicodeDecodeError as exc:  # its offset counts from after a BOM
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DatasetError(f"cannot read {path}: {exc} (line {line})") from None
     except csv.Error as exc:
         raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
     if not records:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .corpus import decode_utf8
+
 
 class DictionaryError(RuntimeError):
     """Backing database missing or unreadable at provider initialization."""
@@ -128,17 +130,14 @@ class _WordNetDatabase:
 
 def _parse_records(path: Path, parse, pos: str) -> None:
     """``parse(line, pos)`` on each record line of a WordNet file; the
-    license header lines start with a space. A record it cannot parse, or
-    a byte that is not UTF-8, raises ``DictionaryError`` naming its line."""
+    license header lines start with a space. The file is UTF-8, a BOM
+    dropped. A record it cannot parse, or a byte that is not UTF-8, raises
+    ``DictionaryError`` naming its line."""
     try:
         data = path.read_bytes()
-        text = data.decode("utf-8")
     except OSError as exc:
         raise DictionaryError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise DictionaryError(f"cannot read {path}: {exc} (line {line})") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(decode_utf8(data, path, DictionaryError).splitlines(), 1):
         if not line or line.startswith(" "):
             continue
         try:

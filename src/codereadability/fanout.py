@@ -1,12 +1,14 @@
 """One fork fan-out for independent work items.
 
 ``fan_out(work, costs)`` returns ``[work(i) for i in range(len(costs))]``.
-It splits the items among ``min(len(costs), available CPUs)`` shares
-(see :func:`split_shares`); this process works share 0 itself, and each
-other share runs in a forked daemonic process that sends its results back
-over a pipe. Every item is computed by the same code on the same inputs
-and its result is placed by its index, so the output is the serial one,
-bit for bit.
+It cuts the items into at most ``min(len(costs), available CPUs)``
+contiguous runs of about equal cost (see :func:`split_shares`). This
+process works the first run itself, with the caller's log handlers in
+place, and each later run is a forked daemonic process that sends its
+results and log records back over a pipe. The runs are read back in
+order, so the results are the runs' outputs joined, and the log records
+reach the handlers in item order. Every item is computed by the same code
+on the same inputs, so the output is the serial one, bit for bit.
 
 The workers are forked, not spawned: a spawned worker re-imports numpy and
 scipy, about 0.4 s of set-up each, which is more than the work of most
@@ -20,10 +22,9 @@ fork) and in a daemonic process, which may not have children.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import os
-from contextlib import contextmanager
+from itertools import accumulate, groupby
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -38,18 +39,34 @@ def available_cpus() -> int:
 
 
 def split_shares(costs: Sequence[float], count: int) -> list[list[int]]:
-    """The item indices of each of ``count`` shares, ascending within each.
+    """The items cut into at most ``count`` non-empty contiguous runs, in
+    item order, of about equal cost.
 
-    Items go costliest first (ties: lowest index first) to the share with
-    the least cost so far (ties: the lowest share).
+    The k-th cut lands at the running-cost boundary nearest k * total /
+    count, the earlier one on a tie: an item goes to the run that holds the
+    middle of its cost. So no run's cost is further than the largest
+    item's cost from total / count. A run whose items all cost 0 joins the
+    run before it (the first such run, the run after it), so no process
+    works empty items alone. Order comes first: costs [3, 3, 2, 2] split
+    6 / 4 in two, where dealing the costliest item to the least-loaded
+    share would split them 5 / 5.
     """
-    loads = [(0, share) for share in range(count)]
-    shares: list[list[int]] = [[] for _ in range(count)]
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        load, share = heapq.heappop(loads)
-        shares[share].append(i)
-        heapq.heappush(loads, (load + costs[i], share))
-    return [sorted(items) for items in shares]
+    bounds = list(accumulate(costs, initial=0))
+    total = bounds[-1]
+
+    def run_of(i: int) -> int:
+        if not total:
+            return 0
+        return min(count - 1, int(count * (bounds[i] + bounds[i + 1]) // (2 * total)))
+
+    runs: list[list[int]] = []
+    for _, items in groupby(range(len(costs)), run_of):
+        run = list(items)
+        if runs and not (any(costs[i] for i in run) and any(costs[i] for i in runs[-1])):
+            runs[-1] += run
+        else:
+            runs.append(run)
+    return runs
 
 
 def _share_count(n: int) -> int:
@@ -64,7 +81,7 @@ def _share_count(n: int) -> int:
 
 
 class _Held(logging.Handler):
-    """Keeps the log records of the item that runs."""
+    """Keeps the log records of a worker's run."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -74,91 +91,81 @@ class _Held(logging.Handler):
         self.records.append(record)
 
 
-@contextmanager
-def _holding():
-    """The package logger's records go to the yielded handler, not on."""
-    logger = logging.getLogger(_LOGGER)
-    held = _Held()
-    saved = logger.handlers, logger.propagate
-    logger.handlers, logger.propagate = [held], False
-    try:
-        yield held
-    finally:
-        logger.handlers, logger.propagate = saved
-
-
 def _run_share(work: Callable[[int], T], items: list[int]):
-    """``(results, records, failure)`` of ``items`` run in ascending order
-    up to the first failure: the results of the items that returned, the
-    log records of each item that ran, and ``(index, exception)`` of the
-    failing item or None."""
+    """``(results, failure)`` of ``items`` run in order up to the first
+    failure: the results of the items that returned, and the exception of
+    the failing item or None."""
     results: list[T] = []
-    records: list[list[logging.LogRecord]] = []
-    with _holding() as held:
-        for i in items:
-            held.records = []
-            records.append(held.records)
-            try:
-                results.append(work(i))
-            except Exception as exc:
-                return results, records, (i, exc)
-    return results, records, None
+    for i in items:
+        try:
+            results.append(work(i))
+        except Exception as exc:
+            return results, exc
+    return results, None
 
 
 def _worker(work: Callable[[int], T], items: list[int], conn) -> None:
-    """A forked share: its outcome goes back over ``conn``."""
-    results, records, failure = _run_share(work, items)
-    for record in (r for item in records for r in item):
+    """A forked run: its results, log records and failure go back over ``conn``."""
+    held = _Held()
+    logger = logging.getLogger(_LOGGER)
+    logger.handlers, logger.propagate = [held], False
+    results, failure = _run_share(work, items)
+    for record in held.records:
         # what the parent's handlers need, without args that may not pickle
         if record.exc_info:
             record.exc_text = logging.Formatter().formatException(record.exc_info)
         record.msg, record.args, record.exc_info = record.getMessage(), None, None
     try:
-        conn.send((results, records, failure))
+        conn.send((results, held.records, failure))
     except Exception as exc:  # a result or exception that does not pickle
-        conn.send(([], [], (items[0], RuntimeError(
-            f"a fan-out worker could not send its results: {exc!r}"))))
+        conn.send(([], [], RuntimeError(
+            f"a fan-out worker could not send its results: {exc!r}")))
     conn.close()
 
 
 def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
-    """``[work(i) for i in range(len(costs))]``, the items split by cost
-    among ``min(len(costs), available CPUs)`` processes.
+    """``[work(i) for i in range(len(costs))]``, the items cut by cost into
+    contiguous runs, one per process, on ``min(len(costs), available CPUs)``
+    processes at most.
 
-    Each share runs its items in ascending index order and stops at its
-    first failure; the exception of the lowest failing index is raised, as
-    the serial loop would raise it. While an item runs, the records of
-    the ``codereadability`` logger are held; once every share has
-    returned, they reach its handlers in item order, up to the failing
-    item. No worker outlives the call.
+    Each run stops at its first failure, and the first failing run's
+    exception is raised, as the serial loop would raise it. The records of
+    the ``codereadability`` logger reach its handlers in item order, up to
+    the failing item: this process's run logs live, and each worker's
+    records follow once the runs before it have returned. No worker
+    outlives the call.
     """
-    n = len(costs)
-    # zero-cost items can leave a share empty, and it needs no worker
-    shares = [share for share in split_shares(costs, _share_count(n)) if share]
-    if len(shares) <= 1:
-        return [work(i) for i in range(n)]
+    runs = split_shares(costs, _share_count(len(costs)))
+    if len(runs) <= 1:
+        return [work(i) for i in range(len(costs))]
 
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     workers = []
     try:
-        for items in shares[1:]:
+        for items in runs[1:]:
             receive, send = context.Pipe(duplex=False)
             worker = context.Process(target=_worker, args=(work, items, send), daemon=True)
             worker.start()
             send.close()  # so a worker that dies leaves EOF behind
             workers.append((worker, receive))
-        outcomes = [_run_share(work, shares[0])]
-        for (worker, receive), items in zip(workers, shares[1:]):
+        results, failure = _run_share(work, runs[0])
+        logger = logging.getLogger(_LOGGER)
+        for worker, receive in workers:
+            if failure is not None:
+                break
             try:
-                outcomes.append(receive.recv())
+                done, records, failure = receive.recv()
             except EOFError:  # the worker died before it sent anything
                 worker.join()
-                outcomes.append(([], [], (items[0], RuntimeError(
-                    f"a fan-out worker exited with code {worker.exitcode} "
-                    "before it sent its results"))))
+                failure = RuntimeError(f"a fan-out worker exited with code {worker.exitcode} "
+                                       "before it sent its results")
+                break
             worker.join()
+            for record in records:
+                logger.handle(record)
+            results += done
     finally:
         # a worker still running here is one whose outcome will not be read
         for worker, receive in workers:
@@ -166,22 +173,6 @@ def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
                 worker.terminate()
             worker.join()
             receive.close()
-
-    results: list = [None] * n
-    records: list[list[logging.LogRecord]] = [[] for _ in range(n)]
-    failures = []
-    for items, (done, logged, failure) in zip(shares, outcomes):
-        for i, value in zip(items, done):
-            results[i] = value
-        for i, item_records in zip(items, logged):
-            records[i] = item_records
-        if failure is not None:
-            failures.append(failure)
-    first = min(failures, key=lambda f: f[0]) if failures else None
-    logger = logging.getLogger(_LOGGER)
-    for item_records in records[: n if first is None else first[0] + 1]:
-        for record in item_records:
-            logger.handle(record)
-    if first is not None:
-        raise first[1]
+    if failure is not None:
+        raise failure
     return results

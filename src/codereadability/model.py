@@ -11,9 +11,9 @@ rose. Forward selection hands it every remaining candidate of an inner
 fold at once; ``train_logreg`` is the batch of one. Each problem takes the
 same iterates, bit for bit, as it would alone, so no result depends on
 the batch. Each outer fold of ``evaluate`` is one ``train_model`` call on
-its training rows, scored on its held-out rows; the folds share nothing
-and are split among the available CPUs by ``fanout.fan_out``, with the
-same bits at any CPU count. A model file
+its training rows, scored on its held-out rows; the folds share nothing,
+so ``fanout.fan_out`` cuts them into contiguous runs, one per available
+CPU at most, with the same bits at any CPU count. A model file
 carries the feature ``schema_version`` it was trained under, and
 ``load_model`` rejects any other. Everything is deterministic under a
 seed.
@@ -334,8 +334,7 @@ def predict(model: ReadabilityModel, x: np.ndarray) -> tuple[float, float]:
     without the intercept; the probability adds the intercept and applies
     the sigmoid.
     """
-    scaled = (np.asarray(x, dtype=np.float64) - model.scaler.mu) / model.scaler.sigma
-    picked = scaled[list(model.selected)]
+    picked = transform(model.scaler, x)[list(model.selected)]
     linear = float(picked @ model.weights)
     probability = float(expit(linear + model.intercept))
     return probability, linear
@@ -403,11 +402,12 @@ def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
              inner_cv: int = 5) -> EvaluationReport:
     """Cross-validated accuracy/AUC with per-fold scaling and selection.
 
-    The outer folds share nothing, so they run side by side through
-    :func:`fanout.fan_out`, one item per fold, on ``min(k, available
-    CPUs)`` processes. Each fold computes the same bits wherever it runs;
-    its log records reach this process's handlers in fold order, and the
-    first failing fold's exception is raised.
+    The outer folds share nothing, so :func:`fanout.fan_out` cuts them
+    into contiguous runs of about equal fold count, one per process on
+    ``min(k, available CPUs)`` processes at most. Each fold computes the
+    same bits wherever it runs. This process logs its own folds live, the
+    workers' records follow in fold order, and the first failing fold's
+    exception is raised.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -10,9 +10,10 @@ feature layer that fills each column: a TF group of
 the wanted columns run, after the lexer and, for ``tf.text_coherence``,
 block extraction. The columns that are not wanted are NaN.
 
-``featurize_corpus`` featurizes each snippet on its own, so it splits the
-snippets among the available CPUs with ``fanout.fan_out``, weighted by
-line count; its matrix has the same bits at any CPU count.
+``featurize_corpus`` featurizes each snippet on its own, so
+``fanout.fan_out`` cuts the snippets into contiguous runs of about equal
+line count, one per available CPU at most; its matrix has the same bits
+at any CPU count.
 """
 
 from __future__ import annotations
@@ -167,9 +168,10 @@ def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = Non
     """Feature matrix for a snippet list, one row per snippet in input order.
 
     Each snippet is featurized under its profile from
-    :func:`snippet_profiles`. The snippets are split among the available
-    CPUs by :func:`fanout.fan_out`, weighted by line count; the matrix
-    has the same bits at any CPU count.
+    :func:`snippet_profiles`. :func:`fanout.fan_out` cuts the snippets
+    into contiguous runs of about equal line count, one per available CPU
+    at most; the matrix has the same bits at any CPU count, and the log
+    records come in snippet order.
     """
     if config is None:
         config = AnalysisConfig()

@@ -8,6 +8,7 @@ from codereadability.dictionary import (
     count_syllables,
     load_dictionary,
 )
+from conftest import WORDNET_MINI
 
 FIXTURE_TERMS = ["dog", "cat", "big", "large", "entity", "person", "chase", "qqzx"]
 
@@ -57,6 +58,12 @@ class TestWordNetBackend:
         with pytest.raises(DictionaryError, match=r"cannot read .*index\.noun: 'utf-8' codec can't "
                                                   r"decode byte 0xff .*\(line 3\)$"):
             DictionaryProvider.from_wordnet(tmp_path)
+
+    def test_a_bom_is_dropped(self, tmp_path, wordnet_dict):
+        for source in WORDNET_MINI.iterdir():
+            (tmp_path / source.name).write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        with_bom = DictionaryProvider.from_wordnet(tmp_path)
+        assert [with_bom.lookup(t) for t in FIXTURE_TERMS] == [wordnet_dict.lookup(t) for t in FIXTURE_TERMS]
 
     def test_lookup_is_pure(self, wordnet_dict):
         assert wordnet_dict.lookup("dog") == wordnet_dict.lookup("dog")

@@ -45,29 +45,33 @@ def _snippets():
 
 
 class TestSplitShares:
-    def test_costliest_first_to_the_least_loaded_share(self):
-        assert split_shares([1000, 2000, 3000, 4000], 2) == [[0, 3], [1, 2]]
+    def test_contiguous_runs_cut_nearest_each_share_of_the_total(self):
+        assert split_shares([1000, 2000, 3000, 4000], 2) == [[0, 1, 2], [3]]
+        # order comes first: dealing the costliest item to the least-loaded share would split 5 / 5
+        assert split_shares([3, 3, 2, 2], 2) == [[0, 1], [2, 3]]
         assert split_shares([5, 1, 1, 1, 1, 1], 2) == [[0], [1, 2, 3, 4, 5]]
+        assert split_shares([1] * 10, 2) == [list(range(5)), list(range(5, 10))]
 
-    def test_ties_go_to_the_lowest_index_and_the_lowest_share(self):
-        assert split_shares([1] * 5, 2) == [[0, 2, 4], [1, 3]]
-        assert split_shares([0, 0, 0], 3) == [[0, 1, 2], [], []]
+    def test_a_tie_cuts_at_the_earlier_boundary(self):
+        assert split_shares([1, 1, 1], 2) == [[0], [1, 2]]
+        assert split_shares([1] * 5, 2) == [[0, 1], [2, 3, 4]]
 
-    def test_more_shares_than_items_leaves_empty_shares(self):
-        assert split_shares([2, 7], 4) == [[1], [0], [], []]
-        assert split_shares([], 2) == [[], []]
+    def test_no_run_is_empty_or_costs_nothing_beside_a_costly_one(self):
+        assert split_shares([2, 7], 4) == [[0], [1]]
+        assert split_shares([], 2) == []
+        assert split_shares([0, 0, 0], 3) == [[0, 1, 2]]
+        assert split_shares([0, 4, 0, 4], 3) == [[0, 1, 2], [3]]
+        assert split_shares([0, 4, 0, 0], 3) == [[0, 1, 2, 3]]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 50), max_size=40), st.integers(1, 6))
-    def test_every_item_once_and_no_share_above_the_greedy_bound(self, costs, count):
-        shares = split_shares(costs, count)
-        assert sorted(i for share in shares for i in share) == list(range(len(costs)))
-        assert all(share == sorted(share) for share in shares)
-        loads = [sum(costs[i] for i in share) for share in shares]
-        # each share's last item joined it when the share was least loaded
-        for share, load in zip(shares, loads):
-            if share:
-                assert load - min(costs[i] for i in share) <= sum(costs) / count
+    def test_runs_are_contiguous_in_order_and_near_an_equal_share(self, costs, count):
+        runs = split_shares(costs, count)
+        # joined in order, the runs are the items: contiguous, in order, each item once
+        assert [i for run in runs for i in run] == list(range(len(costs)))
+        assert all(runs) and len(runs) <= count
+        for run in runs:
+            assert abs(sum(costs[i] for i in run) - sum(costs) / count) <= max(costs)
 
 
 class TestFanOut:
@@ -79,13 +83,13 @@ class TestFanOut:
 
     @pytest.mark.parametrize("cpus,costs,processes", [
         (1, [1] * 5, 1), (2, [1] * 5, 2), (4, [1] * 5, 4), (4, [1, 1], 2), (3, [1], 1),
-        # zero-cost items stay with the first share, and an empty share forks nothing
-        (3, [0, 0, 0], 1), (3, [0, 4, 0, 0], 2)])
+        # a run of zero-cost items joins the run before it, and forks nothing
+        (3, [0, 0, 0], 1), (3, [0, 4, 0, 4], 2)])
     def test_this_process_works_share_0_and_each_other_share_forks(
             self, monkeypatch, no_leftover_workers, cpus, costs, processes):
         _cpus(monkeypatch, cpus)
         pids = fan_out(lambda i: os.getpid(), costs)
-        assert pids[costs.index(max(costs))] == os.getpid()
+        assert pids[0] == os.getpid()
         assert len(set(pids)) == processes
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
@@ -121,7 +125,7 @@ class TestFanOut:
 
     def test_a_worker_that_dies_raises(self, monkeypatch, no_leftover_workers):
         def work(i):
-            if i == 1:
+            if i == 2:  # the last item, which the worker runs
                 os._exit(3)
             return i
 
@@ -153,6 +157,18 @@ class TestFanOut:
             for i, c in enumerate(costs))
         # the caller's handlers are back in place
         assert package.handlers == [handler] and package.propagate is False
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS[1:])
+    def test_this_process_logs_its_run_live(self, monkeypatch, no_leftover_workers, caplog, cpus):
+        def work(i):
+            log.warning("item %d", i)
+            return [r.getMessage() for r in caplog.records]
+
+        _cpus(monkeypatch, cpus)
+        with caplog.at_level(logging.WARNING, logger=log.name):
+            seen = fan_out(work, [1] * 8)
+        # items 0 and 1 open the first run, which this process works with the caller's handlers
+        assert seen[:2] == [["item 0"], ["item 0", "item 1"]]
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
     def test_a_record_with_a_traceback_keeps_its_text(self, monkeypatch, no_leftover_workers,

@@ -322,7 +322,7 @@ class TestEvaluateFanOut:
         monkeypatch.setattr(model, "sfs", sfs_failing_in_fold_2)
         kwargs = dict(family="tf", k=4, seed=3, k_max=2, inner_cv=2)
         raised = []
-        # fold 2 runs in this process on 2 CPUs and in a worker on 3 and 4
+        # fold 2 runs in a worker on 2, 3 and 4 CPUs: the runs are 01|23, 0|12|3 and 0|1|2|3
         for cpus in (1, 2, 3, 4):
             _cpus(monkeypatch, cpus)
             with pytest.raises(ValueError) as info:
