@@ -20,10 +20,10 @@ from scipy.special import ndtr
 
 from .config import AnalysisConfig
 from .corpus import Snippet, read_id_table, write_table
-from .dictionary import DictionaryProvider, load_dictionary
-from .fanout import fan_out
+from .dictionary import DictionaryProvider
 from .model import ReadabilityModel, predict, rankdata
-from .vectorizer import featurize, snippet_profiles
+# perfbench/tracing.py wraps analytics.featurize; nothing here calls it
+from .vectorizer import featurize, featurize_corpus  # noqa: F401
 
 # up to this many nonzero pairs the p-value is exact; the 2^n
 # sign-assignment counts stay exact in int64 only for n <= 62
@@ -47,24 +47,15 @@ def score_corpus(model: ReadabilityModel, snippets: list[Snippet],
                  d: DictionaryProvider | None = None,
                  config: AnalysisConfig | None = None,
                  label: str = "") -> ScoreTable:
-    """Score snippets in input order, each under its profile from
-    :func:`vectorizer.snippet_profiles`.
+    """Score snippets in input order: one :func:`model.predict` per row of
+    :func:`vectorizer.featurize_corpus` for the model's selected columns.
 
-    Each snippet is featurized for the model's selected columns only; the
+    ``featurize_corpus`` resolves the profiles, ``d`` and ``config`` and
+    fans the featurizing out; every ``predict`` runs in this process. The
     scores have the bits of ``predict`` on the full 61-feature vector.
-    :func:`fanout.fan_out` cuts the snippets into contiguous runs of about
-    equal line count, one per available CPU at most, and the log records
-    come in snippet order.
     """
-    if config is None:
-        config = AnalysisConfig()
-    if d is None:
-        d = load_dictionary(config.dictionary_path)
-    profiles = snippet_profiles(snippets, config)
-    results = fan_out(
-        lambda i: predict(model, featurize(snippets[i], profiles[i], d, config,
-                                           columns=model.selected)),
-        [len(s.lines) for s in snippets])
+    matrix = featurize_corpus(snippets, d, config, columns=model.selected)
+    results = [predict(model, x) for x in matrix]
     return ScoreTable(
         ids=tuple(s.id for s in snippets),
         linear_scores=tuple(linear for _, linear in results),

@@ -49,38 +49,43 @@ def _resolve_config(args) -> AnalysisConfig:
     return cfg
 
 
-def _load_corpus(in_path: str, language: str) -> tuple[list[Snippet], bool]:
-    """Snippets from either a directory of files or a labeled manifest CSV,
-    and whether a file of the directory was unreadable. Each unreadable file
-    is logged, and the rest are still read.
+def _write_from_inputs(args, cfg: AnalysisConfig, output: str, write) -> int:
+    """``write(snippets, dictionary)`` for the snippets of ``--in``, a
+    directory of files or a labeled manifest CSV; the exit code. Each
+    unreadable file is logged, and stops the command before any output
+    unless ``--keep-going`` is set, which writes the rest and exits 3.
+    No snippet at all warns that ``output`` is written header-only.
     """
-    path = Path(in_path)
-    if not path.is_dir():
-        return list(load_labeled_dataset(path).snippets), False
-    snippets: list[Snippet] = []
+    path = Path(args.in_path)
     unreadable = False
-    for file in sorted(p for p in path.rglob("*") if p.is_file()):
-        rel = str(file.relative_to(path))
-        try:
-            snippets.append(preprocess(load_snippet_file(file, language, rel)))
-        except (SnippetDecodeError, OSError) as exc:
-            log.error("unreadable input: %s: %s", rel, exc)
-            unreadable = True
-    return snippets, unreadable
+    if path.is_dir():
+        snippets: list[Snippet] = []
+        for file in sorted(p for p in path.rglob("*") if p.is_file()):
+            rel = str(file.relative_to(path))
+            try:
+                snippets.append(preprocess(load_snippet_file(file, args.lang, rel)))
+            except (SnippetDecodeError, OSError) as exc:
+                log.error("unreadable input: %s: %s", rel, exc)
+                unreadable = True
+        if unreadable and not args.keep_going:
+            return EXIT_DATA
+    else:
+        snippets = list(load_labeled_dataset(path).snippets)
+    if not snippets:
+        log.warning("no snippets found in %s; writing header-only %s", args.in_path, output)
+    write(snippets, load_dictionary(cfg.dictionary_path))
+    return EXIT_DATA if unreadable else EXIT_OK
 
 
 def cmd_featurize(args) -> int:
     cfg = _resolve_config(args)
-    snippets, unreadable = _load_corpus(args.in_path, args.lang)
-    if unreadable and not args.keep_going:
-        return EXIT_DATA
-    if not snippets:
-        log.warning("no snippets found in %s; writing header-only matrix", args.in_path)
-    d = load_dictionary(cfg.dictionary_path)
-    matrix = featurize_corpus(snippets, d, cfg)
-    write_feature_matrix(args.out, [s.id for s in snippets], matrix)
-    log.info("wrote %d rows to %s", len(snippets), args.out)
-    return EXIT_DATA if unreadable else EXIT_OK
+
+    def write(snippets, d):
+        matrix = featurize_corpus(snippets, d, cfg)
+        write_feature_matrix(args.out, [s.id for s in snippets], matrix)
+        log.info("wrote %d rows to %s", len(snippets), args.out)
+
+    return _write_from_inputs(args, cfg, "matrix", write)
 
 
 def _featurized_dataset(args, cfg: AnalysisConfig):
@@ -133,14 +138,13 @@ def cmd_score(args) -> int:
     log.info("model reads %d of %d feature columns; feature layers run: %s",
              len(trained.selected), N_FEATURES,
              ", ".join(feature_layers(trained.selected)) or "none")
-    snippets, unreadable = _load_corpus(args.in_path, args.lang)
-    if unreadable and not args.keep_going:
-        return EXIT_DATA
-    d = load_dictionary(cfg.dictionary_path)
-    table = analytics.score_corpus(trained, snippets, d=d, config=cfg)
-    analytics.write_score_table(table, args.out)
-    log.info("scored %d snippets to %s", len(table), args.out)
-    return EXIT_DATA if unreadable else EXIT_OK
+
+    def write(snippets, d):
+        table = analytics.score_corpus(trained, snippets, d=d, config=cfg)
+        analytics.write_score_table(table, args.out)
+        log.info("scored %d snippets to %s", len(table), args.out)
+
+    return _write_from_inputs(args, cfg, "score table", write)
 
 
 def cmd_compare(args) -> int:
@@ -200,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default="all",
                        choices=["tf", "bwf", "pf", "df", "all"],
                        help="feature family to use")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed")
+        p.add_argument("--seed", type=_at_least(0), default=42,
+                       help="RNG seed, at least 0")
         p.add_argument("--lambda", dest="lambda_l2", type=float, default=None,
                        help="L2 regularization strength")
         p.add_argument("--kmax", type=_at_least(1), default=None,

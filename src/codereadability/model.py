@@ -10,10 +10,11 @@ retire converged problems and halve only the steps whose own objective
 rose. Forward selection hands it every remaining candidate of an inner
 fold at once; ``train_logreg`` is the batch of one. Each problem takes the
 same iterates, bit for bit, as it would alone, so no result depends on
-the batch. Each outer fold of ``evaluate`` is one ``train_model`` call on
-its training rows, scored on its held-out rows; the folds share nothing,
-so ``fanout.fan_out`` cuts them into contiguous runs, one per available
-CPU at most, with the same bits at any CPU count. A model file
+the batch. ``predict`` is the one way from a feature row to a score:
+each outer fold of ``evaluate`` is one ``train_model`` call on its
+training rows, with one ``predict`` per held-out row. The folds share
+nothing, so ``fanout.fan_out`` cuts them into contiguous runs, one per
+available CPU at most, with the same bits at any CPU count. A model file
 carries the feature ``schema_version`` it was trained under, and
 ``load_model`` rejects any other. Everything is deterministic under a
 seed.
@@ -387,14 +388,13 @@ def _outer_fold(fold: int, X: np.ndarray, y: np.ndarray, folds: np.ndarray,
                 family: str, k_max: int | None, inner_cv: int, seed: int,
                 lambda_l2: float) -> tuple[float, float, list[int]]:
     """``train_model`` on the training rows of one outer fold, then its
-    held-out ``(accuracy, auc, selected)``."""
+    held-out ``(accuracy, auc, selected)``, each held-out row scored by
+    one :func:`predict`."""
     test = folds == fold
     trained = train_model(X[~test], y[~test], family, lambda_l2, k_max, inner_cv,
                           seed=seed + 1000 * (fold + 1))
-    selected = list(trained.selected)
-    probs = expit(transform(trained.scaler, X[test])[:, selected] @ trained.weights
-                  + trained.intercept)
-    return accuracy(probs, y[test]), auc(probs, y[test]), selected
+    probs = [predict(trained, x)[0] for x in X[test]]
+    return accuracy(probs, y[test]), auc(probs, y[test]), list(trained.selected)
 
 
 def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,

@@ -10,10 +10,10 @@ feature layer that fills each column: a TF group of
 the wanted columns run, after the lexer and, for ``tf.text_coherence``,
 block extraction. The columns that are not wanted are NaN.
 
-``featurize_corpus`` featurizes each snippet on its own, so
-``fanout.fan_out`` cuts the snippets into contiguous runs of about equal
-line count, one per available CPU at most; its matrix has the same bits
-at any CPU count.
+``featurize_corpus``, the one corpus featurizer, featurizes each snippet
+on its own, so ``fanout.fan_out`` cuts the snippets into contiguous runs
+of about equal line count, one per available CPU at most; its matrix has
+the same bits at any CPU count.
 """
 
 from __future__ import annotations
@@ -164,10 +164,9 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
 
 
 def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = None,
-                     config: AnalysisConfig | None = None) -> np.ndarray:
-    """Feature matrix for a snippet list, one row per snippet in input order.
-
-    Each snippet is featurized under its profile from
+                     config: AnalysisConfig | None = None, columns=None) -> np.ndarray:
+    """Feature matrix for a snippet list: one ``featurize(s, columns=columns)``
+    row per snippet in input order, under its profile from
     :func:`snippet_profiles`. :func:`fanout.fan_out` cuts the snippets
     into contiguous runs of about equal line count, one per available CPU
     at most; the matrix has the same bits at any CPU count, and the log
@@ -178,7 +177,7 @@ def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = Non
     if d is None:
         d = load_dictionary(config.dictionary_path)
     profiles = snippet_profiles(snippets, config)
-    rows = fan_out(lambda i: featurize(snippets[i], profiles[i], d, config),
+    rows = fan_out(lambda i: featurize(snippets[i], profiles[i], d, config, columns),
                    [len(s.lines) for s in snippets])
     return np.array(rows).reshape(len(snippets), N_FEATURES)
 

@@ -62,12 +62,13 @@ class TestFeaturizeCommand:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 4  # header + 3
 
-    def test_empty_directory_header_only(self, tmp_path):
+    def test_empty_directory_header_only(self, tmp_path, capsys):
         src = tmp_path / "empty"
         src.mkdir()
         out = tmp_path / "matrix.csv"
         assert main(["featurize", "--in", str(src), "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 1
+        assert f"no snippets found in {src}; writing header-only matrix" in capsys.readouterr().err
 
     def test_corrupt_file_keep_going(self, tmp_path):
         src = tmp_path / "src"
@@ -138,10 +139,11 @@ class TestTrainEvaluateCommands:
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--kmax", "0"), ("train", "--kmax", "-3"), ("evaluate", "--kmax", "0"),
         ("evaluate", "--folds", "1"), ("evaluate", "--folds", "0"), ("evaluate", "--folds", "-2"),
+        ("train", "--seed", "-5"), ("evaluate", "--seed", "-1"),
     ])
     def test_kmax_and_folds_below_their_minimum_are_usage_errors_before_featurize(
             self, tmp_path, monkeypatch, capsys, command, flag, value):
-        """--kmax < 1 and --folds < 2: exit 2, nothing featurized or written."""
+        """--kmax < 1, --folds < 2 and --seed < 0: exit 2, nothing featurized or written."""
         from codereadability import cli
 
         def never(*args, **kwargs):
@@ -214,13 +216,15 @@ class TestScoreCompareCommands:
         main(["train", "--data", str(manifest), "--kmax", "2", "--out", str(model_path)])
         return model_path
 
-    def test_score_empty_corpus(self, trained_model, tmp_path):
+    def test_score_empty_corpus(self, trained_model, tmp_path, capsys):
         src = tmp_path / "empty"
         src.mkdir()
         out = tmp_path / "scores.csv"
         assert main(["score", "--model", str(trained_model), "--in", str(src),
                      "--out", str(out)]) == 0
         assert out.read_text().strip() == "id,linear_score,probability"
+        assert (f"no snippets found in {src}; writing header-only score table"
+                in capsys.readouterr().err)
 
     def test_score_logs_the_columns_and_layers_it_reads(self, trained_model, tmp_path, capsys):
         from codereadability.vectorizer import feature_layers

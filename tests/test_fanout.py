@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codereadability import fanout
+from codereadability import analytics, fanout
 from codereadability.analytics import score_corpus, write_score_table
 from codereadability.fanout import fan_out, split_shares
 from codereadability.model import ReadabilityModel, ScalerParams
@@ -211,7 +211,8 @@ def _pids(n):
 
 
 class TestOutputsAtEveryCpuCount:
-    """featurize and score write the same bytes at any CPU count."""
+    """featurize and score write the same bytes at any CPU count, and score
+    predicts in the calling process."""
 
     def _bytes_per_cpu_count(self, monkeypatch, tmp_path, write):
         outputs = []
@@ -240,14 +241,35 @@ class TestOutputsAtEveryCpuCount:
 
     def test_score_table(self, monkeypatch, tmp_path, bundled_dict):
         snippets = _snippets()
-        rng = np.random.default_rng(3)
-        trained = ReadabilityModel(
-            scaler=ScalerParams(mu=rng.normal(size=N_FEATURES), sigma=rng.uniform(1, 2, N_FEATURES)),
-            selected=(0, 9, 14, 20, 50, 59), weights=rng.normal(size=6),
-            intercept=0.25, lambda_l2=1.0)
+        trained = _model()
 
         def write(path):
             write_score_table(score_corpus(trained, snippets, bundled_dict), path)
 
         outputs = self._bytes_per_cpu_count(monkeypatch, tmp_path, write)
         assert outputs == [outputs[0]] * len(CPU_COUNTS)
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_score_predicts_each_snippet_once_in_this_process(self, monkeypatch,
+                                                              no_leftover_workers,
+                                                              bundled_dict, cpus):
+        snippets = _snippets()
+        real_predict = analytics.predict
+        pids = []
+
+        def spy(trained, x):
+            pids.append(os.getpid())
+            return real_predict(trained, x)
+
+        monkeypatch.setattr(analytics, "predict", spy)
+        _cpus(monkeypatch, cpus)
+        score_corpus(_model(), snippets, bundled_dict)
+        assert pids == [os.getpid()] * len(snippets)
+
+
+def _model() -> ReadabilityModel:
+    rng = np.random.default_rng(3)
+    return ReadabilityModel(
+        scaler=ScalerParams(mu=rng.normal(size=N_FEATURES), sigma=rng.uniform(1, 2, N_FEATURES)),
+        selected=(0, 9, 14, 20, 50, 59), weights=rng.normal(size=6),
+        intercept=0.25, lambda_l2=1.0)

@@ -2,7 +2,8 @@
 
 ``featurize(s, columns=c)`` must give every wanted column the bits of
 the full vector (``tobytes``) and NaN everywhere else, for each column
-alone, Hypothesis subsets and all 61. ``score_corpus``, which featurizes
+alone, Hypothesis subsets and all 61, and ``featurize_corpus(snippets,
+columns=c)`` must be those rows stacked. ``score_corpus``, which featurizes
 the model's columns only, must give the ``.hex()`` of ``predict`` on the
 full vector. A model that reads one column must not run the feature work
 of any other.
@@ -23,7 +24,13 @@ from codereadability.features import TF_GROUPS, TfFeatures, compute_tf, tf
 from codereadability.lexical import extract_blocks, tokenize
 from codereadability.model import ReadabilityModel, ScalerParams, predict
 from codereadability.profiles import get_profile
-from codereadability.vectorizer import N_FEATURES, feature_layers, featurize, schema_names
+from codereadability.vectorizer import (
+    N_FEATURES,
+    feature_layers,
+    featurize,
+    featurize_corpus,
+    schema_names,
+)
 
 from conftest import snip
 from lexer_samples import fixture_snippets
@@ -54,15 +61,26 @@ def assert_only(values: np.ndarray, full: np.ndarray, columns) -> None:
     assert np.isnan(values[~wanted]).all()
 
 
+def assert_corpus_rows(snippets, columns) -> None:
+    """``featurize_corpus`` is the stacked ``featurize`` rows, bit for bit."""
+    matrix = featurize_corpus(snippets, columns=columns)
+    rows = [featurize(s, columns=columns) for s in snippets]
+    assert matrix.shape == (len(snippets), N_FEATURES)
+    assert matrix.tobytes() == b"".join(row.tobytes() for row in rows)
+
+
 class TestFeaturizeColumns:
     @pytest.mark.parametrize("column", range(N_FEATURES), ids=NAMES)
     def test_each_column_alone(self, column):
         for s in SAMPLES:
             assert_only(featurize(s, columns=[column]), FULL[s.id], [column])
+        assert_corpus_rows(SAMPLES, [column])
 
     def test_all_columns(self):
         for s in SAMPLES:
             assert featurize(s, columns=range(N_FEATURES)).tobytes() == FULL[s.id].tobytes()
+        assert_corpus_rows(SAMPLES, range(N_FEATURES))
+        assert_corpus_rows(SAMPLES, None)
 
     def test_no_column_is_all_nan_and_runs_nothing(self, monkeypatch):
         def never(*args, **kwargs):
@@ -71,11 +89,14 @@ class TestFeaturizeColumns:
         monkeypatch.setattr(vectorizer, "tokenize", never)
         for s in SAMPLES:
             assert np.isnan(featurize(s, columns=())).all()
+        assert_corpus_rows(SAMPLES, ())
+        assert_corpus_rows([], ())
 
     @settings(max_examples=150, deadline=None)
     @given(st.sets(st.integers(0, N_FEATURES - 1)), st.sampled_from(SAMPLES))
     def test_column_subsets(self, columns, s):
         assert_only(featurize(s, columns=sorted(columns)), FULL[s.id], columns)
+        assert_corpus_rows([s, SAMPLES[0]], sorted(columns))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(source_texts(), st.sampled_from(["python", "java", "cuda"]),

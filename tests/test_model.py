@@ -280,6 +280,20 @@ class TestEvaluate:
             assert all(42 <= j < 46 for j in sel)
             assert len(sel) <= 4
 
+    def test_each_held_out_row_is_scored_by_one_predict(self, monkeypatch):
+        X, y = _feature_matrix_61(n=60, seed=8)
+        real_predict = model.predict
+        rows = []
+
+        def spy(trained, x):
+            rows.append(x.tobytes())
+            return real_predict(trained, x)
+
+        monkeypatch.setattr(model, "predict", spy)
+        _cpus(monkeypatch, 1)
+        report = evaluate(X, y, family="tf", k=3, seed=2, k_max=2, inner_cv=3)
+        folds = np.asarray(report.fold_assignment)
+        assert rows == [x.tobytes() for f in range(3) for x in X[folds == f]]
 
 
 def _cpus(monkeypatch, n):
