@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .corpus import (
     preprocess,
 )
 from .dictionary import DictionaryError, load_dictionary
-from .vectorizer import N_FEATURES, feature_layers, featurize_corpus, write_feature_matrix
+from .vectorizer import FAMILIES, N_FEATURES, feature_layers, featurize_corpus, write_feature_matrix
 
 log = logging.getLogger("codereadability")
 
@@ -42,7 +43,8 @@ _DATA_ERRORS = (DictionaryError, ValueError, OSError)
 
 
 def _resolve_config(args) -> AnalysisConfig:
-    cfg = load_config(getattr(args, "config", None))
+    """``--config`` (or the defaults), ``--lambda`` overriding ``[model] lambda_l2``."""
+    cfg = load_config(args.config)
     if getattr(args, "lambda_l2", None) is not None:
         cfg = dataclasses.replace(cfg, lambda_l2=args.lambda_l2)
     log.info("resolved config: %s", json.dumps(cfg.to_dict(), sort_keys=True))
@@ -77,9 +79,7 @@ def _write_from_inputs(args, cfg: AnalysisConfig, output: str, write) -> int:
     return EXIT_DATA if unreadable else EXIT_OK
 
 
-def cmd_featurize(args) -> int:
-    cfg = _resolve_config(args)
-
+def cmd_featurize(args, cfg: AnalysisConfig) -> int:
     def write(snippets, d):
         matrix = featurize_corpus(snippets, d, cfg)
         write_feature_matrix(args.out, [s.id for s in snippets], matrix)
@@ -96,10 +96,9 @@ def _featurized_dataset(args, cfg: AnalysisConfig):
     return dataset, X, y
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, cfg: AnalysisConfig) -> int:
     from . import model as model_mod
 
-    cfg = _resolve_config(args)
     dataset, X, y = _featurized_dataset(args, cfg)
     trained = model_mod.train_model(
         X, y, family=args.family, lambda_l2=cfg.lambda_l2,
@@ -112,10 +111,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, cfg: AnalysisConfig) -> int:
     from . import model as model_mod
 
-    cfg = _resolve_config(args)
     _, X, y = _featurized_dataset(args, cfg)
     report = model_mod.evaluate(
         X, y, family=args.family, k=args.folds, seed=args.seed,
@@ -130,10 +128,9 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_score(args) -> int:
+def cmd_score(args, cfg: AnalysisConfig) -> int:
     from . import analytics, model as model_mod
 
-    cfg = _resolve_config(args)
     trained = model_mod.load_model(args.model)
     log.info("model reads %d of %d feature columns; feature layers run: %s",
              len(trained.selected), N_FEATURES,
@@ -147,10 +144,9 @@ def cmd_score(args) -> int:
     return _write_from_inputs(args, cfg, "score table", write)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, cfg: AnalysisConfig) -> int:
     from . import analytics
 
-    _resolve_config(args)
     table_a = analytics.read_score_table(args.a)
     table_b = analytics.read_score_table(args.b)
     report = analytics.paired_compare(table_a, table_b)
@@ -163,14 +159,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _at_least(low: int):
-    """argparse type: an int no smaller than ``low``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _at_least(low, convert=int):
+    """argparse type: a finite number, ``convert`` of the text, no smaller than ``low``."""
+    finite = " and finite" if convert is float else ""
+
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value < math.inf:  # false for NaN too
+            raise argparse.ArgumentTypeError(f"must be at least {low}{finite}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    parse.__name__ = convert.__name__  # argparse names the type in its "invalid int value" error
     return parse
 
 
@@ -202,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_train_eval_flags(p):
         p.add_argument("--data", required=True, help="labeled manifest CSV")
         p.add_argument("--family", default="all",
-                       choices=["tf", "bwf", "pf", "df", "all"],
+                       choices=[*map(str.lower, FAMILIES), "all"],
                        help="feature family to use")
         p.add_argument("--seed", type=_at_least(0), default=42,
                        help="RNG seed, at least 0")
-        p.add_argument("--lambda", dest="lambda_l2", type=float, default=None,
-                       help="L2 regularization strength")
+        p.add_argument("--lambda", dest="lambda_l2", type=_at_least(0, float), default=None,
+                       help="L2 regularization strength, finite and at least 0")
         p.add_argument("--kmax", type=_at_least(1), default=None,
                        help="max selected features, at least 1 (default: family size)")
 
@@ -254,7 +252,7 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     log.setLevel(level)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except _DATA_ERRORS as exc:
         log.error("%s", exc)
         return EXIT_DATA

@@ -16,11 +16,12 @@ INI layout mirrors the dotted key names used throughout the docs::
     lambda_l2 = 1.0    ; finite, >= 0
     inner_cv = 5       ; >= 2
 
-A ``;`` after a value starts a comment. An unknown key of these sections
-or of [lexical] (``profiles``) is an error, unless [DEFAULT] has it;
-another section is ignored with a warning. A file that is not INI at all
-(no section header, a section twice, a lone ``%``) raises ``ValueError``
-too.
+    [lexical]
+    profiles = my_profiles.ini
+
+A ``;`` after a value starts a comment, and another section is ignored
+with a warning. ``read_ini`` reads this file and the profiles file under
+one set of rules.
 """
 
 from __future__ import annotations
@@ -80,47 +81,54 @@ _SECTIONS = {
 }
 
 
-def read_ini(path: str | Path, **options) -> configparser.ConfigParser:
-    """The parsed INI file (UTF-8, a BOM dropped), ``options`` going to
-    ``ConfigParser``. A file it cannot parse, or a value it cannot
-    interpolate (a lone ``%``), raises ``ValueError`` naming the file; an
-    undecodable byte names the file and its line."""
+def read_ini(path: str | Path, keys_of, **options) -> dict[str, dict[str, object]]:
+    """``{section: {field: value}}`` of an INI file, ``options`` going to
+    ``ConfigParser``; ``keys_of(section)`` is the section's key table
+    ``{key: (field, convert)}``, or None to skip it with a warning.
+
+    The file is UTF-8, a BOM dropped; an undecodable byte, a file it cannot
+    parse or a value it cannot interpolate (a lone ``%``, in any section)
+    raises ``ValueError`` naming the file. Keys are read in order, the
+    section's own and then [DEFAULT]'s (never rejected), and the first that
+    is unknown or fails to convert raises ``ValueError`` naming the file,
+    the section and the key.
+    """
     parser = configparser.ConfigParser(**options)
     with open(path, "rb") as fh:
         data, source = fh.read(), fh.name
     try:
         parser.read_string(decode_utf8(data, path, ValueError), source)
-        for section in parser.sections():
-            parser.items(section)  # interpolation errors would otherwise wait for a get
+        # every value interpolated now, so a skipped section is checked too
+        sections = {section: dict(parser[section]) for section in parser.sections()}
     except configparser.Error as exc:  # not a ValueError, so not a data error
         raise ValueError(f"{path}: malformed INI: {exc}") from exc
-    return parser
+    settings = {}
+    for section, values in sections.items():
+        keys = keys_of(section)
+        if keys is None:
+            log.warning("%s: ignoring unknown section [%s]", path, section)
+            continue
+        fields = settings[section] = {}
+        for key, raw in values.items():
+            if key in keys:
+                field, convert = keys[key]
+                try:
+                    fields[field] = convert(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+            elif key not in parser.defaults():  # [DEFAULT] keys reach every section
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]; "
+                                 f"it takes {', '.join(keys)}")
+    return settings
 
 
 def load_config(path: str | Path | None) -> AnalysisConfig:
     """The configuration of an INI file, or the defaults for None."""
     if path is None:
         return AnalysisConfig()
-    parser = read_ini(path, inline_comment_prefixes=(";",))
-    kwargs = {}
-    # each value error names the file, the section and the key; the range
-    # checks of AnalysisConfig name the section and the key themselves
-    for section in parser.sections():
-        keys = _SECTIONS.get(section)
-        if keys is None:
-            log.warning("%s: ignoring unknown section [%s]", path, section)
-            continue
-        for key in parser[section]:
-            if key in keys:
-                field, convert = keys[key]
-                try:
-                    kwargs[field] = convert(parser.get(section, key))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
-            elif key not in parser.defaults():  # [DEFAULT] keys reach every section
-                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]; "
-                                 f"it takes {', '.join(keys)}")
-    try:
-        return AnalysisConfig(**kwargs)
+    settings = read_ini(path, _SECTIONS.get, inline_comment_prefixes=(";",))
+    try:  # the range checks name the section and the key themselves
+        return AnalysisConfig(**{field: value for fields in settings.values()
+                                 for field, value in fields.items()})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -160,14 +160,6 @@ class DictionaryProvider:
         self._fallback = fallback
         self._cache: dict[str, LexEntry] = {}
 
-    @classmethod
-    def from_wordnet(cls, directory: str | Path) -> "DictionaryProvider":
-        return cls(_WordNetDatabase(directory), None)
-
-    @classmethod
-    def bundled(cls) -> "DictionaryProvider":
-        return cls(None, _load_fallback_words())
-
     def lookup(self, term: str) -> LexEntry:
         if self._wordnet is None:
             return _LISTED if term in self._fallback else _ABSENT
@@ -188,9 +180,11 @@ class DictionaryProvider:
 
 
 def load_dictionary(path: str | Path | None = None) -> DictionaryProvider:
+    """The WordNet database under the directory ``path``, or the bundled
+    list (read once per process) when no path is given."""
     if path:
-        return DictionaryProvider.from_wordnet(path)
-    return DictionaryProvider.bundled()
+        return DictionaryProvider(_WordNetDatabase(path), None)
+    return DictionaryProvider(None, _load_fallback_words())
 
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")

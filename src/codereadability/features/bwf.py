@@ -66,7 +66,6 @@ def compute_bwf(profile: LexicalProfile) -> BwfFeatures:
     n_ids = len(profile.identifiers)
     id_lengths = [len(t) for t in profile.identifiers]
     m = max(1, profile.m)
-    blanks = sum(1 for s in profile.per_line if s.is_blank)
     comment_lines = sum(1 for s in profile.per_line if s.has_comment)
 
     return BwfFeatures(
@@ -85,7 +84,7 @@ def compute_bwf(profile: LexicalProfile) -> BwfFeatures:
         paren_avg=avg(col.parens),
         bracket_avg=avg(col.brackets),
         period_avg=avg(col.periods),
-        blank_ratio=blanks / m,
+        blank_ratio=(profile.m - profile.m_ne) / m,
         comment_ratio=comment_lines / m,
         comma_avg=avg(col.commas),
         space_avg=avg(col.spaces),

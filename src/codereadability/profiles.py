@@ -8,8 +8,9 @@ the python profile so unknown languages behave deterministically.
 A profile table maps language names to profiles. ``load_profiles(path)``
 builds one: the built-ins overlaid by the sections of an INI file, so a
 section may add a language or override a built-in one (``[generic]``,
-``[python]``). The table is a value passed to ``get_profile``; nothing
-here keeps state between calls, and the built-ins cannot be changed.
+``[python]``), read by ``config.read_ini``. The table is a value passed
+to ``get_profile``; nothing here keeps state between calls, and the
+built-ins cannot be changed.
 """
 
 from __future__ import annotations
@@ -147,11 +148,36 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(tok for tok in raw.split() if tok)
 
 
-def _split_pairs(raw: str, where: str) -> tuple[tuple[str, str], ...]:
+def _split_set(raw: str) -> frozenset[str]:
+    return frozenset(_split_list(raw))
+
+
+def _split_pairs(raw: str) -> tuple[tuple[str, str], ...]:
     toks = raw.split()
     if len(toks) % 2:
-        raise ValueError(f"{where}: block comment delimiters must come in open/close pairs: {raw!r}")
+        raise ValueError(f"block comment delimiters must come in open/close pairs: {raw!r}")
     return tuple((toks[i], toks[i + 1]) for i in range(0, len(toks), 2))
+
+
+# each INI key of a profile section: the LanguageProfile field it sets, how
+# its whitespace-separated tokens parse, and the field's value when the
+# section leaves the key out
+_PROFILE_KEYS = {
+    "keywords": ("keyword_set", _split_set, frozenset()),
+    "line_comments": ("line_comment_markers", _split_list, ()),
+    "block_comments": ("block_comment_delims", _split_pairs, ()),
+    "strings": ("string_delims", _split_list, ('"',)),
+    "builtins": ("builtin_names", _split_set, frozenset()),
+    "branch_keywords": ("branch_keywords", _split_set, frozenset({"if"})),
+    "loop_keywords": ("loop_keywords", _split_set, frozenset({"for", "while"})),
+    "assignment_ops": ("assignment_ops", _split_list, PYTHON_PROFILE.assignment_ops),
+    "arithmetic_ops": ("arithmetic_ops", _split_list, PYTHON_PROFILE.arithmetic_ops),
+    "comparison_ops": ("comparison_ops", _split_list, PYTHON_PROFILE.comparison_ops),
+    "punctuation": ("punctuation", _split_list, PYTHON_PROFILE.punctuation),
+    "docstring_delims": ("docstring_delims", _split_list, ()),
+}
+_KEY_TABLE = {key: (field, parse) for key, (field, parse, _) in _PROFILE_KEYS.items()}
+_LEFT_OUT = {field: value for field, _, value in _PROFILE_KEYS.values()}
 
 
 def load_profiles(path: str | Path | None) -> dict[str, LanguageProfile]:
@@ -167,44 +193,13 @@ def load_profiles(path: str | Path | None) -> dict[str, LanguageProfile]:
         block_comments = /* */
         strings = " '
 
-    A key that no profile takes is an error, unless [DEFAULT] has it. A
-    ``;`` after a value is a token, not a comment.
+    A key left out takes its value in ``_PROFILE_KEYS``. The file follows
+    the INI rules of ``config.read_ini``, but a ``;`` after a value is a
+    token, not a comment.
     """
     profiles = dict(_BUILTIN_PROFILES)
     if not path:
         return profiles
-    parser = read_ini(path)
-    base = PYTHON_PROFILE
-    # each key a section takes, and its value when the section leaves it out
-    defaults = {
-        "keywords": "", "line_comments": "", "block_comments": "", "strings": '"',
-        "builtins": "", "branch_keywords": "if", "loop_keywords": "for while",
-        "assignment_ops": " ".join(base.assignment_ops),
-        "arithmetic_ops": " ".join(base.arithmetic_ops),
-        "comparison_ops": " ".join(base.comparison_ops),
-        "punctuation": " ".join(base.punctuation),
-        "docstring_delims": "",
-    }
-    for section in parser.sections():
-        sec = parser[section]
-        for key in sec:
-            if key not in defaults and key not in parser.defaults():
-                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]; "
-                                 f"it takes {', '.join(defaults)}")
-        raw = {key: sec.get(key, default) for key, default in defaults.items()}
-        profiles[section] = LanguageProfile(
-            name=section,
-            keyword_set=frozenset(_split_list(raw["keywords"])),
-            line_comment_markers=_split_list(raw["line_comments"]),
-            block_comment_delims=_split_pairs(raw["block_comments"], f"{path}: [{section}] block_comments"),
-            string_delims=_split_list(raw["strings"]),
-            builtin_names=frozenset(_split_list(raw["builtins"])),
-            branch_keywords=frozenset(_split_list(raw["branch_keywords"])),
-            loop_keywords=frozenset(_split_list(raw["loop_keywords"])),
-            assignment_ops=_split_list(raw["assignment_ops"]),
-            arithmetic_ops=_split_list(raw["arithmetic_ops"]),
-            comparison_ops=_split_list(raw["comparison_ops"]),
-            punctuation=_split_list(raw["punctuation"]),
-            docstring_delims=_split_list(raw["docstring_delims"]),
-        )
+    for section, fields in read_ini(path, lambda section: _KEY_TABLE).items():
+        profiles[section] = LanguageProfile(name=section, **{**_LEFT_OUT, **fields})
     return profiles

@@ -3,19 +3,19 @@ from pathlib import Path
 import pytest
 
 from codereadability.corpus import load_snippet, preprocess
-from codereadability.dictionary import DictionaryProvider
+from codereadability.dictionary import DictionaryProvider, load_dictionary
 
 WORDNET_MINI = Path(__file__).parent / "data" / "wordnet_mini"
 
 
 @pytest.fixture(scope="session")
 def bundled_dict() -> DictionaryProvider:
-    return DictionaryProvider.bundled()
+    return load_dictionary()
 
 
 @pytest.fixture(scope="session")
 def wordnet_dict() -> DictionaryProvider:
-    return DictionaryProvider.from_wordnet(WORDNET_MINI)
+    return load_dictionary(WORDNET_MINI)
 
 
 def snip(text: str, language: str = "python", id: str = "s"):

@@ -140,10 +140,13 @@ class TestTrainEvaluateCommands:
         ("train", "--kmax", "0"), ("train", "--kmax", "-3"), ("evaluate", "--kmax", "0"),
         ("evaluate", "--folds", "1"), ("evaluate", "--folds", "0"), ("evaluate", "--folds", "-2"),
         ("train", "--seed", "-5"), ("evaluate", "--seed", "-1"),
+        *((command, "--lambda", value) for command in ("train", "evaluate")
+          for value in ("-1", "nan", "inf")),
     ])
     def test_kmax_and_folds_below_their_minimum_are_usage_errors_before_featurize(
             self, tmp_path, monkeypatch, capsys, command, flag, value):
-        """--kmax < 1, --folds < 2 and --seed < 0: exit 2, nothing featurized or written."""
+        """--kmax < 1, --folds < 2, --seed < 0 and --lambda < 0 or not finite: exit 2,
+        nothing featurized or written."""
         from codereadability import cli
 
         def never(*args, **kwargs):
@@ -556,15 +559,6 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert re.search(rf"cannot read {re.escape(str(wordnet / 'index.noun'))}: .*\(line 3\)$", err, re.M)
         assert "internal error" not in err
-
-    @pytest.mark.parametrize("value", ["nan", "-0.5"])
-    def test_invalid_lambda_flag_exit_3(self, tmp_path, capsys, value):
-        manifest = write_labeled_dataset(tmp_path / "data")
-        code = main(["train", "--data", str(manifest), f"--lambda={value}",
-                     "--out", str(tmp_path / "model.json")])
-        assert code == 3
-        assert "[model] lambda_l2 must be finite and >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "model.json").exists()
 
     def test_smallest_valid_numeric_settings_featurize(self, tmp_path):
         cfg = tmp_path / "conf.ini"

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from codereadability.dictionary import (
     DictionaryError,
-    DictionaryProvider,
     count_syllables,
     load_dictionary,
 )
@@ -47,22 +46,22 @@ class TestWordNetBackend:
 
     def test_missing_directory_fails_at_init(self, tmp_path):
         with pytest.raises(DictionaryError):
-            DictionaryProvider.from_wordnet(tmp_path / "nowhere")
+            load_dictionary(tmp_path / "nowhere")
 
     def test_directory_without_index_files(self, tmp_path):
         with pytest.raises(DictionaryError, match="no index"):
-            DictionaryProvider.from_wordnet(tmp_path)
+            load_dictionary(tmp_path)
 
     def test_undecodable_file_names_the_file_and_line(self, tmp_path):
         (tmp_path / "index.noun").write_bytes(b"  1 license header\nanimal n 1 1 @ 1 0 00000002\n\xff\n")
         with pytest.raises(DictionaryError, match=r"cannot read .*index\.noun: 'utf-8' codec can't "
                                                   r"decode byte 0xff .*\(line 3\)$"):
-            DictionaryProvider.from_wordnet(tmp_path)
+            load_dictionary(tmp_path)
 
     def test_a_bom_is_dropped(self, tmp_path, wordnet_dict):
         for source in WORDNET_MINI.iterdir():
             (tmp_path / source.name).write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
-        with_bom = DictionaryProvider.from_wordnet(tmp_path)
+        with_bom = load_dictionary(tmp_path)
         assert [with_bom.lookup(t) for t in FIXTURE_TERMS] == [wordnet_dict.lookup(t) for t in FIXTURE_TERMS]
 
     def test_lookup_is_pure(self, wordnet_dict):
@@ -108,7 +107,7 @@ class TestBundledFallback:
         assert bundled_dict.expand_synonyms(terms) == terms
 
     def test_providers_share_one_word_set(self):
-        assert load_dictionary()._fallback is DictionaryProvider.bundled()._fallback
+        assert load_dictionary()._fallback is load_dictionary()._fallback
 
 
 class TestSyllables:

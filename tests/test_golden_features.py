@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from codereadability.dictionary import DictionaryProvider
+from codereadability.dictionary import load_dictionary
 from codereadability.vectorizer import featurize, write_feature_matrix
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
 
@@ -33,5 +33,5 @@ def test_feature_matrix_matches_golden(tmp_path, bundled_dict):
 
 
 if __name__ == "__main__":
-    write_golden_matrix(GOLDEN, DictionaryProvider.bundled())
+    write_golden_matrix(GOLDEN, load_dictionary())
     print(f"wrote {GOLDEN}")

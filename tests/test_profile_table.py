@@ -7,10 +7,12 @@ the next one.
 """
 
 import csv
+import dataclasses
 import os
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,14 @@ from codereadability.cli import main
 from codereadability.config import load_config
 from codereadability.corpus import load_labeled_dataset
 from codereadability.model import ReadabilityModel, ScalerParams, save_model
-from codereadability.profiles import PYTHON_PROFILE, get_profile, load_profiles
+from codereadability.profiles import (
+    CUDA_PROFILE,
+    JAVA_PROFILE,
+    PYTHON_PROFILE,
+    LanguageProfile,
+    get_profile,
+    load_profiles,
+)
 from codereadability.vectorizer import N_FEATURES, featurize, featurize_corpus, write_feature_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,3 +193,42 @@ def test_profile_ini_keys(tmp_path):
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: unknown key 'keyword' "
                                          r"in section \[mylang\]; it takes keywords, "):
         load_profiles(path)
+
+
+# each profile INI key and the LanguageProfile field it sets
+PROFILE_KEYS = {
+    "keywords": "keyword_set", "line_comments": "line_comment_markers",
+    "block_comments": "block_comment_delims", "strings": "string_delims",
+    "builtins": "builtin_names", "branch_keywords": "branch_keywords",
+    "loop_keywords": "loop_keywords", "assignment_ops": "assignment_ops",
+    "arithmetic_ops": "arithmetic_ops", "comparison_ops": "comparison_ops",
+    "punctuation": "punctuation", "docstring_delims": "docstring_delims",
+}
+
+
+@pytest.mark.parametrize("builtin", [PYTHON_PROFILE, JAVA_PROFILE, CUDA_PROFILE],
+                         ids=lambda profile: profile.name)
+def test_a_builtin_profile_written_through_every_key_loads_back_equal(tmp_path, builtin):
+    def tokens(value):
+        if isinstance(value, frozenset):
+            value = sorted(value)
+        elif value and isinstance(value[0], tuple):  # block comment pairs
+            value = chain.from_iterable(value)
+        return " ".join(value).replace("%", "%%")
+
+    path = tmp_path / "profiles.ini"
+    path.write_text("[mine]\n" + "".join(f"{key} = {tokens(getattr(builtin, field))}\n"
+                                         for key, field in PROFILE_KEYS.items()),
+                    encoding="utf-8")
+    assert dataclasses.replace(load_profiles(path)["mine"], name=builtin.name) == builtin
+
+
+def test_a_profile_key_left_out_takes_its_documented_value(tmp_path):
+    path = tmp_path / "profiles.ini"
+    path.write_text("[empty]\n", encoding="utf-8")
+    assert load_profiles(path)["empty"] == LanguageProfile(
+        name="empty", keyword_set=frozenset(), line_comment_markers=(), block_comment_delims=(),
+        string_delims=('"',), branch_keywords=frozenset({"if"}),
+        loop_keywords=frozenset({"for", "while"}), assignment_ops=PYTHON_PROFILE.assignment_ops,
+        arithmetic_ops=PYTHON_PROFILE.arithmetic_ops, comparison_ops=PYTHON_PROFILE.comparison_ops,
+        punctuation=PYTHON_PROFILE.punctuation)

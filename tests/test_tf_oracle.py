@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codereadability.corpus import load_snippet, preprocess
-from codereadability.dictionary import DictionaryProvider
+from codereadability.dictionary import load_dictionary
 from codereadability.features import tf
 from codereadability.features.tf import (
     compute_tf,
@@ -286,7 +286,7 @@ def test_compute_tf_memory_is_bounded():
     s = repo_snippet(0, 20_000)
     prof = tokenize(s)
     blocks = extract_blocks(prof)
-    d = DictionaryProvider.bundled()
+    d = load_dictionary()
     tracemalloc.start()
     try:
         compute_tf(prof, blocks, d)
