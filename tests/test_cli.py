@@ -560,6 +560,27 @@ class TestCliContract:
         assert re.search(rf"cannot read {re.escape(str(wordnet / 'index.noun'))}: .*\(line 3\)$", err, re.M)
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_invalid_lambda_flag_exit_3(self, tmp_path, capsys, value):
+        """An invalid lambda exits 3 from the config file, naming its key; the same
+        value given as --lambda is a usage error (exit 2) naming the flag, not the key."""
+        manifest = write_labeled_dataset(tmp_path / "data")
+        model_path = tmp_path / "model.json"
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[model]\nlambda_l2 = {value}\n")
+        assert main(["--config", str(cfg), "train", "--data", str(manifest),
+                     "--out", str(model_path)]) == 3
+        assert "[model] lambda_l2 must be finite and >= 0" in capsys.readouterr().err
+        assert not model_path.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(manifest), f"--lambda={value}",
+                  "--out", str(model_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --lambda: must be at least" in err
+        assert "lambda_l2" not in err
+        assert not model_path.exists()
+
     def test_smallest_valid_numeric_settings_featurize(self, tmp_path):
         cfg = tmp_path / "conf.ini"
         cfg.write_text("[bwf]\ntab_width = 1\n\n[model]\ninner_cv = 2\nlambda_l2 = 0\n")
