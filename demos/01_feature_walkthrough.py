@@ -4,9 +4,10 @@
 
 import numpy as np
 
-from codereadability import featurize, load_dictionary, load_snippet, preprocess, schema
+from codereadability import featurize, get_profile, load_dictionary, load_snippet, preprocess, schema
 
 dictionary = load_dictionary()  # bundled English wordlist backend
+python = get_profile("python")  # built-in lexing profile
 
 CLEAN = '''\
 # Return the running total of the given values.
@@ -27,8 +28,8 @@ def rt(v):
 clean = preprocess(load_snippet(CLEAN, "python", "clean"))
 messy = preprocess(load_snippet(MESSY, "python", "messy"))
 
-vec_clean = featurize(clean, d=dictionary)
-vec_messy = featurize(messy, d=dictionary)
+vec_clean = featurize(clean, python, dictionary)
+vec_messy = featurize(messy, python, dictionary)
 
 # The schema is fixed: 16 textual + 26 formatting + 4 information-theoretic
 # + 15 visual entries, always in the same order.
@@ -57,6 +58,6 @@ for name in interesting:
     print(f"{name:<28}{vec_clean[i]:>10.3f}{vec_messy[i]:>10.3f}")
 
 # A degenerate snippet has no evidence at all, so every feature defaults to 0.
-empty = featurize(preprocess(load_snippet("", "python", "empty")), d=dictionary)
+empty = featurize(preprocess(load_snippet("", "python", "empty")), python, dictionary)
 print()
 print("empty snippet is all zeros:", bool(np.all(empty == 0.0)))

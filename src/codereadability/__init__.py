@@ -20,7 +20,6 @@ from .corpus import (
     load_labeled_dataset,
     load_snippet,
     preprocess,
-    save_labeled_dataset,
 )
 from .dictionary import DictionaryProvider, count_syllables, load_dictionary
 from .lexical import extract_blocks, split_identifier, tokenize
@@ -76,7 +75,6 @@ __all__ = [
     "predict",
     "preprocess",
     "render_report",
-    "save_labeled_dataset",
     "save_model",
     "schema",
     "schema_names",

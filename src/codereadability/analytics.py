@@ -91,7 +91,7 @@ def _exact_two_sided_p(w_plus: float, ranks: np.ndarray) -> float:
     counts[0] = 1
     for r in doubled:
         shifted = np.zeros_like(counts)
-        shifted[r:] = counts[:-r] if r > 0 else counts
+        shifted[r:] = counts[:-r]
         counts = counts + shifted
     w2 = int(round(2.0 * w_plus))
     lo = min(w2, total - w2)

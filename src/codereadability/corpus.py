@@ -41,10 +41,6 @@ class Snippet:
     language: str
     lines: tuple[str, ...]
 
-    @property
-    def raw_text(self) -> str:
-        return "\n".join(self.lines)
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -200,16 +196,3 @@ def load_labeled_dataset(manifest_path: str | Path) -> LabeledDataset:
     if not snippets:
         log.warning("manifest %s contains no rows", manifest_path)
     return LabeledDataset(tuple(snippets), tuple(labels))
-
-
-def save_labeled_dataset(dataset: LabeledDataset, directory: str | Path) -> Path:
-    """Write snippets plus a manifest CSV; inverse of load_labeled_dataset."""
-    directory = Path(directory)
-    (directory / "snippets").mkdir(parents=True, exist_ok=True)
-    rows = []
-    for snippet, label in zip(dataset.snippets, dataset.labels):
-        rel = Path("snippets") / f"{snippet.id}.txt"
-        (directory / rel).write_text(snippet.raw_text, encoding="utf-8")
-        rows.append([snippet.id, str(rel), snippet.language, label])
-    write_table(directory / "manifest.csv", MANIFEST_COLUMNS, rows)
-    return directory / "manifest.csv"

@@ -261,12 +261,6 @@ def _bitset_pairs(packed: np.ndarray, sets: list[frozenset]) -> tuple[float, flo
     return float(lo), total, float(hi)
 
 
-def token_overlap_distance(a: frozenset | set, b: frozenset | set) -> float:
-    if not a and not b:
-        return 0.0  # identical (empty) token sets are at distance zero
-    return 1.0 - jaccard(a, b)
-
-
 def _cluster_count(multiplicity: list[int], pairs, min_samples: int) -> int:
     """DBSCAN cluster count over weighted points: the connected components
     among core points (Ester et al., KDD 1996).

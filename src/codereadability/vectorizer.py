@@ -10,8 +10,10 @@ feature layer that fills each column: a TF group of
 the wanted columns run, after the lexer and, for ``tf.text_coherence``,
 block extraction. The columns that are not wanted are NaN.
 
-``featurize_corpus``, the one corpus featurizer, featurizes each snippet
-on its own, so ``fanout.fan_out`` cuts the snippets into contiguous runs
+``featurize`` takes the snippet's language profile and the dictionary;
+``featurize_corpus``, the one corpus featurizer, loads the profile table
+and the dictionary once per corpus. It featurizes each snippet on its
+own, so ``fanout.fan_out`` cuts the snippets into contiguous runs
 of about equal line count, one per available CPU at most; its matrix has
 the same bits at any CPU count.
 """
@@ -117,27 +119,18 @@ def feature_layers(columns=None) -> list[str]:
 _TF, _BWF, _PF, _DF = (slice(idx[0], idx[-1] + 1) for idx in map(family_indices, FAMILIES))
 
 
-def featurize(s: Snippet, p: LanguageProfile | None = None,
-              d: DictionaryProvider | None = None,
-              config: AnalysisConfig | None = None,
-              columns=None) -> np.ndarray:
-    """The (61,) float64 feature vector of a preprocessed snippet.
+def featurize(s: Snippet, p: LanguageProfile, d: DictionaryProvider,
+              config: AnalysisConfig | None = None, columns=None) -> np.ndarray:
+    """The (61,) float64 feature vector of a preprocessed snippet, lexed
+    under ``p`` with ``d`` as its dictionary.
 
     ``columns`` lists the wanted schema column indices (all 61 for None).
     Only the feature work those columns read runs (see
     :func:`feature_layers`); each wanted value has the bits it has in the
     full vector, and every other value is NaN.
-
-    Without ``p`` the snippet's language is looked up in the profile table
-    of ``config`` (the built-ins and its ``profiles_path``, read on each such
-    call) by :func:`snippet_profiles`.
     """
     if config is None:
         config = AnalysisConfig()
-    if p is None:
-        [p] = snippet_profiles([s], config)
-    if d is None:
-        d = load_dictionary(config.dictionary_path)
     columns = None if columns is None else tuple(columns)
     layers = _feature_layers(columns)
 
@@ -165,31 +158,26 @@ def featurize(s: Snippet, p: LanguageProfile | None = None,
 
 def featurize_corpus(snippets: list[Snippet], d: DictionaryProvider | None = None,
                      config: AnalysisConfig | None = None, columns=None) -> np.ndarray:
-    """Feature matrix for a snippet list: one ``featurize(s, columns=columns)``
-    row per snippet in input order, under its profile from
-    :func:`snippet_profiles`. :func:`fanout.fan_out` cuts the snippets
-    into contiguous runs of about equal line count, one per available CPU
-    at most; the matrix has the same bits at any CPU count, and the log
-    records come in snippet order.
+    """Feature matrix for a snippet list: one :func:`featurize` row per
+    snippet in input order, under its language's profile in the profile
+    table of ``config``; an unsupported language raises ``ValueError``
+    naming its snippet. The profile table and, without ``d``, the
+    dictionary are loaded once per call. :func:`fanout.fan_out` cuts the
+    snippets into contiguous runs of about equal line count, one per
+    available CPU at most; the matrix has the same bits at any CPU count,
+    and the log records come in snippet order.
     """
     if config is None:
         config = AnalysisConfig()
     if d is None:
         d = load_dictionary(config.dictionary_path)
-    profiles = snippet_profiles(snippets, config)
-    rows = fan_out(lambda i: featurize(snippets[i], profiles[i], d, config, columns),
-                   [len(s.lines) for s in snippets])
-    return np.array(rows).reshape(len(snippets), N_FEATURES)
-
-
-def snippet_profiles(snippets: list[Snippet], config: AnalysisConfig) -> list[LanguageProfile]:
-    """Each snippet's profile in the profile table of ``config``; an
-    unsupported language raises ``ValueError`` naming its snippet."""
     table = load_profiles(config.profiles_path)
     for s in snippets:
         if s.language not in table:
             raise ValueError(f"snippet {s.id!r}: unsupported language {s.language!r}")
-    return [table[s.language] for s in snippets]
+    rows = fan_out(lambda i: featurize(snippets[i], table[snippets[i].language], d, config, columns),
+                   [len(s.lines) for s in snippets])
+    return np.array(rows).reshape(len(snippets), N_FEATURES)
 
 
 # --------------------------------------------------------------------------

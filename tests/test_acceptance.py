@@ -20,7 +20,6 @@ from codereadability.features.tf import (
     comment_readability,
     jaccard,
     text_coherence,
-    token_overlap_distance,
 )
 from codereadability.features.bwf import compute_bwf
 from codereadability.features.df import alignment, spatial
@@ -32,10 +31,12 @@ from codereadability.model import (
     sfs_path,
     transform,
 )
+from codereadability.profiles import get_profile
 from codereadability.vectorizer import FAMILIES, featurize, schema
 
 from conftest import snip
 from test_cli import write_labeled_dataset
+from test_tf_oracle import token_overlap_distance
 
 
 @contextlib.contextmanager
@@ -61,11 +62,11 @@ def test_criterion_1_schema_integrity(bundled_dict):
         assert counts == {"TF": 16, "BWF": 26, "PF": 4, "DF": 15}
         assert [e.family for e in entries] == ["TF"] * 16 + ["BWF"] * 26 + ["PF"] * 4 + ["DF"] * 15
 
-        vec = featurize(snip(""), d=bundled_dict)
+        vec = featurize(snip(""), get_profile("python"), bundled_dict)
         assert vec.shape == (61,)
         assert np.all(vec == 0.0)
 
-        nonempty = featurize(snip("x = a + b  # sum"), d=bundled_dict)
+        nonempty = featurize(snip("x = a + b  # sum"), get_profile("python"), bundled_dict)
         assert np.all(np.isfinite(nonempty))
 
 

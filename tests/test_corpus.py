@@ -13,11 +13,8 @@ from codereadability.corpus import (
     load_snippet,
     load_snippet_file,
     preprocess,
-    save_labeled_dataset,
 )
-from codereadability.vectorizer import featurize, featurize_corpus
-
-from conftest import snip
+from codereadability.vectorizer import featurize_corpus
 
 
 class TestLoadSnippet:
@@ -38,8 +35,8 @@ class TestLoadSnippet:
         # even for a snippet with no lines
         s, empty = load_snippet("x", "fortran", "s"), load_snippet("", "fortran", "e")
         assert s.language == empty.language == "fortran"
-        for call in (lambda: featurize(s, d=bundled_dict), lambda: featurize(empty, d=bundled_dict),
-                     lambda: featurize_corpus([s], d=bundled_dict)):
+        for call in (lambda: featurize_corpus([s], d=bundled_dict),
+                     lambda: featurize_corpus([empty], d=bundled_dict)):
             with pytest.raises(ValueError, match="unsupported language 'fortran'"):
                 call()
 
@@ -87,7 +84,6 @@ class TestPreprocess:
         s = load_snippet("﻿x=1", "python", "s")
         out = preprocess(s)
         assert out.lines == ("x=1",)
-        assert "﻿" not in out.raw_text.encode("utf-8").decode("utf-8")
 
     def test_whitespace_only_lines_are_blank(self):
         s = load_snippet("   \nx=1\n\t", "python", "s")
@@ -165,18 +161,3 @@ class TestLabeledDataset:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError, match="manifest not found"):
             load_labeled_dataset(tmp_path / "nope.csv")
-
-    def test_save_load_round_trip(self, tmp_path):
-        manifest = _write_dataset(
-            tmp_path, [("a", "x = 1\n\ny = 2"), ("b", "# only a comment")]
-        )
-        ds = load_labeled_dataset(manifest)
-        out = save_labeled_dataset(ds, tmp_path / "saved")
-        again = load_labeled_dataset(out)
-        assert again == ds
-
-
-def test_snippet_raw_text_reconstructs_lines():
-    s = snip("a\nb\nc")
-    assert s.raw_text == "a\nb\nc"
-    assert tuple(s.raw_text.split("\n")) == s.lines

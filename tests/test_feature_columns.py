@@ -1,6 +1,6 @@
 """Oracle for featurizing some columns only.
 
-``featurize(s, columns=c)`` must give every wanted column the bits of
+``featurize(s, p, d, columns=c)`` must give every wanted column the bits of
 the full vector (``tobytes``) and NaN everywhere else, for each column
 alone, Hypothesis subsets and all 61, and ``featurize_corpus(snippets,
 columns=c)`` must be those rows stacked. ``score_corpus``, which featurizes
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from codereadability import vectorizer
 from codereadability.analytics import score_corpus
 from codereadability.corpus import load_snippet, preprocess
+from codereadability.dictionary import load_dictionary
 from codereadability.features import TF_GROUPS, TfFeatures, compute_tf, tf
 from codereadability.lexical import extract_blocks, tokenize
 from codereadability.model import ReadabilityModel, ScalerParams, predict
@@ -38,6 +39,12 @@ from test_fuzz_featurize import source_texts
 
 ROOT = Path(__file__).resolve().parent.parent
 NAMES = schema_names()
+BUNDLED = load_dictionary()
+
+
+def featurize_builtin(s, columns=None):
+    """``featurize`` under the snippet's built-in profile and the bundled dictionary."""
+    return featurize(s, get_profile(s.language), BUNDLED, columns=columns)
 
 
 def _samples():
@@ -51,7 +58,7 @@ def _samples():
 
 
 SAMPLES = _samples()
-FULL = {s.id: featurize(s) for s in SAMPLES}
+FULL = {s.id: featurize_builtin(s) for s in SAMPLES}
 
 
 def assert_only(values: np.ndarray, full: np.ndarray, columns) -> None:
@@ -64,7 +71,7 @@ def assert_only(values: np.ndarray, full: np.ndarray, columns) -> None:
 def assert_corpus_rows(snippets, columns) -> None:
     """``featurize_corpus`` is the stacked ``featurize`` rows, bit for bit."""
     matrix = featurize_corpus(snippets, columns=columns)
-    rows = [featurize(s, columns=columns) for s in snippets]
+    rows = [featurize_builtin(s, columns=columns) for s in snippets]
     assert matrix.shape == (len(snippets), N_FEATURES)
     assert matrix.tobytes() == b"".join(row.tobytes() for row in rows)
 
@@ -73,12 +80,12 @@ class TestFeaturizeColumns:
     @pytest.mark.parametrize("column", range(N_FEATURES), ids=NAMES)
     def test_each_column_alone(self, column):
         for s in SAMPLES:
-            assert_only(featurize(s, columns=[column]), FULL[s.id], [column])
+            assert_only(featurize_builtin(s, columns=[column]), FULL[s.id], [column])
         assert_corpus_rows(SAMPLES, [column])
 
     def test_all_columns(self):
         for s in SAMPLES:
-            assert featurize(s, columns=range(N_FEATURES)).tobytes() == FULL[s.id].tobytes()
+            assert featurize_builtin(s, columns=range(N_FEATURES)).tobytes() == FULL[s.id].tobytes()
         assert_corpus_rows(SAMPLES, range(N_FEATURES))
         assert_corpus_rows(SAMPLES, None)
 
@@ -88,14 +95,14 @@ class TestFeaturizeColumns:
 
         monkeypatch.setattr(vectorizer, "tokenize", never)
         for s in SAMPLES:
-            assert np.isnan(featurize(s, columns=())).all()
+            assert np.isnan(featurize_builtin(s, columns=())).all()
         assert_corpus_rows(SAMPLES, ())
         assert_corpus_rows([], ())
 
     @settings(max_examples=150, deadline=None)
     @given(st.sets(st.integers(0, N_FEATURES - 1)), st.sampled_from(SAMPLES))
     def test_column_subsets(self, columns, s):
-        assert_only(featurize(s, columns=sorted(columns)), FULL[s.id], columns)
+        assert_only(featurize_builtin(s, columns=sorted(columns)), FULL[s.id], columns)
         assert_corpus_rows([s, SAMPLES[0]], sorted(columns))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -103,12 +110,12 @@ class TestFeaturizeColumns:
            st.lists(st.integers(0, N_FEATURES - 1), max_size=8))
     def test_column_subsets_of_generated_snippets(self, text, language, columns):
         s = preprocess(load_snippet(text, language, "fuzz"))
-        assert_only(featurize(s, columns=columns), featurize(s), columns)
+        assert_only(featurize_builtin(s, columns=columns), featurize_builtin(s), columns)
 
     @pytest.mark.parametrize("columns", [[-1], [N_FEATURES], [3, 61]])
     def test_out_of_range_columns_rejected(self, columns):
         with pytest.raises(ValueError, match="feature columns"):
-            featurize(SAMPLES[0], columns=columns)
+            featurize_builtin(SAMPLES[0], columns=columns)
 
 
 class TestComputeTfFields:
@@ -173,7 +180,7 @@ def random_model(selected, seed: int) -> ReadabilityModel:
 def assert_scores_match_full_predict(trained: ReadabilityModel, d) -> None:
     table = score_corpus(trained, SAMPLES, d=d)
     for s, linear, prob in zip(SAMPLES, table.linear_scores, table.probabilities):
-        want_prob, want_linear = predict(trained, featurize(s, d=d))
+        want_prob, want_linear = predict(trained, featurize(s, get_profile(s.language), d))
         assert (linear.hex(), prob.hex()) == (want_linear.hex(), want_prob.hex()), s.id
 
 
@@ -194,7 +201,7 @@ class TestScoreCorpusColumns:
 
     def test_itid_model_runs_no_other_feature_work(self, bundled_dict, monkeypatch):
         trained = random_model([NAMES.index("tf.itid_avg")], seed=3)
-        expected = [tuple(map(float.hex, predict(trained, featurize(s, d=bundled_dict))))
+        expected = [tuple(map(float.hex, predict(trained, featurize_builtin(s))))
                     for s in SAMPLES]
 
         def never(*args, **kwargs):
@@ -208,4 +215,4 @@ class TestScoreCorpusColumns:
         assert [(p.hex(), linear.hex()) for p, linear in
                 zip(table.probabilities, table.linear_scores)] == expected
         with pytest.raises(AssertionError, match="does not read"):
-            featurize(SAMPLES[0], d=bundled_dict)
+            featurize_builtin(SAMPLES[0])

@@ -12,11 +12,11 @@ from codereadability.features.tf import (
     identifier_semantics,
     jaccard,
     text_coherence,
-    token_overlap_distance,
 )
 from codereadability.lexical import extract_blocks, tokenize
 
 from conftest import snip
+from test_tf_oracle import token_overlap_distance
 
 
 def block(*tokens):

@@ -316,7 +316,7 @@ def ref_df(profile, dictionary):
 def ref_featurize(s, p, d, config):
     if not s.lines:
         return np.zeros(61)
-    profile = ref_tokenize(s, p or get_profile(s.language), config.tab_width)
+    profile = ref_tokenize(s, p, config.tab_width)
     blocks = extract_blocks(profile)
     return np.array(ref_tf(profile, blocks, d, config) + ref_bwf(profile)
                     + ref_pf(profile) + ref_df(profile, d), dtype=np.float64)
@@ -324,6 +324,7 @@ def ref_featurize(s, p, d, config):
 
 def assert_same(s, d, p=None, tab_width=4):
     config = AnalysisConfig(tab_width=tab_width)
+    p = p or get_profile(s.language)
     got = featurize(s, p, d, config)
     want = ref_featurize(s, p, d, config)
     assert got.tobytes() == want.tobytes(), [

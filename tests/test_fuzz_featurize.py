@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from codereadability.corpus import SnippetDecodeError, load_snippet, preprocess
+from codereadability.profiles import get_profile
 from codereadability.vectorizer import N_FEATURES, featurize
 
 _CONSTRUCTS = ('"""', "'''", '"', "'", "/*", "*/", "#", "//", "\\", "r\"", "f'",
@@ -35,7 +36,8 @@ def source_texts(draw):
 @given(source_texts(), st.sampled_from(["python", "java", "cuda"]))
 def test_featurize_any_text(bundled_dict, text, language):
     try:
-        vec = featurize(preprocess(load_snippet(text, language, "fuzz")), d=bundled_dict)
+        vec = featurize(preprocess(load_snippet(text, language, "fuzz")), get_profile(language),
+                        bundled_dict)
     except SnippetDecodeError:
         return
     assert len(vec) == N_FEATURES == 61

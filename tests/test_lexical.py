@@ -219,7 +219,7 @@ loop_keywords = loop
         from codereadability.config import AnalysisConfig
         from codereadability.corpus import Snippet
         from codereadability.profiles import get_profile, load_profiles
-        from codereadability.vectorizer import featurize
+        from codereadability.vectorizer import featurize, featurize_corpus
 
         path = tmp_path / "profiles.ini"
         path.write_text("[generic]\nkeywords = blop\nline_comments = --\nstrings = \"\n")
@@ -230,8 +230,8 @@ loop_keywords = loop
         s = Snippet(id="s", language="generic", lines=("blop x -- note # more",))
         config = AnalysisConfig(profiles_path=str(path))
         expected = featurize(s, table["generic"], bundled_dict, config)
-        assert (featurize(s, d=bundled_dict, config=config) == expected).all()
-        assert (featurize(s, d=bundled_dict) != expected).any()
+        assert (featurize_corpus([s], bundled_dict, config)[0] == expected).all()
+        assert (featurize_corpus([s], bundled_dict)[0] != expected).any()
 
 
 class TestBlocks:

@@ -4,6 +4,7 @@ it loads."""
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ EXPORTS = {
                   "score_corpus", "wilcoxon_signed_rank"],
     "config": ["AnalysisConfig", "load_config"],
     "corpus": ["LabeledDataset", "Snippet", "load_labeled_dataset", "load_snippet",
-               "preprocess", "save_labeled_dataset"],
+               "preprocess"],
     "dictionary": ["DictionaryProvider", "count_syllables", "load_dictionary"],
     "lexical": ["extract_blocks", "split_identifier", "tokenize"],
     "model": ["EvaluationReport", "ReadabilityModel", "auc", "evaluate", "fit_scaler",
@@ -33,6 +34,21 @@ EXPORTS = {
 
 def test_all_lists_the_public_names():
     assert sorted(codereadability.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    """Each exported name is used in the package besides its definition and
+    its export, or in a demo or the README."""
+    package = ROOT / "src" / "codereadability"
+    paths = [*(path for path in package.rglob("*.py") if path != package / "__init__.py"),
+             *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    unused = []
+    for name in codereadability.__all__:
+        definition = re.compile(rf"^[ \t]*(?:def|class)[ \t]+{name}\b.*$|^{name}[ \t]*[:=].*$", re.M)
+        if not any(re.search(rf"\b{name}\b", definition.sub("", text)) for text in texts):
+            unused.append(name)
+    assert unused == []
 
 
 def test_star_import_binds_each_name_to_its_submodule_object():

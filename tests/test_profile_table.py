@@ -106,14 +106,14 @@ def test_library_calls_use_the_config_profiles(setup, tmp_path, bundled_dict):
 
     # the library first, so nothing a CLI call might leave behind can help it
     matrix = featurize_corpus(snippets, config=cfg)
-    singles = np.array([featurize(s, config=cfg) for s in snippets])
+    singles = np.vstack([featurize_corpus([s], config=cfg) for s in snippets])
     model = ReadabilityModel(scaler=ScalerParams(mu=np.zeros(N_FEATURES), sigma=np.ones(N_FEATURES)),
                              selected=tuple(range(N_FEATURES)),
                              weights=np.random.default_rng(0).normal(size=N_FEATURES) / 10,
                              intercept=0.1, lambda_l2=1.0)
     table = score_corpus(model, snippets, config=cfg)
 
-    python_default = featurize(snippets[0], d=bundled_dict)
+    python_default = featurize(snippets[0], PYTHON_PROFILE, bundled_dict)
     assert not np.array_equal(matrix[0], python_default)  # the INI [python] profile was used
     assert np.array_equal(singles, matrix)
 
@@ -152,7 +152,7 @@ def test_unsupported_language_names_its_snippet_before_any_is_featurized(tmp_pat
                 in capsys.readouterr().err)
     assert featurized == []
     with pytest.raises(ValueError, match=r"^snippet 'b': unsupported language 'klingon'$"):
-        featurize(load_labeled_dataset(manifest).snippets[1], d=bundled_dict)
+        featurize_corpus(load_labeled_dataset(manifest).snippets, d=bundled_dict)
 
 
 def test_compare_does_not_read_the_profile_ini(tmp_path):

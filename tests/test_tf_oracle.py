@@ -33,7 +33,6 @@ from codereadability.features.tf import (
     compute_tf,
     concept_count,
     text_coherence,
-    token_overlap_distance,
 )
 from codereadability.lexical import extract_blocks, tokenize
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
@@ -135,6 +134,13 @@ def ref_concept_count(profile, eps=0.5, min_samples=2):
     dist = ref_pairwise_overlap_distances(token_sets)
     noc = ref_dbscan_cluster_count(dist <= eps, min_samples)
     return float(noc), noc / m_val
+
+
+def token_overlap_distance(a, b):
+    """The Jaccard distance of two token sets under ``tf.jaccard``."""
+    if not a and not b:
+        return 0.0  # identical (empty) token sets are at distance zero
+    return 1.0 - tf.jaccard(a, b)
 
 
 # --------------------------------------------------------------------------

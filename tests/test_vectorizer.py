@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codereadability import vectorizer
+from codereadability.config import AnalysisConfig
 from codereadability.features import (
     BwfFeatures,
     DfFeatures,
@@ -34,11 +36,12 @@ from codereadability.vectorizer import (
     write_feature_matrix,
 )
 
-from conftest import snip
-from lexer_samples import fixture_snippets, ini_profile, ini_snippet
+from conftest import WORDNET_MINI, snip
+from lexer_samples import LEXER_DATA, fixture_snippets, ini_profile, ini_snippet
 from test_cli import write_labeled_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
+PY = get_profile("python")
 
 
 class TestSchema:
@@ -96,26 +99,45 @@ class TestFamilyRecords:
 
 class TestFeaturize:
     def test_empty_snippet_all_zero(self, bundled_dict):
-        vec = featurize(snip(""), d=bundled_dict)
+        vec = featurize(snip(""), PY, bundled_dict)
         assert vec.shape == (61,) and vec.dtype == np.float64
         assert np.all(vec == 0.0)
 
     def test_halstead_position_matches_schema(self, bundled_dict):
-        vec = featurize(snip("x = a + b"), d=bundled_dict)
+        vec = featurize(snip("x = a + b"), PY, bundled_dict)
         idx = schema_names().index("pf.halstead_volume")
         assert vec[idx] == pytest.approx(5 * math.log2(5), abs=1e-9)
 
     def test_deterministic(self, bundled_dict):
         text = "def f(x):\n    return x + 1  # inc"
-        a = featurize(snip(text), d=bundled_dict)
-        b = featurize(snip(text), d=bundled_dict)
+        a = featurize(snip(text), PY, bundled_dict)
+        b = featurize(snip(text), PY, bundled_dict)
         assert np.array_equal(a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(st.text(max_size=120))
     def test_every_entry_finite(self, bundled_dict, text):
-        vec = featurize(snip(text), d=bundled_dict)
+        vec = featurize(snip(text), PY, bundled_dict)
         assert np.all(np.isfinite(vec))
+
+    def test_takes_its_profile_and_dictionary(self, wordnet_dict, monkeypatch):
+        s = ini_snippet()
+        with pytest.raises(TypeError):
+            featurize(s)
+        with pytest.raises(TypeError):
+            featurize(s, d=wordnet_dict)
+        # with a profile table and a dictionary named in the config,
+        # featurize still loads neither: it works from p and d alone
+        config = AnalysisConfig(profiles_path=str(LEXER_DATA / "profiles.ini"),
+                                dictionary_path=str(WORDNET_MINI))
+        before = featurize(s, ini_profile(), wordnet_dict, config).tobytes()
+
+        def never(*args, **kwargs):
+            raise AssertionError("featurize loaded a profile table or dictionary")
+
+        monkeypatch.setattr(vectorizer, "load_profiles", never)
+        monkeypatch.setattr(vectorizer, "load_dictionary", never)
+        assert featurize(s, ini_profile(), wordnet_dict, config).tobytes() == before
 
 
 class TestCorpusMatrix:
