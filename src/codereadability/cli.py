@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import AnalysisConfig, load_config
-from .corpus import (
-    Snippet,
-    SnippetDecodeError,
-    load_labeled_dataset,
-    load_snippet_file,
-    preprocess,
-)
+from .corpus import DatasetError, Snippet, load_labeled_dataset, load_snippet_file, preprocess
 from .dictionary import DictionaryError, load_dictionary
 from .vectorizer import FAMILIES, N_FEATURES, feature_layers, featurize_corpus, write_feature_matrix
 
@@ -36,9 +30,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-# corpus.DatasetError, corpus.SnippetDecodeError and model.ModelError are
-# ValueErrors; analytics and model are imported by the commands that use
-# them, so featurize never loads scipy
+# corpus.DatasetError and model.ModelError are ValueErrors; analytics and
+# model are imported by the commands that use them, so featurize never loads scipy
 _DATA_ERRORS = (DictionaryError, ValueError, OSError)
 
 
@@ -66,7 +59,7 @@ def _write_from_inputs(args, cfg: AnalysisConfig, output: str, write) -> int:
             rel = str(file.relative_to(path))
             try:
                 snippets.append(preprocess(load_snippet_file(file, args.lang, rel)))
-            except (SnippetDecodeError, OSError) as exc:
+            except (DatasetError, OSError) as exc:
                 log.error("unreadable input: %s: %s", rel, exc)
                 unreadable = True
         if unreadable and not args.keep_going:

@@ -20,17 +20,9 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
-class SnippetDecodeError(ValueError):
-    """Input bytes are not valid UTF-8; carries the offending byte offset."""
-
-    def __init__(self, snippet_id: str, offset: int):
-        self.snippet_id = snippet_id
-        self.offset = offset
-        super().__init__(f"snippet {snippet_id!r}: undecodable byte at offset {offset}")
-
-
 class DatasetError(ValueError):
-    """A table file or labeled dataset that breaks its format, naming the file and line."""
+    """A table, labeled dataset or snippet file that breaks its format or is
+    not UTF-8, naming the file and line."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +62,10 @@ def load_snippet(source_text: str, language: str, id: str) -> Snippet:
 
 
 def load_snippet_file(path: str | Path, language: str, id: str | None = None) -> Snippet:
-    """Read a snippet file; undecodable bytes fail loudly with an offset."""
+    """Read a snippet file through :func:`decode_utf8`: a BOM dropped, and an
+    undecodable byte a :class:`DatasetError` naming the file and line."""
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SnippetDecodeError(id or str(path), exc.start) from exc
+    text = decode_utf8(path.read_bytes(), path, DatasetError)
     return load_snippet(text, language, id if id is not None else path.name)
 
 
@@ -188,9 +177,8 @@ def load_labeled_dataset(manifest_path: str | Path) -> LabeledDataset:
             raise DatasetError(f"{where}: snippet file not found: {snippet_path}")
         try:
             snippet = load_snippet_file(snippet_path, language, sid)
-        except SnippetDecodeError as exc:
-            raise DatasetError(f"{where}: snippet file {snippet_path}: "
-                               f"undecodable byte at offset {exc.offset}") from None
+        except (DatasetError, OSError) as exc:
+            raise DatasetError(f"{where}: {exc}") from None
         snippets.append(preprocess(snippet))
         labels.append(int(label))
     if not snippets:

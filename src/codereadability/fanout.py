@@ -10,6 +10,11 @@ order, so the results are the runs' outputs joined, and the log records
 reach the handlers in item order. Every item is computed by the same code
 on the same inputs, so the output is the serial one, bit for bit.
 
+Each run starts on its own CPU of the caller's affinity mask and may then
+migrate (left alone, the kernel often keeps a worker on its parent's CPU
+while another idles). Once they are joined, each run logs its item count,
+cost, wall and CPU seconds at INFO, so a shared CPU or uneven split shows.
+
 The workers are forked, not spawned: a spawned worker re-imports numpy and
 scipy, about 0.4 s of set-up each, which is more than the work of most
 calls. A fork copies the caller's threads' locks but not the threads, so a
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import os
+import time
 from itertools import accumulate, groupby
 from typing import Callable, Sequence, TypeVar
 
@@ -31,11 +37,6 @@ T = TypeVar("T")
 
 # the package logger: the records of every module's logger reach its handlers
 _LOGGER = "codereadability"
-
-
-def available_cpus() -> int:
-    """The CPUs this process may run on; 1 without ``os.sched_getaffinity``."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def split_shares(costs: Sequence[float], count: int) -> list[list[int]]:
@@ -69,17 +70,6 @@ def split_shares(costs: Sequence[float], count: int) -> list[list[int]]:
     return runs
 
 
-def _share_count(n: int) -> int:
-    """``min(n, available CPUs)``, or 1 in a daemonic process."""
-    count = min(n, available_cpus())
-    if count > 1:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            return 1
-    return count
-
-
 class _Held(logging.Handler):
     """Keeps the log records of a worker's run."""
 
@@ -91,35 +81,50 @@ class _Held(logging.Handler):
         self.records.append(record)
 
 
+def _place(cpu: int, cpus: list[int]) -> None:
+    """Move this process to ``cpu``, then let it run on ``cpus`` again; an
+    ``OSError`` skips that step."""
+    for mask in ({cpu}, cpus):
+        try:
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pass
+
+
 def _run_share(work: Callable[[int], T], items: list[int]):
-    """``(results, failure)`` of ``items`` run in order up to the first
-    failure: the results of the items that returned, and the exception of
-    the failing item or None."""
+    """``(results, failure, seconds)`` of ``items`` run in order up to the
+    first failure: the results of the items that returned, the exception of
+    the failing item or None, and the wall and CPU seconds they took."""
+    start = time.perf_counter(), time.process_time()
     results: list[T] = []
+    failure = None
     for i in items:
         try:
             results.append(work(i))
         except Exception as exc:
-            return results, exc
-    return results, None
+            failure = exc
+            break
+    return results, failure, (time.perf_counter() - start[0], time.process_time() - start[1])
 
 
-def _worker(work: Callable[[int], T], items: list[int], conn) -> None:
-    """A forked run: its results, log records and failure go back over ``conn``."""
+def _worker(work: Callable[[int], T], items: list[int], cpu: int, cpus: list[int], conn) -> None:
+    """A forked run started on ``cpu``: its results, log records, failure and
+    seconds go back over ``conn``."""
+    _place(cpu, cpus)
     held = _Held()
     logger = logging.getLogger(_LOGGER)
     logger.handlers, logger.propagate = [held], False
-    results, failure = _run_share(work, items)
+    results, failure, seconds = _run_share(work, items)
     for record in held.records:
         # what the parent's handlers need, without args that may not pickle
         if record.exc_info:
             record.exc_text = logging.Formatter().formatException(record.exc_info)
         record.msg, record.args, record.exc_info = record.getMessage(), None, None
     try:
-        conn.send((results, held.records, failure))
+        conn.send((results, held.records, failure, seconds))
     except Exception as exc:  # a result or exception that does not pickle
         conn.send(([], [], RuntimeError(
-            f"a fan-out worker could not send its results: {exc!r}")))
+            f"a fan-out worker could not send its results: {exc!r}"), seconds))
     conn.close()
 
 
@@ -135,28 +140,33 @@ def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
     records follow once the runs before it have returned. No worker
     outlives the call.
     """
-    runs = split_shares(costs, _share_count(len(costs)))
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    runs = split_shares(costs, min(len(costs), len(cpus)))
     if len(runs) <= 1:
         return [work(i) for i in range(len(costs))]
 
     import multiprocessing
 
+    if multiprocessing.current_process().daemon:  # it may not have children
+        return [work(i) for i in range(len(costs))]
     context = multiprocessing.get_context("fork")
     workers = []
     try:
-        for items in runs[1:]:
+        for cpu, items in zip(cpus[1:], runs[1:]):
             receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_worker, args=(work, items, send), daemon=True)
+            worker = context.Process(target=_worker, args=(work, items, cpu, cpus, send), daemon=True)
             worker.start()
             send.close()  # so a worker that dies leaves EOF behind
             workers.append((worker, receive))
-        results, failure = _run_share(work, runs[0])
+        _place(cpus[0], cpus)
+        results, failure, seconds = _run_share(work, runs[0])
+        run_seconds = [seconds]
         logger = logging.getLogger(_LOGGER)
         for worker, receive in workers:
             if failure is not None:
                 break
             try:
-                done, records, failure = receive.recv()
+                done, records, failure, seconds = receive.recv()
             except EOFError:  # the worker died before it sent anything
                 worker.join()
                 failure = RuntimeError(f"a fan-out worker exited with code {worker.exitcode} "
@@ -166,6 +176,7 @@ def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
             for record in records:
                 logger.handle(record)
             results += done
+            run_seconds.append(seconds)
     finally:
         # a worker still running here is one whose outcome will not be read
         for worker, receive in workers:
@@ -173,6 +184,9 @@ def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
                 worker.terminate()
             worker.join()
             receive.close()
+    for n, (items, (wall_s, cpu_s)) in enumerate(zip(runs, run_seconds), 1):
+        logger.info("fan-out run %d of %d: items %d, cost %g, wall %.3f s, CPU %.3f s",
+                    n, len(runs), len(items), sum(costs[i] for i in items), wall_s, cpu_s)
     if failure is not None:
         raise failure
     return results

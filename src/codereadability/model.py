@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .config import check_lambda_l2
+from .corpus import decode_utf8
 from .fanout import fan_out
 from .vectorizer import N_FEATURES, SCHEMA_VERSION, family_indices
 
@@ -455,8 +456,8 @@ def save_model(model: ReadabilityModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ReadabilityModel:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(decode_utf8(Path(path).read_bytes(), path, ModelError))
+    except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
 
     if not isinstance(doc, dict):

@@ -78,7 +78,7 @@ class TestFeaturizeCommand:
         (src / "ok2.py").write_text("y = 2\n")
         out = tmp_path / "matrix.csv"
         code = main(["featurize", "--in", str(src), "--out", str(out), "--keep-going"])
-        assert code != 0
+        assert code == 3
         assert len(out.read_text().strip().splitlines()) == 3  # header + 2 good rows
 
     def test_corrupt_file_without_keep_going(self, tmp_path):
@@ -635,10 +635,13 @@ def test_undecodable_snippet_of_a_manifest_exit_3_names_the_row(tmp_path, capsys
     manifest = tmp_path / "m.csv"
     manifest.write_text("id,path,language,label\na,a.py,python,1\nb,b.py,python,0\n")
     out = tmp_path / "out.csv"
-    assert main(["featurize", "--in", str(manifest), "--out", str(out)]) == 3
-    assert not out.exists()
-    assert (f"ERROR codereadability: {manifest}, line 3: snippet file {tmp_path / 'b.py'}: "
-            f"undecodable byte at offset 0\n" in capsys.readouterr().err)
+    # --keep-going applies to directory inputs: a manifest row it cannot read writes nothing
+    for keep_going in ([], ["--keep-going"]):
+        assert main(["featurize", "--in", str(manifest), "--out", str(out), *keep_going]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"ERROR codereadability: {manifest}, line 3: cannot read {tmp_path / 'b.py'}: 'utf-8' "
+            "codec can't decode byte 0xff in position 0: invalid start byte (line 1)\n")
 
 
 @pytest.mark.parametrize("flags,verbose", [([], False), (["-v"], True), (["--verbose"], True),

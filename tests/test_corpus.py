@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from codereadability.corpus import (
     DatasetError,
-    SnippetDecodeError,
     load_labeled_dataset,
     load_snippet,
     load_snippet_file,
@@ -47,28 +47,35 @@ class TestLoadSnippet:
                      .map(lambda parts: "".join(parts).encode("utf-8"))),
            st.one_of(st.text(max_size=20), st.sampled_from(["python", "generic", "rust", ""])))
     def test_any_bytes_and_language_load(self, data, language):
-        # only undecodable bytes fail, and they fail where UTF-8 decoding does
+        # only undecodable bytes fail, where UTF-8 decoding does, naming the file and line
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.txt"
             path.write_bytes(data)
             try:
                 s = load_snippet_file(path, language, "s")
-            except SnippetDecodeError as exc:
+            except DatasetError as exc:
+                body = data.removeprefix(b"\xef\xbb\xbf")
                 with pytest.raises(UnicodeDecodeError) as decode:
-                    data.decode("utf-8")
-                assert exc.offset == decode.value.start
+                    body.decode("utf-8")
+                line = body.count(b"\n", 0, decode.value.start) + 1
+                assert str(exc) == f"cannot read {path}: {decode.value} (line {line})"
                 return
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
         assert (s.id, s.language) == ("s", language)
         assert not any("\r" in line or "\n" in line for line in s.lines)
         assert "\n".join(s.lines) == text.removesuffix("\n")
 
-    def test_undecodable_bytes_fail_with_offset(self, tmp_path):
+    def test_undecodable_bytes_name_the_file_and_line(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_bytes(b"x = 1\n\xff\xfe\n")
-        with pytest.raises(SnippetDecodeError) as exc:
+        with pytest.raises(DatasetError, match=rf"^cannot read {re.escape(str(bad))}: 'utf-8' codec "
+                                               r"can't decode byte 0xff in position 6: .* \(line 2\)$"):
             load_snippet_file(bad, "python", "bad")
-        assert exc.value.offset == 6
+
+    def test_a_bom_is_dropped_on_load(self, tmp_path):
+        path = tmp_path / "a.py"
+        path.write_bytes(b"\xef\xbb\xbfx = 1\n")
+        assert load_snippet_file(path, "python").lines == ("x = 1",)
 
 
 class TestPreprocess:
@@ -151,11 +158,18 @@ class TestLabeledDataset:
         with pytest.raises(DatasetError, match=r"manifest\.csv, line 2: snippet file not found: .*a\.py"):
             load_labeled_dataset(manifest)
 
-    def test_undecodable_snippet_names_manifest_line_path_and_offset(self, tmp_path):
+    def test_undecodable_snippet_names_manifest_line_path_and_line(self, tmp_path):
         manifest = _write_dataset(tmp_path, [("a", "x=1"), ("b", "y=2")])
         (tmp_path / "b.py").write_bytes(b"y = 2\n\xff\xfe\n")
-        with pytest.raises(DatasetError, match=r"manifest\.csv, line 3: snippet file .*b\.py: "
-                                               r"undecodable byte at offset 6$"):
+        with pytest.raises(DatasetError, match=r"manifest\.csv, line 3: cannot read .*b\.py: 'utf-8' "
+                                               r"codec can't decode byte 0xff in position 6: .* \(line 2\)$"):
+            load_labeled_dataset(manifest)
+
+    def test_unreadable_snippet_names_manifest_line(self, tmp_path):
+        manifest = _write_dataset(tmp_path, [("a", "x=1")])
+        (tmp_path / "a.py").unlink()
+        (tmp_path / "a.py").mkdir()
+        with pytest.raises(DatasetError, match=r"manifest\.csv, line 2: .*Is a directory: .*a\.py"):
             load_labeled_dataset(manifest)
 
     def test_missing_manifest(self, tmp_path):

@@ -3,20 +3,23 @@ CPU count, with no worker left behind.
 
 The CPU count is what ``os.sched_getaffinity`` reports, so each test sets
 it with a stand-in: 1 runs everything in this process, more fork workers.
+A stand-in ``os.sched_setaffinity`` records where each run is placed.
 """
 
 import io
 import logging
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codereadability import analytics, fanout
+from codereadability import analytics
 from codereadability.analytics import score_corpus, write_score_table
+from codereadability.cli import main
 from codereadability.fanout import fan_out, split_shares
 from codereadability.model import ReadabilityModel, ScalerParams
 from codereadability.vectorizer import N_FEATURES, featurize_corpus, write_feature_matrix
@@ -28,7 +31,14 @@ log = logging.getLogger("codereadability.test_fanout")
 
 
 def _cpus(monkeypatch, n):
+    """Stand-ins for a process that may run on CPUs 0 to n - 1; the list that
+    ``sched_setaffinity`` appends each CPU set it is given to, in the
+    process that calls it."""
+    calls = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus)),
+                        raising=False)
+    return calls
 
 
 @pytest.fixture
@@ -134,7 +144,7 @@ class TestFanOut:
             fan_out(work, [1, 1, 1])
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
-    def test_log_records_reach_the_handlers_in_item_order(self, monkeypatch,
+    def test_log_records_reach_the_handlers_in_item_order(self, monkeypatch, caplog,
                                                           no_leftover_workers, cpus):
         stream = io.StringIO()
         handler = logging.StreamHandler(stream)
@@ -142,7 +152,7 @@ class TestFanOut:
         package = logging.getLogger("codereadability")
         monkeypatch.setattr(package, "handlers", [handler])
         monkeypatch.setattr(package, "propagate", False)
-        monkeypatch.setattr(package, "level", logging.INFO)
+        caplog.set_level(logging.INFO, logger=package.name)
         costs = [5, 1, 1, 8, 2, 2, 1, 3]
 
         def work(i):
@@ -152,11 +162,54 @@ class TestFanOut:
 
         _cpus(monkeypatch, cpus)
         fan_out(work, costs)
-        assert stream.getvalue() == "".join(
-            f"INFO codereadability.test_fanout: item {i} of ['costs', {c}]\n"
-            for i, c in enumerate(costs))
+        lines = stream.getvalue().splitlines()
+        assert lines[:len(costs)] == [f"INFO codereadability.test_fanout: item {i} of ['costs', {c}]"
+                                      for i, c in enumerate(costs)]
+        # once the runs are joined, a call that forked logs one line per run
+        runs = split_shares(costs, cpus)
+        assert len(lines) == len(costs) + (len(runs) if cpus > 1 else 0)
+        for n, (line, run) in enumerate(zip(lines[len(costs):], runs), 1):
+            assert re.fullmatch(rf"INFO codereadability: fan-out run {n} of {len(runs)}: "
+                                rf"items {len(run)}, cost {sum(costs[i] for i in run)}, "
+                                r"wall [0-9]+\.[0-9]{3} s, CPU [0-9]+\.[0-9]{3} s", line), line
         # the caller's handlers are back in place
         assert package.handlers == [handler] and package.propagate is False
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_each_run_starts_on_its_own_cpu_then_may_migrate(self, monkeypatch,
+                                                             no_leftover_workers, cpus):
+        calls = _cpus(monkeypatch, cpus)
+        placed = fan_out(lambda i: [*calls], [1] * 4)
+        mask = set(range(cpus))
+        runs = split_shares([1] * 4, cpus)
+        expected = [[{cpu}, mask] if cpus > 1 else [] for cpu, run in enumerate(runs) for _ in run]
+        # an item sees the calls of its own process: a worker's run starts after its own placement
+        assert placed == expected
+        assert calls == ([{0}, mask] if cpus > 1 else [])
+
+    @pytest.mark.parametrize("failing", [0, 3])
+    def test_the_caller_gets_its_mask_back_when_an_item_fails(self, monkeypatch,
+                                                              no_leftover_workers, failing):
+        calls = _cpus(monkeypatch, 2)
+
+        def work(i):
+            if i == failing:
+                raise ValueError(f"item {i} failed")
+            return i
+
+        with pytest.raises(ValueError, match=f"item {failing} failed"):
+            fan_out(work, [1] * 4)
+        assert calls == [{0}, {0, 1}]
+
+    def test_a_refused_placement_only_skips_it(self, monkeypatch, no_leftover_workers):
+        _cpus(monkeypatch, 3)
+
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        pids = fan_out(lambda i: os.getpid(), [1] * 3)
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS[1:])
     def test_this_process_logs_its_run_live(self, monkeypatch, no_leftover_workers, caplog, cpus):
@@ -202,7 +255,6 @@ class TestFanOut:
 
     def test_without_sched_getaffinity_everything_is_serial(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert fanout.available_cpus() == 1
         assert fan_out(lambda i: os.getpid(), [1, 1]) == [os.getpid()] * 2
 
 
@@ -265,6 +317,22 @@ class TestOutputsAtEveryCpuCount:
         _cpus(monkeypatch, cpus)
         score_corpus(_model(), snippets, bundled_dict)
         assert pids == [os.getpid()] * len(snippets)
+
+    def test_only_verbose_stderr_shows_the_runs(self, monkeypatch, tmp_path, capsys,
+                                                no_leftover_workers):
+        _cpus(monkeypatch, 2)
+        src = tmp_path / "src"
+        src.mkdir()
+        for i in range(4):
+            (src / f"f{i}.py").write_text(f"x{i} = {i}\n")
+        outputs, errs = [], []
+        for verbose in ([], ["-v"]):
+            assert main([*verbose, "featurize", "--in", str(src), "--out", str(tmp_path / "m.csv")]) == 0
+            outputs.append((tmp_path / "m.csv").read_bytes())
+            errs.append(capsys.readouterr().err)
+        assert outputs[0] == outputs[1] and errs[0] == ""
+        assert re.findall(r"^INFO codereadability: fan-out run (\d) of 2: items (\d), ", errs[1],
+                          re.M) == [("1", "2"), ("2", "2")]
 
 
 def _model() -> ReadabilityModel:

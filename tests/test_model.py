@@ -298,8 +298,10 @@ class TestEvaluate:
 
 def _cpus(monkeypatch, n):
     """Make ``evaluate`` see ``n`` available CPUs: one runs the folds
-    serially, more fan them out to forked workers."""
+    serially, more fan them out to forked workers, whose placement on a
+    CPU is a no-op."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
 
 
 def _report_json(X, y, **kwargs):

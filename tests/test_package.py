@@ -1,6 +1,7 @@
 """The package namespace: the public names, and which modules importing
 it loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -49,6 +50,32 @@ def test_every_export_has_a_use_outside_the_tests():
         if not any(re.search(rf"\b{name}\b", definition.sub("", text)) for text in texts):
             unused.append(name)
     assert unused == []
+
+
+# the imports a module keeps without using them: perfbench/tracing.py wraps
+# analytics.featurize
+UNUSED_IMPORTS = {"analytics": ["featurize"]}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name a module imports is read in it or listed in its ``__all__``."""
+    package = ROOT / "src" / "codereadability"
+    unused = {}
+    for path in sorted(package.rglob("*.py")):
+        imported, read = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", "") != "__future__"):
+                imported.update((alias.asname or alias.name).partition(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                read.update(elt.value for elt in node.value.elts)
+        if imported - read:
+            unused[".".join(path.relative_to(package).with_suffix("").parts)] = sorted(imported - read)
+    assert unused == UNUSED_IMPORTS
 
 
 def test_star_import_binds_each_name_to_its_submodule_object():

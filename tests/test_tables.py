@@ -4,7 +4,8 @@ the labeled manifest, the feature matrix and the score table.
 Blank lines are skipped, the header is exact, every row has the header's
 field count and a unique id, and every error is a ``ValueError`` naming
 the file and, for a row, its physical line (exit 3 through the CLI). A
-UTF-8 byte-order mark is dropped, as it is from the INI files.
+UTF-8 byte-order mark is dropped, as it is from the INI, snippet and model
+files, and an undecodable byte in any of them names the file and its line.
 """
 
 import re
@@ -18,6 +19,7 @@ from codereadability.analytics import read_score_table
 from codereadability.cli import main
 from codereadability.config import load_config
 from codereadability.corpus import load_labeled_dataset
+from codereadability.model import ReadabilityModel, ScalerParams, save_model
 from codereadability.profiles import load_profiles
 from codereadability.vectorizer import (
     N_FEATURES,
@@ -125,23 +127,70 @@ def test_a_bom_is_dropped_from_the_profiles(tmp_path):
     assert load_profiles(path)["mylang"].keyword_set == {"fn", "let"}
 
 
-@pytest.mark.parametrize("bom_in", ["m.csv", "conf.ini", "p.ini"])
-def test_a_bom_changes_nothing_through_the_cli(tmp_path, bom_in):
-    (tmp_path / "a.ml").write_text("fn f\nlet x = 1\n", encoding="utf-8")
+def _write_cli_inputs(tmp_path, special: str, prefix: bytes = b"", inserted: bytes = b"") -> None:
+    """The files a featurize or score call decodes: a manifest, a config, a
+    profiles INI, snippet files (``a.ml`` through the manifest, ``src/b.ml``
+    and ``src/c.ml`` in a directory) and a model. The file ``special`` gets
+    ``prefix`` before its bytes and ``inserted`` at the start of its line 2."""
+    (tmp_path / "src").mkdir(exist_ok=True)
+    save_model(ReadabilityModel(scaler=ScalerParams(mu=np.zeros(N_FEATURES), sigma=np.ones(N_FEATURES)),
+                                selected=(0, 20), weights=np.array([0.5, -0.25]), intercept=0.1,
+                                lambda_l2=1.0), tmp_path / "model.json")
     files = {
         "m.csv": _line(["id", "path", "language", "label"]) + _line(["a", "a.ml", "mylang", "1"]),
         "conf.ini": f"[bwf]\ntab_width = 8\n\n[lexical]\nprofiles = {tmp_path / 'p.ini'}\n".encode(),
         "p.ini": b"[mylang]\nkeywords = fn let\n",
+        "a.ml": b"fn f\nlet x = 1\n",
+        "src/b.ml": b"fn g\n\tlet y = 2\n",
+        "src/c.ml": b"let z = 3\n",
+        "model.json": (tmp_path / "model.json").read_bytes(),
     }
+    for name, content in files.items():
+        if name == special:
+            first, rest = content.split(b"\n", 1)
+            content = prefix + first + b"\n" + inserted + rest
+        (tmp_path / name).write_bytes(content)
+
+
+def _cli_argv(tmp_path, command: str, source: str) -> list[str]:
+    argv = ["--config", str(tmp_path / "conf.ini"), command, "--in", str(tmp_path / source),
+            "--lang", "mylang", "--out", str(tmp_path / "out.csv")]
+    return argv + ["--model", str(tmp_path / "model.json")] if command == "score" else argv
+
+
+@pytest.mark.parametrize("bom_in", ["m.csv", "conf.ini", "p.ini", "a.ml", "src/b.ml", "model.json"])
+def test_a_bom_changes_nothing_through_the_cli(tmp_path, bom_in):
     outputs = []
     for bom in (b"", _BOM):
-        for name, content in files.items():
-            (tmp_path / name).write_bytes(bom + content if name == bom_in else content)
-        out = tmp_path / f"out{len(outputs)}.csv"
-        assert main(["--config", str(tmp_path / "conf.ini"), "featurize",
-                     "--in", str(tmp_path / "m.csv"), "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        _write_cli_inputs(tmp_path, bom_in, prefix=bom)
+        for command in ("featurize", "score"):
+            for source in ("m.csv", "src"):
+                assert main(_cli_argv(tmp_path, command, source)) == 0
+                outputs.append((tmp_path / "out.csv").read_bytes())
+    assert outputs[:4] == outputs[4:]
+
+
+@pytest.mark.parametrize("bom", [b"", _BOM], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("command,bad_in", [("featurize", "a.ml"), ("featurize", "src/b.ml"),
+                                            ("score", "a.ml"), ("score", "src/b.ml"),
+                                            ("score", "model.json")])
+def test_an_undecodable_byte_exits_3_naming_the_file_and_line(tmp_path, capsys, command, bad_in, bom):
+    _write_cli_inputs(tmp_path, bad_in, prefix=bom, inserted=b"\xff")
+    source = "src" if bad_in == "src/b.ml" else "m.csv"
+    where = {"a.ml": f"{tmp_path / 'm.csv'}, line 2: ", "src/b.ml": "unreadable input: b.ml: ",
+             "model.json": ""}[bad_in]
+    out = tmp_path / "out.csv"
+    for keep_going in ([], ["--keep-going"]):
+        assert main([*_cli_argv(tmp_path, command, source), *keep_going]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"ERROR codereadability: {re.escape(where)}cannot read "
+                            f"{re.escape(str(tmp_path / bad_in))}: 'utf-8' codec can't decode byte "
+                            r"0xff in position [0-9]+: invalid start byte \(line 2\)\n", err), err
+        # --keep-going writes the other files of a directory, and nothing past a manifest row
+        ids = (None if not out.exists()
+               else [row.split(",")[0] for row in out.read_text().splitlines()[1:]])
+        assert ids == (["c.ml"] if keep_going and source == "src" else None)
+        out.unlink(missing_ok=True)
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c != "oversized field"])
