@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import AnalysisConfig, load_config
 from .corpus import DatasetError, Snippet, load_labeled_dataset, load_snippet_file, preprocess
-from .dictionary import DictionaryError, load_dictionary
+from .dictionary import load_dictionary
 from .vectorizer import FAMILIES, N_FEATURES, feature_layers, featurize_corpus, write_feature_matrix
 
 log = logging.getLogger("codereadability")
@@ -30,9 +30,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-# corpus.DatasetError and model.ModelError are ValueErrors; analytics and
-# model are imported by the commands that use them, so featurize never loads scipy
-_DATA_ERRORS = (DictionaryError, ValueError, OSError)
+# DatasetError, DictionaryError and ModelError are ValueErrors; OSError is
+# an output file that cannot be written
+_DATA_ERRORS = (ValueError, OSError)
 
 
 def _resolve_config(args) -> AnalysisConfig:
@@ -56,11 +56,11 @@ def _write_from_inputs(args, cfg: AnalysisConfig, output: str, write) -> int:
     if path.is_dir():
         snippets: list[Snippet] = []
         for file in sorted(p for p in path.rglob("*") if p.is_file()):
-            rel = str(file.relative_to(path))
             try:
-                snippets.append(preprocess(load_snippet_file(file, args.lang, rel)))
-            except (DatasetError, OSError) as exc:
-                log.error("unreadable input: %s: %s", rel, exc)
+                snippets.append(preprocess(load_snippet_file(file, args.lang,
+                                                             str(file.relative_to(path)))))
+            except DatasetError as exc:
+                log.error("%s", exc)
                 unreadable = True
         if unreadable and not args.keep_going:
             return EXIT_DATA

@@ -32,7 +32,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import decode_utf8
+from .corpus import read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -86,18 +86,16 @@ def read_ini(path: str | Path, keys_of, **options) -> dict[str, dict[str, object
     ``ConfigParser``; ``keys_of(section)`` is the section's key table
     ``{key: (field, convert)}``, or None to skip it with a warning.
 
-    The file is UTF-8, a BOM dropped; an undecodable byte, a file it cannot
-    parse or a value it cannot interpolate (a lone ``%``, in any section)
-    raises ``ValueError`` naming the file. Keys are read in order, the
+    A file ``corpus.read_utf8`` cannot read, a file it cannot parse or a
+    value it cannot interpolate (a lone ``%``, in any section) raises
+    ``ValueError`` naming the file. Keys are read in order, the
     section's own and then [DEFAULT]'s (never rejected), and the first that
     is unknown or fails to convert raises ``ValueError`` naming the file,
     the section and the key.
     """
     parser = configparser.ConfigParser(**options)
-    with open(path, "rb") as fh:
-        data, source = fh.read(), fh.name
     try:
-        parser.read_string(decode_utf8(data, path, ValueError), source)
+        parser.read_string(read_utf8(path, ValueError), str(path))
         # every value interpolated now, so a skipped section is checked too
         sections = {section: dict(parser[section]) for section in parser.sections()}
     except configparser.Error as exc:  # not a ValueError, so not a data error

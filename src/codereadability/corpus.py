@@ -21,8 +21,8 @@ log = logging.getLogger(__name__)
 
 
 class DatasetError(ValueError):
-    """A table, labeled dataset or snippet file that breaks its format or is
-    not UTF-8, naming the file and line."""
+    """A table, labeled dataset or snippet file that cannot be read or breaks
+    its format, naming the file and line."""
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ def load_snippet(source_text: str, language: str, id: str) -> Snippet:
 
 
 def load_snippet_file(path: str | Path, language: str, id: str | None = None) -> Snippet:
-    """Read a snippet file through :func:`decode_utf8`: a BOM dropped, and an
-    undecodable byte a :class:`DatasetError` naming the file and line."""
-    path = Path(path)
-    text = decode_utf8(path.read_bytes(), path, DatasetError)
-    return load_snippet(text, language, id if id is not None else path.name)
+    """Read a snippet file through :func:`read_utf8`: a BOM dropped, and a
+    file it cannot read a :class:`DatasetError` naming it."""
+    text = read_utf8(path, DatasetError)
+    return load_snippet(text, language, id if id is not None else Path(path).name)
 
 
 def _is_blank(line: str) -> bool:
@@ -87,14 +86,16 @@ def preprocess(s: Snippet) -> Snippet:
     return replace(s, lines=tuple(lines[start:end]))
 
 
-def decode_utf8(data: bytes, path: str | Path, error: type[Exception]) -> str:
-    """``data``, the bytes of the file ``path``, decoded as UTF-8 with a BOM
-    dropped; an undecodable byte raises ``error`` naming the file and line."""
+def read_utf8(path: str | Path, error: type[Exception]) -> str:
+    """The text of the input file ``path``, UTF-8 with a BOM dropped; a file
+    it cannot open or decode raises ``error("cannot read <path>: <reason>")``."""
     try:
-        return data.decode("utf-8-sig")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # its offset counts from after a BOM
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"cannot read {path}: {exc} (line {line})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def read_table(path: str | Path, columns: tuple[str, ...], what: str) -> list[tuple[str, list[str]]]:
@@ -105,11 +106,7 @@ def read_table(path: str | Path, columns: tuple[str, ...], what: str) -> list[tu
     many fields whose first field is a unique id. A file that breaks one
     raises :class:`DatasetError` naming the file and, for a row, its physical line.
     """
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise DatasetError(f"{what} not found: {path}") from None
-    reader = csv.reader(io.StringIO(decode_utf8(data, path, DatasetError), newline=""))
+    reader = csv.reader(io.StringIO(read_utf8(path, DatasetError), newline=""))
     try:
         records = [(f"{path}, line {reader.line_num}", row) for row in reader if row]
     except csv.Error as exc:
@@ -172,12 +169,9 @@ def load_labeled_dataset(manifest_path: str | Path) -> LabeledDataset:
     for where, (sid, rel, language, label) in read_table(manifest_path, MANIFEST_COLUMNS, "manifest"):
         if label not in ("0", "1"):
             raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
-        snippet_path = base / rel
-        if not snippet_path.exists():
-            raise DatasetError(f"{where}: snippet file not found: {snippet_path}")
         try:
-            snippet = load_snippet_file(snippet_path, language, sid)
-        except (DatasetError, OSError) as exc:
+            snippet = load_snippet_file(base / rel, language, sid)
+        except DatasetError as exc:
             raise DatasetError(f"{where}: {exc}") from None
         snippets.append(preprocess(snippet))
         labels.append(int(label))

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import decode_utf8
+from .corpus import read_utf8
 
 
-class DictionaryError(RuntimeError):
+class DictionaryError(ValueError):
     """Backing database missing or unreadable at provider initialization."""
 
 
@@ -100,17 +100,25 @@ class _WordNetDatabase:
             self.hypernyms[key] = hypers
 
     def depth(self, key: tuple[str, int]) -> int:
-        """Longest hypernym path measured in synsets; a root counts 1."""
+        """Longest hypernym path measured in synsets; a root counts 1. The
+        walk keeps its own stack, so a chain of any length fits."""
         memo = self._depth_memo
-        if key in memo:
-            return memo[key]
-        memo[key] = 1  # cycle guard; real WordNet is acyclic
-        parents = self.hypernyms.get(key, ())
-        best = 1
-        for parent in parents:
-            best = max(best, 1 + self.depth(parent))
-        memo[key] = best
-        return best
+        if key not in memo:
+            memo[key] = 1  # cycle guard; real WordNet is acyclic
+            stack = [[key, 0, 1]]  # a synset, its next hypernym, its longest path so far
+            while stack:
+                frame = stack[-1]
+                parents = self.hypernyms.get(frame[0], ())
+                if frame[1] == len(parents):
+                    memo[frame[0]] = frame[2]
+                    stack.pop()
+                elif (parent := parents[frame[1]]) in memo:  # done, or on the stack
+                    frame[1] += 1
+                    frame[2] = max(frame[2], 1 + memo[parent])
+                else:  # walked first; this frame then reads it from the memo
+                    memo[parent] = 1
+                    stack.append([parent, 0, 1])
+        return memo[key]
 
     def entry(self, term: str) -> LexEntry:
         synsets = self.lemma_synsets.get(term)
@@ -130,14 +138,9 @@ class _WordNetDatabase:
 
 def _parse_records(path: Path, parse, pos: str) -> None:
     """``parse(line, pos)`` on each record line of a WordNet file; the
-    license header lines start with a space. The file is UTF-8, a BOM
-    dropped. A record it cannot parse, or a byte that is not UTF-8, raises
-    ``DictionaryError`` naming its line."""
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DictionaryError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(decode_utf8(data, path, DictionaryError).splitlines(), 1):
+    license header lines start with a space. A file ``corpus.read_utf8``
+    cannot read, or a record it cannot parse, raises ``DictionaryError``."""
+    for lineno, line in enumerate(read_utf8(path, DictionaryError).splitlines(), 1):
         if not line or line.startswith(" "):
             continue
         try:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .config import check_lambda_l2
-from .corpus import decode_utf8
+from .corpus import read_utf8
 from .fanout import fan_out
 from .vectorizer import N_FEATURES, SCHEMA_VERSION, family_indices
 
@@ -456,9 +456,9 @@ def save_model(model: ReadabilityModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ReadabilityModel:
     try:
-        doc = json.loads(decode_utf8(Path(path).read_bytes(), path, ModelError))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelError(f"cannot read model file {path}: {exc}") from exc
+        doc = json.loads(read_utf8(path, ModelError))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ModelError(f"cannot read model file {path}: {exc}") from None
 
     if not isinstance(doc, dict):
         raise ModelError(f"model file {path} is not a JSON object")

@@ -560,6 +560,26 @@ class TestCliContract:
         assert re.search(rf"cannot read {re.escape(str(wordnet / 'index.noun'))}: .*\(line 3\)$", err, re.M)
         assert "internal error" not in err
 
+    def test_a_hypernym_chain_deeper_than_the_recursion_limit_featurizes(self, tmp_path, capsys):
+        from codereadability.vectorizer import read_feature_matrix, schema_names
+
+        wordnet = tmp_path / "wordnet"
+        wordnet.mkdir()
+        (wordnet / "index.noun").write_text("qa n 1 1 @ 1 0 00000001\n")
+        (wordnet / "data.noun").write_text(
+            "".join(f"{i:08d} 03 n 01 w{i} 0 001 @ {i + 1:08d} n 0000 | link\n" for i in range(1, 5000))
+            + "00005000 03 n 01 w5000 0 000 | root\n")
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"[dictionary]\npath = {wordnet}\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.py").write_text("qa = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, matrix = read_feature_matrix(out)
+        assert matrix[0, schema_names().index("tf.nmi_max")] == 5000
+
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_invalid_lambda_flag_exit_3(self, tmp_path, capsys, value):
         """An invalid lambda exits 3 from the config file, naming its key; the same
@@ -612,6 +632,19 @@ def test_undecodable_file_exit_3_names_the_file(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert re.search(rf"ERROR codereadability: cannot read .*{re.escape(str(bad))}: 'utf-8' codec can't decode", err)
     assert "internal error" not in err
+
+
+def test_a_model_file_nested_too_deeply_exits_3_naming_it(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text("x = 1\n")
+    out = tmp_path / "out.csv"
+    assert main(["score", "--model", str(deep), "--in", str(src), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert re.fullmatch(rf"ERROR codereadability: cannot read model file {re.escape(str(deep))}: "
+                        r"maximum recursion depth exceeded[^\n]*\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])

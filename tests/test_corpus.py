@@ -72,6 +72,10 @@ class TestLoadSnippet:
                                                r"can't decode byte 0xff in position 6: .* \(line 2\)$"):
             load_snippet_file(bad, "python", "bad")
 
+    def test_a_nul_in_the_path_names_the_file(self, tmp_path):
+        with pytest.raises(DatasetError, match=r"^cannot read .*a\0\.py: embedded null byte$"):
+            load_snippet_file(tmp_path / "a\0.py", "python")
+
     def test_a_bom_is_dropped_on_load(self, tmp_path):
         path = tmp_path / "a.py"
         path.write_bytes(b"\xef\xbb\xbfx = 1\n")
@@ -155,7 +159,9 @@ class TestLabeledDataset:
     def test_missing_file_rejected(self, tmp_path):
         manifest = _write_dataset(tmp_path, [("a", "x=1")])
         (tmp_path / "a.py").unlink()
-        with pytest.raises(DatasetError, match=r"manifest\.csv, line 2: snippet file not found: .*a\.py"):
+        with pytest.raises(DatasetError, match=rf"manifest\.csv, line 2: cannot read "
+                                               rf"{re.escape(str(tmp_path / 'a.py'))}: "
+                                               r"No such file or directory$"):
             load_labeled_dataset(manifest)
 
     def test_undecodable_snippet_names_manifest_line_path_and_line(self, tmp_path):
@@ -169,9 +175,11 @@ class TestLabeledDataset:
         manifest = _write_dataset(tmp_path, [("a", "x=1")])
         (tmp_path / "a.py").unlink()
         (tmp_path / "a.py").mkdir()
-        with pytest.raises(DatasetError, match=r"manifest\.csv, line 2: .*Is a directory: .*a\.py"):
+        with pytest.raises(DatasetError, match=rf"manifest\.csv, line 2: cannot read "
+                                               rf"{re.escape(str(tmp_path / 'a.py'))}: Is a directory$"):
             load_labeled_dataset(manifest)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DatasetError, match="manifest not found"):
+        with pytest.raises(DatasetError, match=rf"^cannot read {re.escape(str(tmp_path / 'nope.csv'))}: "
+                                               r"No such file or directory$"):
             load_labeled_dataset(tmp_path / "nope.csv")

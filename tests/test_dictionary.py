@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codereadability.dictionary import (
     DictionaryError,
+    _WordNetDatabase,
     count_syllables,
     load_dictionary,
 )
@@ -44,6 +45,9 @@ class TestWordNetBackend:
     def test_empty_term(self, wordnet_dict):
         assert not wordnet_dict.lookup("").in_dictionary
 
+    def test_a_dictionary_error_is_a_data_error(self):
+        assert issubclass(DictionaryError, ValueError)
+
     def test_missing_directory_fails_at_init(self, tmp_path):
         with pytest.raises(DictionaryError):
             load_dictionary(tmp_path / "nowhere")
@@ -66,6 +70,35 @@ class TestWordNetBackend:
 
     def test_lookup_is_pure(self, wordnet_dict):
         assert wordnet_dict.lookup("dog") == wordnet_dict.lookup("dog")
+
+
+def _recursive_depth(hypernyms, memo, key) -> int:
+    """The recursive hypernym depth the explicit stack replaced, kept as its oracle."""
+    if key in memo:
+        return memo[key]
+    memo[key] = 1
+    best = 1
+    for parent in hypernyms.get(key, ()):
+        best = max(best, 1 + _recursive_depth(hypernyms, memo, parent))
+    memo[key] = best
+    return best
+
+
+_SYNSETS = st.tuples(st.sampled_from("nv"), st.integers(0, 7))
+
+
+class TestHypernymDepth:
+    # self-loops, cycles and repeated parents included; the memo carries from
+    # one query to the next, so the queries run in the same order on both
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(_SYNSETS, st.lists(_SYNSETS, max_size=4)), st.lists(_SYNSETS, max_size=10))
+    def test_the_stack_matches_the_recursion(self, hypernyms, queries):
+        database = _WordNetDatabase.__new__(_WordNetDatabase)
+        database.hypernyms, database._depth_memo = hypernyms, {}
+        memo: dict = {}
+        assert [database.depth(key) for key in queries] == [
+            _recursive_depth(hypernyms, memo, key) for key in queries]
+        assert database._depth_memo == memo
 
 
 class TestSynonymExpansion:

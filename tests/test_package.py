@@ -78,6 +78,58 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == UNUSED_IMPORTS
 
 
+# the functions that read a file: the one reader of input files, and the
+# bundled word list, which is package data and not user input
+FILE_READERS = {"corpus.read_utf8", "dictionary._load_fallback_words"}
+
+_MODE = re.compile(r"[rwxabt+]+")
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """A ``.read_bytes()``, a ``.read_text()`` or an ``open()`` whose mode
+    (a string constant among its arguments) has no w, a, x or +."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("read_bytes", "read_text"):
+        return True
+    if getattr(func, "id", None) != "open" and getattr(func, "attr", None) != "open":
+        return False
+    modes = [arg.value for arg in (*call.args, *(kw.value for kw in call.keywords if kw.arg == "mode"))
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and _MODE.fullmatch(arg.value)]
+    return not any(set("wax+") & set(mode) for mode in modes)
+
+
+def _file_readers(node: ast.AST, name: str):
+    """The dotted name of the innermost function or class around each call under
+    ``node`` that reads a file."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _file_readers(child, f"{name}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and _reads_a_file(child):
+            yield name
+        yield from _file_readers(child, name)
+
+
+def test_only_read_utf8_reads_a_file():
+    package = ROOT / "src" / "codereadability"
+    readers = set()
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        readers.update(_file_readers(ast.parse(path.read_text(encoding="utf-8")), module))
+    assert readers == FILE_READERS
+
+
+@pytest.mark.parametrize("source,reads", [
+    ("open(path)", True), ("open(path, 'rb')", True), ("io.open(path, mode='r')", True),
+    ("Path(p).open()", True), ("p.read_text('utf-8')", True), ("p.read_bytes()", True),
+    ("open('data.txt')", True), ("open(path, 'w')", False), ("open(path, 'ab')", False),
+    ("Path(p).open('x')", False), ("open(path, 'r+')", False), ("p.write_text(t)", False),
+    ("read_bytes(p)", False),
+])
+def test_the_scan_sees_each_way_to_read_a_file(source, reads):
+    assert _reads_a_file(ast.parse(source).body[0].value) is reads
+
+
 def test_star_import_binds_each_name_to_its_submodule_object():
     namespace: dict = {}
     exec("from codereadability import *", namespace)

@@ -4,8 +4,9 @@ the labeled manifest, the feature matrix and the score table.
 Blank lines are skipped, the header is exact, every row has the header's
 field count and a unique id, and every error is a ``ValueError`` naming
 the file and, for a row, its physical line (exit 3 through the CLI). A
-UTF-8 byte-order mark is dropped, as it is from the INI, snippet and model
-files, and an undecodable byte in any of them names the file and its line.
+UTF-8 byte-order mark is dropped, as it is from the INI, snippet, model
+and WordNet files. An input file that is missing, is a directory or holds
+an undecodable byte is named once, ``cannot read <path>: <reason>``.
 """
 
 import re
@@ -128,22 +129,28 @@ def test_a_bom_is_dropped_from_the_profiles(tmp_path):
 
 
 def _write_cli_inputs(tmp_path, special: str, prefix: bytes = b"", inserted: bytes = b"") -> None:
-    """The files a featurize or score call decodes: a manifest, a config, a
-    profiles INI, snippet files (``a.ml`` through the manifest, ``src/b.ml``
-    and ``src/c.ml`` in a directory) and a model. The file ``special`` gets
-    ``prefix`` before its bytes and ``inserted`` at the start of its line 2."""
+    """The files a featurize, score or compare call reads: a manifest, a
+    config, a profiles INI, a WordNet database, snippet files (``a.ml``
+    through the manifest, ``src/b.ml`` and ``src/c.ml`` in a directory), a
+    model and a score table. The file ``special`` gets ``prefix`` before its
+    bytes and ``inserted`` at the start of its line 2."""
     (tmp_path / "src").mkdir(exist_ok=True)
+    (tmp_path / "wn").mkdir(exist_ok=True)
     save_model(ReadabilityModel(scaler=ScalerParams(mu=np.zeros(N_FEATURES), sigma=np.ones(N_FEATURES)),
                                 selected=(0, 20), weights=np.array([0.5, -0.25]), intercept=0.1,
                                 lambda_l2=1.0), tmp_path / "model.json")
     files = {
         "m.csv": _line(["id", "path", "language", "label"]) + _line(["a", "a.ml", "mylang", "1"]),
-        "conf.ini": f"[bwf]\ntab_width = 8\n\n[lexical]\nprofiles = {tmp_path / 'p.ini'}\n".encode(),
+        "conf.ini": (f"[bwf]\ntab_width = 8\n\n[lexical]\nprofiles = {tmp_path / 'p.ini'}\n\n"
+                     f"[dictionary]\npath = {tmp_path / 'wn'}\n").encode(),
         "p.ini": b"[mylang]\nkeywords = fn let\n",
+        "wn/index.noun": b"  1 license header\nx n 1 1 @ 1 0 00000001\n",
+        "wn/data.noun": b"  1 license header\n00000001 03 n 01 x 0 000 | a letter\n",
         "a.ml": b"fn f\nlet x = 1\n",
         "src/b.ml": b"fn g\n\tlet y = 2\n",
         "src/c.ml": b"let z = 3\n",
         "model.json": (tmp_path / "model.json").read_bytes(),
+        "t.csv": _line(["id", "linear_score", "probability"]) + _line(["a", "0.1", "0.5"]),
     }
     for name, content in files.items():
         if name == special:
@@ -158,7 +165,8 @@ def _cli_argv(tmp_path, command: str, source: str) -> list[str]:
     return argv + ["--model", str(tmp_path / "model.json")] if command == "score" else argv
 
 
-@pytest.mark.parametrize("bom_in", ["m.csv", "conf.ini", "p.ini", "a.ml", "src/b.ml", "model.json"])
+@pytest.mark.parametrize("bom_in", ["m.csv", "conf.ini", "p.ini", "a.ml", "src/b.ml", "model.json",
+                                    "wn/index.noun"])
 def test_a_bom_changes_nothing_through_the_cli(tmp_path, bom_in):
     outputs = []
     for bom in (b"", _BOM):
@@ -177,8 +185,7 @@ def test_a_bom_changes_nothing_through_the_cli(tmp_path, bom_in):
 def test_an_undecodable_byte_exits_3_naming_the_file_and_line(tmp_path, capsys, command, bad_in, bom):
     _write_cli_inputs(tmp_path, bad_in, prefix=bom, inserted=b"\xff")
     source = "src" if bad_in == "src/b.ml" else "m.csv"
-    where = {"a.ml": f"{tmp_path / 'm.csv'}, line 2: ", "src/b.ml": "unreadable input: b.ml: ",
-             "model.json": ""}[bad_in]
+    where = f"{tmp_path / 'm.csv'}, line 2: " if bad_in == "a.ml" else ""
     out = tmp_path / "out.csv"
     for keep_going in ([], ["--keep-going"]):
         assert main([*_cli_argv(tmp_path, command, source), *keep_going]) == 3
@@ -191,6 +198,64 @@ def test_an_undecodable_byte_exits_3_naming_the_file_and_line(tmp_path, capsys, 
                else [row.split(",")[0] for row in out.read_text().splitlines()[1:]])
         assert ids == (["c.ml"] if keep_going and source == "src" else None)
         out.unlink(missing_ok=True)
+
+
+# each input kind: the file, the argv after --config, and the output it
+# writes with --keep-going (the other file of a directory), or None
+INPUT_KINDS = {
+    # through train: featurize --in reads a directory in its place as a directory input
+    "manifest": ("m.csv", ["train", "--data", "m.csv"], None),
+    "manifest row": ("a.ml", ["featurize", "--in", "m.csv"], None),
+    "directory": ("src/b.ml", ["featurize", "--in", "src"], None),
+    "directory --keep-going": ("src/b.ml", ["featurize", "--in", "src", "--keep-going"], ["c.ml"]),
+    "config": ("conf.ini", ["featurize", "--in", "src"], None),
+    "profiles": ("p.ini", ["featurize", "--in", "src"], None),
+    "model": ("model.json", ["score", "--model", "model.json", "--in", "src"], None),
+    "score table": ("t.csv", ["compare", "--a", "t.csv", "--b", "t.csv"], None),
+    "wordnet": ("wn/index.noun", ["featurize", "--in", "src"], None),
+}
+
+FAULTS = {
+    "missing": "No such file or directory",
+    "a directory": "Is a directory",
+    "an undecodable byte": r"'utf-8' codec can't decode byte 0xff in position [0-9]+: "
+                           r"invalid start byte \(line 2\)",
+}
+
+
+def _input_fault_cases():
+    for kind, (name, _, _) in INPUT_KINDS.items():
+        for fault in FAULTS:
+            # a directory input lists its regular files only, so a file of it
+            # cannot be missing or a directory
+            if name.startswith("src/") and fault != "an undecodable byte":
+                continue
+            yield pytest.param(kind, fault, id=f"{kind}-{fault}")
+
+
+@pytest.mark.parametrize("kind,fault", _input_fault_cases())
+def test_an_input_file_that_cannot_be_read_exits_3_naming_it_once(tmp_path, capsys, kind, fault):
+    name, argv, kept = INPUT_KINDS[kind]
+    _write_cli_inputs(tmp_path, name, inserted=b"\xff" if fault == "an undecodable byte" else b"")
+    bad = tmp_path / name
+    if fault != "an undecodable byte":
+        bad.unlink()
+    if fault == "a directory":
+        bad.mkdir()
+    argv = [str(tmp_path / arg) if arg in ("m.csv", "src", "model.json", "t.csv") else arg
+            for arg in argv]
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(tmp_path / "conf.ini"), *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    where = f"{tmp_path / 'm.csv'}, line 2: " if kind == "manifest row" else ""
+    message = f"cannot read {re.escape(str(bad))}: {FAULTS[fault]}"
+    if (kind, fault) == ("wordnet", "missing"):  # its only index file, so the directory is named
+        bad = tmp_path / "wn"
+        message = f"no index\\.\\* files under {re.escape(str(bad))}"
+    assert re.fullmatch(f"ERROR codereadability: {re.escape(where)}{message}\n", err), err
+    assert err.count(str(bad)) == 1
+    ids = None if not out.exists() else [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+    assert ids == kept
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c != "oversized field"])
