@@ -4,10 +4,10 @@
 
 import numpy as np
 
-from codereadability import featurize, get_profile, load_dictionary, load_snippet, preprocess, schema
+from codereadability import featurize, load_dictionary, load_profiles, load_snippet, preprocess, schema
 
 dictionary = load_dictionary()  # bundled English wordlist backend
-python = get_profile("python")  # built-in lexing profile
+python = load_profiles(None)["python"]  # built-in lexing profile
 
 CLEAN = '''\
 # Return the running total of the given values.

@@ -23,7 +23,7 @@ from .corpus import (
 )
 from .dictionary import DictionaryProvider, count_syllables, load_dictionary
 from .lexical import extract_blocks, split_identifier, tokenize
-from .profiles import LanguageProfile, get_profile, load_profiles
+from .profiles import LanguageProfile, load_profiles
 from .vectorizer import (
     SCHEMA_VERSION,
     family_indices,
@@ -64,7 +64,6 @@ __all__ = [
     "featurize",
     "featurize_corpus",
     "fit_scaler",
-    "get_profile",
     "load_config",
     "load_dictionary",
     "load_labeled_dataset",

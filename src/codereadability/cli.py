@@ -49,13 +49,19 @@ def _write_from_inputs(args, cfg: AnalysisConfig, output: str, write) -> int:
     directory of files or a labeled manifest CSV; the exit code. Each
     unreadable file is logged, and stops the command before any output
     unless ``--keep-going`` is set, which writes the rest and exits 3.
+    A directory entry that is neither a directory nor a regular file (a
+    dangling symlink, a FIFO) is skipped with a warning and never opened.
     No snippet at all warns that ``output`` is written header-only.
     """
     path = Path(args.in_path)
     unreadable = False
     if path.is_dir():
         snippets: list[Snippet] = []
-        for file in sorted(p for p in path.rglob("*") if p.is_file()):
+        for file in sorted(path.rglob("*")):
+            if not file.is_file():  # never opened: reading a FIFO blocks
+                if not file.is_dir():
+                    log.warning("skipping %s: not a regular file", file)
+                continue
             try:
                 snippets.append(preprocess(load_snippet_file(file, args.lang,
                                                              str(file.relative_to(path)))))

@@ -81,6 +81,24 @@ _SECTIONS = {
 }
 
 
+def _malformed(path, text: str, exc: configparser.Error) -> str:
+    """``<path>, line <n>: malformed INI: <what>`` for the file ``text``
+    that ``ConfigParser`` rejects; no line for a value it cannot interpolate."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        line, what = exc.lineno, f"no section header before {exc.line.strip()!r}"
+    elif isinstance(exc, configparser.ParsingError):  # the first line it could not parse
+        line = exc.errors[0][0]
+        source = text.split("\n")[line - 1].strip()
+        what = f"cannot parse {source!r}"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        line, what = exc.lineno, f"section [{exc.section}] appears twice"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        line, what = exc.lineno, f"key {exc.option!r} appears twice in section [{exc.section}]"
+    else:
+        return f"{path}: malformed INI: {exc}"
+    return f"{path}, line {line}: malformed INI: {what}"
+
+
 def read_ini(path: str | Path, keys_of, **options) -> dict[str, dict[str, object]]:
     """``{section: {field: value}}`` of an INI file, ``options`` going to
     ``ConfigParser``; ``keys_of(section)`` is the section's key table
@@ -88,18 +106,19 @@ def read_ini(path: str | Path, keys_of, **options) -> dict[str, dict[str, object
 
     A file ``corpus.read_utf8`` cannot read, a file it cannot parse or a
     value it cannot interpolate (a lone ``%``, in any section) raises
-    ``ValueError`` naming the file. Keys are read in order, the
-    section's own and then [DEFAULT]'s (never rejected), and the first that
-    is unknown or fails to convert raises ``ValueError`` naming the file,
-    the section and the key.
+    ``ValueError`` naming the file once, with its line where it can.
+    Keys are read in order, the section's own and then [DEFAULT]'s (never
+    rejected), and the first that is unknown or fails to convert raises
+    ``ValueError`` naming the file, the section and the key.
     """
     parser = configparser.ConfigParser(**options)
+    text = read_utf8(path, ValueError)
     try:
-        parser.read_string(read_utf8(path, ValueError), str(path))
+        parser.read_string(text, str(path))
         # every value interpolated now, so a skipped section is checked too
         sections = {section: dict(parser[section]) for section in parser.sections()}
     except configparser.Error as exc:  # not a ValueError, so not a data error
-        raise ValueError(f"{path}: malformed INI: {exc}") from exc
+        raise ValueError(_malformed(path, text, exc)) from exc
     settings = {}
     for section, values in sections.items():
         keys = keys_of(section)

@@ -28,9 +28,9 @@ profile is used and cached by profile value (so an INI profile named
   sum of their lengths gives each token's column.
 
 Only a block comment or triple-quoted string left open at the end of a
-line crosses lines. ``_ScanState.mode`` then holds its closing
-delimiter, whether backslashes escape it and whether it counts as a
-comment, and the next line starts by looking for that closer.
+line crosses lines. ``_Scanner.scan`` then returns with the line's
+segments its mode: its closing delimiter, whether backslashes escape it
+and whether it counts as a comment; the next line's scan starts there.
 
 ``extract_blocks`` reads the blocks off a profile: the token set of each
 run of non-blank lines between blank ones, as a frozenset.
@@ -57,7 +57,7 @@ from struct import Struct
 from typing import NamedTuple
 
 from .corpus import Snippet
-from .profiles import LanguageProfile, get_profile
+from .profiles import LanguageProfile
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 NUMBER_RE = re.compile(
@@ -151,15 +151,6 @@ def _word_terms(token: str) -> tuple[str, ...]:
     return terms
 
 
-def normalize_terms(tokens) -> list[str]:
-    """Shared term pipeline for comment text, identifiers, and line groups:
-    split, lowercase, drop pure-number terms."""
-    out: list[str] = []
-    for tok in tokens:
-        out.extend(_word_terms(tok))
-    return out
-
-
 # --------------------------------------------------------------------------
 # The compiled scanner of one profile
 # --------------------------------------------------------------------------
@@ -181,13 +172,6 @@ _OPEN_BRACKETS = frozenset("([{")
 # ``bracket_columns``.
 _COUNTS = Struct("<12Q")
 _PACKED, _OPERAND, _IDENTIFIER, _TERMS, _KEYWORD_CHARS, _ASSIGN, _OPEN = map(itemgetter, range(7))
-
-
-@dataclass
-class _ScanState:
-    # (close, escaped, as_comment) while a block comment or triple-quoted
-    # string spans lines; None otherwise
-    mode: tuple[str, bool, bool] | None = None
 
 
 def _escaped_close_re(delim: str) -> re.Pattern:
@@ -273,18 +257,18 @@ class _Scanner:
                   tok == ".", tok == ",", assign, 0, 0, tok in self.arith, tok in self.cmp)
         return _pack(counts), False, False, (), 0, assign, tok in _OPEN_BRACKETS
 
-    def scan(self, line: str, state: _ScanState) -> list[tuple]:
-        """Split one line into code, comment and string segments, in order."""
+    def scan(self, line: str, mode: tuple | None) -> tuple[list[tuple], tuple | None]:
+        """Split one line, begun in ``mode``, into code, comment and string
+        segments, in order; with them the mode the line ends in, or None."""
         segments: list[tuple] = []
         i = 0
-        if state.mode is not None:
-            close, escaped, as_comment = state.mode
+        if mode is not None:
+            close, escaped, as_comment = mode
             end = self._close(line, 0, close, escaped)
             if end == -1:
                 segments.append(_literal(as_comment, line, line, False))
-                return segments
+                return segments, mode
             segments.append(_literal(as_comment, line[:end], line[:end - len(close)], False))
-            state.mode = None
             i = end
 
         had_code = False  # a docstring is a comment only with no code before it
@@ -302,9 +286,7 @@ class _Scanner:
                 end = -1 if group == _LINE_COMMENT else self._close(line, body, close, False)
                 if end == -1:
                     segments.append((_COMMENT, line[j:], line[body:]))
-                    if group == _BLOCK_COMMENT:
-                        state.mode = (close, False, True)
-                    return segments
+                    return segments, (close, False, True) if group == _BLOCK_COMMENT else None
                 segments.append((_COMMENT, line[j:end], line[body:end - len(close)]))
                 i = end
                 continue
@@ -322,15 +304,13 @@ class _Scanner:
             end = self._close(line, body, close, True)
             if end == -1:
                 segments.append(_literal(as_comment, line[start:], line[body:], True))
-                if group == _DOCSTRING:
-                    state.mode = (close, True, as_comment)
-                return segments
+                return segments, (close, True, as_comment) if group == _DOCSTRING else None
             segments.append(_literal(as_comment, line[start:end], line[body:end - len(close)], True))
             i = end
 
         if i < len(line):
             segments.append((_CODE, i, len(line)))
-        return segments
+        return segments, None
 
     def _close(self, line: str, start: int, close: str, escaped: bool) -> int:
         """Index just past the closing delimiter, or -1."""
@@ -356,10 +336,8 @@ def _indent_width(line: str, tab_width: int) -> int:
     return lead + line.count("\t", 0, lead) * (tab_width - 1)
 
 
-def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -> LexicalProfile:
-    """Extract the full lexical profile of a preprocessed snippet."""
-    if p is None:
-        p = get_profile(s.language)
+def tokenize(s: Snippet, p: LanguageProfile, tab_width: int = 4) -> LexicalProfile:
+    """Extract the full lexical profile of a preprocessed snippet under ``p``."""
     sc = _scanner(p)
     code_tokens = sc.code_re.findall
     entry_of = sc.table.__getitem__
@@ -373,13 +351,14 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
     code: list[str] = []      # every code token of the snippet
     entries: list[tuple] = []  # and its table entry
     columns: list[int] = []   # and its column
-    state = _ScanState()
+    mode = None  # the block comment or triple-quoted string left open
 
     for line in s.lines:
         tokens: list[str] = []     # every token of the line, literals too
         line_code: list[str] = []  # its code tokens
         has_comment = has_string = False
-        for seg in sc.scan(line, state):
+        segments, mode = sc.scan(line, mode)
+        for seg in segments:
             kind = seg[0]
             if kind == _CODE:
                 raws = code_tokens(line, seg[1], seg[2])  # blanks + token
@@ -424,7 +403,7 @@ def tokenize(s: Snippet, p: LanguageProfile | None = None, tab_width: int = 4) -
     prof.assign_columns = list(compress(columns, map(_ASSIGN, entries)))
     prof.bracket_columns = list(compress(columns, map(_OPEN, entries)))
     comment_words = _WORD_SPLIT_RE.findall(" ".join(prof.comments))
-    prof.terms_comment = frozenset(normalize_terms(comment_words))
+    prof.terms_comment = frozenset(chain.from_iterable(map(_word_terms, comment_words)))
     prof.terms_identifier = frozenset(chain.from_iterable(prof.line_identifier_terms))
     return prof
 

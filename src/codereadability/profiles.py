@@ -5,12 +5,12 @@ delimiter, and which operator symbols fall into each counted category.
 Built-in profiles cover python, java, and cuda; ``generic`` falls back to
 the python profile so unknown languages behave deterministically.
 
-A profile table maps language names to profiles. ``load_profiles(path)``
-builds one: the built-ins overlaid by the sections of an INI file, so a
+A profile table, a plain dict, maps language names to profiles; only
+``load_profiles`` builds one: the built-ins for None, else the built-ins
+overlaid by the sections of an INI file read by ``config.read_ini``, so a
 section may add a language or override a built-in one (``[generic]``,
-``[python]``), read by ``config.read_ini``. The table is a value passed
-to ``get_profile``; nothing here keeps state between calls, and the
-built-ins cannot be changed.
+``[python]``). Nothing here keeps state between calls, and the built-ins
+cannot be changed.
 """
 
 from __future__ import annotations
@@ -134,14 +134,6 @@ _BUILTIN_PROFILES: Mapping[str, LanguageProfile] = MappingProxyType({
     # deterministic fallback for unknown languages
     "generic": PYTHON_PROFILE,
 })
-
-
-def get_profile(language: str, table: Mapping[str, LanguageProfile] | None = None) -> LanguageProfile:
-    """The profile of ``language`` in ``table`` (the built-ins by default)."""
-    try:
-        return (_BUILTIN_PROFILES if table is None else table)[language]
-    except KeyError:
-        raise ValueError(f"unsupported language {language!r}") from None
 
 
 def _split_list(raw: str) -> tuple[str, ...]:

@@ -31,12 +31,14 @@ from codereadability.model import (
     sfs_path,
     transform,
 )
-from codereadability.profiles import get_profile
+from codereadability.profiles import load_profiles
 from codereadability.vectorizer import FAMILIES, featurize, schema
 
 from conftest import snip
 from test_cli import write_labeled_dataset
 from test_tf_oracle import token_overlap_distance
+
+PY = load_profiles(None)["python"]
 
 
 @contextlib.contextmanager
@@ -62,11 +64,11 @@ def test_criterion_1_schema_integrity(bundled_dict):
         assert counts == {"TF": 16, "BWF": 26, "PF": 4, "DF": 15}
         assert [e.family for e in entries] == ["TF"] * 16 + ["BWF"] * 26 + ["PF"] * 4 + ["DF"] * 15
 
-        vec = featurize(snip(""), get_profile("python"), bundled_dict)
+        vec = featurize(snip(""), PY, bundled_dict)
         assert vec.shape == (61,)
         assert np.all(vec == 0.0)
 
-        nonempty = featurize(snip("x = a + b  # sum"), get_profile("python"), bundled_dict)
+        nonempty = featurize(snip("x = a + b  # sum"), PY, bundled_dict)
         assert np.all(np.isfinite(nonempty))
 
 
@@ -75,8 +77,8 @@ def test_criterion_2_formula_oracles(bundled_dict):
         tol = 1e-9
 
         # Flesch: W=3,S=1,Y=3 and W=5,S=1,Y=7
-        assert comment_readability(tokenize(snip("# The cat sat."))) == pytest.approx(119.19, abs=tol)
-        assert comment_readability(tokenize(snip("# really basic code runs fine."))) == pytest.approx(83.32, abs=tol)
+        assert comment_readability(tokenize(snip("# The cat sat."), PY)) == pytest.approx(119.19, abs=tol)
+        assert comment_readability(tokenize(snip("# really basic code runs fine."), PY)) == pytest.approx(83.32, abs=tol)
 
         # character entropy on uniform distributions
         assert line_entropy("aaaa") == pytest.approx(0.0, abs=tol)
@@ -85,10 +87,10 @@ def test_criterion_2_formula_oracles(bundled_dict):
 
         # Halstead: 2 operators (=,+) and 3 operands (x,a,b), each once
         from codereadability.features.pf import halstead_volume
-        assert halstead_volume(tokenize(snip("x = a + b"))) == pytest.approx(5 * math.log2(5), abs=tol)
+        assert halstead_volume(tokenize(snip("x = a + b"), PY)) == pytest.approx(5 * math.log2(5), abs=tol)
 
         # CIC: {compute,sum} vs {sum,total} -> 1/3
-        plain, _ = cic(tokenize(snip("sum = total  # compute sum")), bundled_dict)
+        plain, _ = cic(tokenize(snip("sum = total  # compute sum"), PY), bundled_dict)
         assert plain == pytest.approx(1 / 3, abs=tol)
 
         # TC over hand-enumerated pairs: J(1,2)=1, J(1,3)=J(2,3)=0
@@ -101,10 +103,10 @@ def test_criterion_2_formula_oracles(bundled_dict):
         assert text_coherence(blocks)[1] == pytest.approx(1 / 3, abs=tol)
 
         # SR with line lengths {2, 6}: 1 - 2/4
-        assert spatial(tokenize(snip("ab\nabcdef")))[2] == pytest.approx(0.5, abs=tol)
+        assert spatial(tokenize(snip("ab\nabcdef"), PY))[2] == pytest.approx(0.5, abs=tol)
 
         # AlignOp with '=' columns {4, 8}: 1/(1+2)
-        assert alignment(tokenize(snip("abc = 1\nabcdefg = 2")))[0] == pytest.approx(1 / 3, abs=tol)
+        assert alignment(tokenize(snip("abc = 1\nabcdefg = 2"), PY))[0] == pytest.approx(1 / 3, abs=tol)
 
 
 def test_criterion_3_property_suites(wordnet_dict):
@@ -121,10 +123,10 @@ def test_criterion_3_property_suites(wordnet_dict):
                 for _ in range(n_lines)
             ]
             from codereadability.corpus import Snippet
-            base = compute_bwf(tokenize(Snippet(id="s", language="python", lines=tuple(lines))))
+            base = compute_bwf(tokenize(Snippet(id="s", language="python", lines=tuple(lines)), PY))
             perm = rng.permutation(n_lines)
             shuffled = compute_bwf(tokenize(Snippet(id="s", language="python",
-                                                    lines=tuple(lines[i] for i in perm))))
+                                                    lines=tuple(lines[i] for i in perm)), PY))
             assert base == shuffled
 
         # entropy bounds 0 <= H <= log2 |vocab|

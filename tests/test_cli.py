@@ -70,6 +70,27 @@ class TestFeaturizeCommand:
         assert len(out.read_text().strip().splitlines()) == 1
         assert f"no snippets found in {src}; writing header-only matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep_going", [[], ["--keep-going"]])
+    def test_directory_input_skips_what_is_not_a_regular_file(self, tmp_path, capsys, keep_going):
+        plain = tmp_path / "plain"
+        src = tmp_path / "src"
+        for root in (plain, src):
+            root.mkdir()
+            (root / "a.py").write_text("x = 1\n")
+        (src / "dangling.py").symlink_to(tmp_path / "nowhere.py")
+        skipped = ["dangling.py"]
+        if hasattr(os, "mkfifo"):  # opening it would block
+            os.mkfifo(src / "pipe.py")
+            skipped.append("pipe.py")
+        want = tmp_path / "want.csv"
+        assert main(["featurize", "--in", str(plain), "--out", str(want), *keep_going]) == 0
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "o.csv"
+        assert main(["featurize", "--in", str(src), "--out", str(out), *keep_going]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARNING codereadability: skipping {src / name}: not a regular file" for name in skipped]
+        assert out.read_bytes() == want.read_bytes()
+
     def test_corrupt_file_keep_going(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -397,11 +418,15 @@ class TestCliContract:
         name = section[1:section.index("]")]
         assert f"{cfg}: unknown key '{key}' in section [{name}]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["x = 1\n", "[bwf]\ntab_width = 4\n\n[bwf]\ntab_width = 2\n",
-                                      "[bwf]\ntab_width = 4 %\n"],
-                             ids=["no-section-header", "section-twice", "lone-percent"])
+    @pytest.mark.parametrize("text,line", [
+        ("x = 1\n", 1),
+        ("[bwf]\ntab_width = 4\n\n[bwf]\ntab_width = 2\n", 4),
+        ("[bwf]\ntab_width = 4 %\n", None),
+        ("[bwf]\ntab_width = 4\ntab_width = 2\n", 3),
+        ("[bwf]\ntab_width = 4\nnot a pair\n", 3),
+    ], ids=["no-section-header", "section-twice", "lone-percent", "key-twice", "unparsable-line"])
     @pytest.mark.parametrize("via", ["config", "profiles"])
-    def test_malformed_ini_exit_3_names_the_file(self, tmp_path, capsys, text, via):
+    def test_malformed_ini_exit_3_names_the_file(self, tmp_path, capsys, text, line, via):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         cfg = bad
@@ -415,8 +440,11 @@ class TestCliContract:
         assert main(["--config", str(cfg), "featurize", "--in", str(src), "--out", str(out)]) == 3
         assert not out.exists()
         err = capsys.readouterr().err
-        assert f"{bad}: malformed INI: " in err
-        assert "internal error" not in err
+        # one line, naming the file once and the line where the fault is
+        where = f"{bad}: " if line is None else f"{bad}, line {line}: "
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"ERROR codereadability: {where}malformed INI: "), err
+        assert err.count(str(bad)) == 1
 
     def test_unknown_profile_key_exit_3_names_file_section_and_key(self, tmp_path, capsys):
         profiles = tmp_path / "p.ini"

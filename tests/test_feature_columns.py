@@ -24,7 +24,7 @@ from codereadability.dictionary import load_dictionary
 from codereadability.features import TF_GROUPS, TfFeatures, compute_tf, tf
 from codereadability.lexical import extract_blocks, tokenize
 from codereadability.model import ReadabilityModel, ScalerParams, predict
-from codereadability.profiles import get_profile
+from codereadability.profiles import load_profiles
 from codereadability.vectorizer import (
     N_FEATURES,
     feature_layers,
@@ -37,6 +37,8 @@ from conftest import snip
 from lexer_samples import fixture_snippets
 from test_fuzz_featurize import source_texts
 
+BUILTIN = load_profiles(None)
+
 ROOT = Path(__file__).resolve().parent.parent
 NAMES = schema_names()
 BUNDLED = load_dictionary()
@@ -44,7 +46,7 @@ BUNDLED = load_dictionary()
 
 def featurize_builtin(s, columns=None):
     """``featurize`` under the snippet's built-in profile and the bundled dictionary."""
-    return featurize(s, get_profile(s.language), BUNDLED, columns=columns)
+    return featurize(s, BUILTIN[s.language], BUNDLED, columns=columns)
 
 
 def _samples():
@@ -122,7 +124,7 @@ class TestComputeTfFields:
     @pytest.mark.parametrize("group", TF_GROUPS)
     def test_each_group_fills_its_fields_only(self, bundled_dict, group):
         for s in SAMPLES[-3:]:
-            p = get_profile(s.language)
+            p = BUILTIN[s.language]
             profile = tokenize(s, p)
             blocks = extract_blocks(profile)
             full = compute_tf(profile, blocks, bundled_dict)
@@ -180,7 +182,7 @@ def random_model(selected, seed: int) -> ReadabilityModel:
 def assert_scores_match_full_predict(trained: ReadabilityModel, d) -> None:
     table = score_corpus(trained, SAMPLES, d=d)
     for s, linear, prob in zip(SAMPLES, table.linear_scores, table.probabilities):
-        want_prob, want_linear = predict(trained, featurize(s, get_profile(s.language), d))
+        want_prob, want_linear = predict(trained, featurize(s, BUILTIN[s.language], d))
         assert (linear.hex(), prob.hex()) == (want_linear.hex(), want_prob.hex()), s.id
 
 

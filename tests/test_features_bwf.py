@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from codereadability.corpus import Snippet
 from codereadability.features.bwf import compute_bwf
 from codereadability.lexical import tokenize
+from codereadability.profiles import load_profiles
 
 from conftest import snip
+
+PY = load_profiles(None)["python"]
 
 # lines with no quote characters, so every line lexes independently and
 # snippets can be permuted line-by-line without changing lexer state
@@ -17,12 +20,12 @@ SAFE_LINES = st.lists(SAFE_LINE, min_size=1, max_size=10)
 
 
 def bwf_of_lines(lines):
-    return compute_bwf(tokenize(Snippet(id="s", language="python", lines=tuple(lines))))
+    return compute_bwf(tokenize(Snippet(id="s", language="python", lines=tuple(lines)), PY))
 
 
 class TestExamples:
     def test_single_assignment_line(self):
-        feats = compute_bwf(tokenize(snip("x = 1")))
+        feats = compute_bwf(tokenize(snip("x = 1"), PY))
         assert feats.line_len_avg == 5.0
         assert feats.line_len_max == 5.0
         assert feats.assign_avg == 1.0
@@ -31,29 +34,29 @@ class TestExamples:
 
     def test_blank_and_comment_ratios(self):
         # 4 lines: code, blank, comment-only, code
-        feats = compute_bwf(tokenize(snip("x = 1\n\n# note\ny = 2")))
+        feats = compute_bwf(tokenize(snip("x = 1\n\n# note\ny = 2"), PY))
         assert feats.blank_ratio == 0.25
         assert feats.comment_ratio == 0.25
 
     def test_inline_comment_counts_as_comment_line(self):
-        feats = compute_bwf(tokenize(snip("x = 1  # note\ny = 2")))
+        feats = compute_bwf(tokenize(snip("x = 1  # note\ny = 2"), PY))
         assert feats.comment_ratio == 0.5
 
     def test_empty_snippet_all_zero(self):
-        feats = compute_bwf(tokenize(snip("")))
+        feats = compute_bwf(tokenize(snip(""), PY))
         assert all(v == 0.0 for v in tuple(feats))
 
     def test_identifier_stats(self):
         # occurrences alpha, beta, alpha: lengths 5+4+5 over 3
-        feats = compute_bwf(tokenize(snip("alpha = beta + alpha")))
+        feats = compute_bwf(tokenize(snip("alpha = beta + alpha"), PY))
         assert feats.id_len_avg == pytest.approx(14 / 3)
         assert feats.id_len_max == 5.0
         assert feats.ids_per_line_avg == 3.0
         assert feats.max_identifier_occurrence == 2.0
 
     def test_averages_exclude_comment_only_lines(self):
-        with_comment = compute_bwf(tokenize(snip("x = 1\n# a comment line")))
-        without = compute_bwf(tokenize(snip("x = 1")))
+        with_comment = compute_bwf(tokenize(snip("x = 1\n# a comment line"), PY))
+        without = compute_bwf(tokenize(snip("x = 1"), PY))
         assert with_comment.line_len_avg == without.line_len_avg
         assert with_comment.assign_avg == without.assign_avg
 
@@ -95,7 +98,7 @@ class TestInvariants:
 
     @given(SAFE_LINES)
     def test_max_char_occurrence_pigeonhole(self, lines):
-        prof = tokenize(Snippet(id="s", language="python", lines=tuple(lines)))
+        prof = tokenize(Snippet(id="s", language="python", lines=tuple(lines)), PY)
         feats = compute_bwf(prof)
         total = prof.total_chars
         if total > 0:

@@ -36,9 +36,11 @@ from codereadability.lexical import (
     extract_blocks,
     split_identifier,
 )
-from codereadability.profiles import CUDA_PROFILE, JAVA_PROFILE, PYTHON_PROFILE, get_profile
+from codereadability.profiles import CUDA_PROFILE, JAVA_PROFILE, PYTHON_PROFILE, load_profiles
 from codereadability.vectorizer import featurize
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
+
+BUILTIN = load_profiles(None)
 
 # --------------------------------------------------------------------------
 # Reference: the lexer loop and per-line Counter
@@ -143,11 +145,12 @@ def ref_tokenize(s, p, tab_width):
     text = "".join(s.lines)
     prof.total_chars = len(text)
     prof.char_counts.update(text)
-    state = lexical._ScanState()
+    mode = None
     for line in s.lines:
         tokens, code, idents, code_operands = [], [], [], []
         has_comment = has_string = False
-        for seg in scan(line, state):
+        segments, mode = scan(line, mode)
+        for seg in segments:
             if seg[0] == lexical._CODE:
                 for m in code_re.finditer(line, seg[1], seg[2]):
                     group = m.lastindex
@@ -324,7 +327,8 @@ def ref_featurize(s, p, d, config):
 
 def assert_same(s, d, p=None, tab_width=4):
     config = AnalysisConfig(tab_width=tab_width)
-    p = p or get_profile(s.language)
+    if p is None:
+        p = BUILTIN[s.language]
     got = featurize(s, p, d, config)
     want = ref_featurize(s, p, d, config)
     assert got.tobytes() == want.tobytes(), [

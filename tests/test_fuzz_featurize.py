@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from codereadability.corpus import load_snippet, preprocess
-from codereadability.profiles import get_profile
+from codereadability.profiles import load_profiles
 from codereadability.vectorizer import N_FEATURES, featurize
+
+BUILTIN = load_profiles(None)
 
 _CONSTRUCTS = ('"""', "'''", '"', "'", "/*", "*/", "#", "//", "\\", "r\"", "f'",
                "\r\n", "\r", "\n", "\n\n", "\t", " ", "\x0c", "def f():", "{", "}",
@@ -35,7 +37,7 @@ def source_texts(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(source_texts(), st.sampled_from(["python", "java", "cuda"]))
 def test_featurize_any_text(bundled_dict, text, language):
-    vec = featurize(preprocess(load_snippet(text, language, "fuzz")), get_profile(language),
+    vec = featurize(preprocess(load_snippet(text, language, "fuzz")), BUILTIN[language],
                     bundled_dict)
     assert len(vec) == N_FEATURES == 61
     assert all(math.isfinite(v) for v in vec)

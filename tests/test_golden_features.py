@@ -13,16 +13,18 @@ from pathlib import Path
 import numpy as np
 
 from codereadability.dictionary import load_dictionary
-from codereadability.profiles import get_profile
+from codereadability.profiles import load_profiles
 from codereadability.vectorizer import featurize, write_feature_matrix
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
+
+BUILTIN = load_profiles(None)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_features.csv"
 
 
 def write_golden_matrix(path, d):
     """Featurize every sample (the INI one under its own profile) into ``path``."""
-    snippets = [(s, get_profile(s.language)) for s in fixture_snippets()] + [(ini_snippet(), ini_profile())]
+    snippets = [(s, BUILTIN[s.language]) for s in fixture_snippets()] + [(ini_snippet(), ini_profile())]
     matrix = np.vstack([featurize(s, p, d) for s, p in snippets])
     write_feature_matrix(path, [s.id for s, _ in snippets], matrix)
 

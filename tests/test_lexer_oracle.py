@@ -30,10 +30,11 @@ from codereadability.profiles import (
     JAVA_PROFILE,
     PYTHON_PROFILE,
     LanguageProfile,
-    get_profile,
     load_profiles,
 )
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
+
+BUILTIN = load_profiles(None)
 
 _WORD_SPLIT_RE = lexical._WORD_SPLIT_RE
 
@@ -262,9 +263,7 @@ def ref_indent_width(line, tab_width):
     return width
 
 
-def ref_tokenize(s, p=None, tab_width=4):
-    if p is None:
-        p = get_profile(s.language)
+def ref_tokenize(s, p, tab_width=4):
     symbols = p.all_operator_symbols()
     assign_set = set(p.assignment_ops)
     arith_set = set(p.arithmetic_ops)
@@ -354,6 +353,8 @@ def ref_tokenize(s, p=None, tab_width=4):
 
 
 def assert_same(s, p=None, tab_width=4):
+    if p is None:
+        p = BUILTIN[s.language]
     got = tokenize(s, p, tab_width=tab_width)
     want = ref_tokenize(s, p, tab_width=tab_width)
     assert got == want
@@ -401,7 +402,7 @@ def test_mylang_profile_gets_its_own_scanner():
     prof = tokenize(s, profile)
     assert prof.comments == [' bind "q" # not a comment']
     # the python profile, cached earlier under the same snippet, sees a comment at '#'
-    python = tokenize(s)
+    python = tokenize(s, BUILTIN["generic"])
     assert python.comments == [" not a comment", "x"]
     assert python.comment_chars == len("# not a comment") + len('"""x"""')
 
@@ -409,12 +410,12 @@ def test_mylang_profile_gets_its_own_scanner():
 def test_ini_profile_named_generic_is_not_the_builtin(tmp_path):
     generic = _ini(tmp_path, "[generic]\nkeywords = blop\nline_comments = --\nstrings = '\n")["generic"]
     s = Snippet(id="s", language="generic", lines=("blop x -- note # more", 'y = "a" # c'))
-    tokenize(s)  # the built-in generic (python) scanner is built first
+    tokenize(s, BUILTIN["generic"])  # the built-in generic (python) scanner is built first
     assert_same(s, generic)
     prof = tokenize(s, generic)
     assert prof.comments == [" note # more"]
     assert "blop" in prof.operators
-    assert tokenize(s).comments == [" more", " c"]
+    assert tokenize(s, BUILTIN["generic"]).comments == [" more", " c"]
 
 
 def test_profile_without_block_comments_or_docstrings(tmp_path):

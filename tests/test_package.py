@@ -27,7 +27,7 @@ EXPORTS = {
     "model": ["EvaluationReport", "ReadabilityModel", "auc", "evaluate", "fit_scaler",
               "load_model", "predict", "save_model", "sfs", "stratified_folds",
               "train_logreg", "train_model"],
-    "profiles": ["LanguageProfile", "get_profile", "load_profiles"],
+    "profiles": ["LanguageProfile", "load_profiles"],
     "vectorizer": ["SCHEMA_VERSION", "family_indices", "featurize",
                    "featurize_corpus", "schema", "schema_names"],
 }
@@ -98,24 +98,30 @@ def _reads_a_file(call: ast.Call) -> bool:
     return not any(set("wax+") & set(mode) for mode in modes)
 
 
-def _file_readers(node: ast.AST, name: str):
-    """The dotted name of the innermost function or class around each call under
-    ``node`` that reads a file."""
+def _sites(node: ast.AST, name: str, matches):
+    """The dotted name of the innermost function or class around each node
+    under ``node`` that ``matches``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _file_readers(child, f"{name}.{child.name}")
+            yield from _sites(child, f"{name}.{child.name}", matches)
             continue
-        if isinstance(child, ast.Call) and _reads_a_file(child):
+        if matches(child):
             yield name
-        yield from _file_readers(child, name)
+        yield from _sites(child, name, matches)
+
+
+def _package_sites(matches) -> set[str]:
+    """``_sites`` over every module of the package, named from the package."""
+    package = ROOT / "src" / "codereadability"
+    sites = set()
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        sites.update(_sites(ast.parse(path.read_text(encoding="utf-8")), module, matches))
+    return sites
 
 
 def test_only_read_utf8_reads_a_file():
-    package = ROOT / "src" / "codereadability"
-    readers = set()
-    for path in sorted(package.rglob("*.py")):
-        module = ".".join(path.relative_to(package).with_suffix("").parts)
-        readers.update(_file_readers(ast.parse(path.read_text(encoding="utf-8")), module))
+    readers = _package_sites(lambda node: isinstance(node, ast.Call) and _reads_a_file(node))
     assert readers == FILE_READERS
 
 
@@ -128,6 +134,51 @@ def test_only_read_utf8_reads_a_file():
 ])
 def test_the_scan_sees_each_way_to_read_a_file(source, reads):
     assert _reads_a_file(ast.parse(source).body[0].value) is reads
+
+
+# the one place a language becomes a profile
+PROFILE_RESOLVERS = {"vectorizer.featurize_corpus"}
+
+_RESOLVER = re.compile(r"(?:get|load)_profiles?")
+
+
+def _resolves_a_profile(node: ast.AST) -> bool:
+    """A call, bare or as an attribute, of a function that gets or loads a
+    profile or a profile table: ``load_profiles`` and its like."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return name is not None and _RESOLVER.fullmatch(name) is not None
+
+
+def _reads_builtin_profiles(node: ast.AST) -> bool:
+    """A read or an import of ``profiles._BUILTIN_PROFILES``."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "_BUILTIN_PROFILES" for alias in node.names)
+    return "_BUILTIN_PROFILES" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_only_featurize_corpus_resolves_a_profile():
+    assert _package_sites(_resolves_a_profile) == PROFILE_RESOLVERS
+    assert {site.partition(".")[0] for site in _package_sites(_reads_builtin_profiles)} == {"profiles"}
+
+
+@pytest.mark.parametrize("source,resolves", [
+    ("load_profiles(None)", True), ("profiles.load_profiles(path)", True),
+    ("load_profile('python')", True), ("table[language]", False), ("load_dictionary(p)", False),
+    ("load_profiles_from(p)", False),
+])
+def test_the_scan_sees_each_way_to_resolve_a_profile(source, resolves):
+    assert _resolves_a_profile(ast.parse(source).body[0].value) is resolves
+
+
+@pytest.mark.parametrize("source,reads", [
+    ("_BUILTIN_PROFILES['python']", True), ("profiles._BUILTIN_PROFILES", True),
+    ("from .profiles import _BUILTIN_PROFILES", True), ("BUILTIN_PROFILES", False),
+])
+def test_the_scan_sees_each_read_of_the_builtins(source, reads):
+    node = ast.parse(source).body[0]
+    assert any(map(_reads_builtin_profiles, ast.walk(node))) is reads
 
 
 def test_star_import_binds_each_name_to_its_submodule_object():

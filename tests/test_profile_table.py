@@ -29,7 +29,6 @@ from codereadability.profiles import (
     JAVA_PROFILE,
     PYTHON_PROFILE,
     LanguageProfile,
-    get_profile,
     load_profiles,
 )
 from codereadability.vectorizer import N_FEATURES, featurize, featurize_corpus, write_feature_matrix
@@ -172,12 +171,12 @@ def test_profile_table_is_builtins_overlaid_by_ini(tmp_path):
     assert set(table) == {"python", "java", "cuda", "generic", "rust"}
     assert table["python"].line_comment_markers == ("//",)
     assert table["generic"] is PYTHON_PROFILE  # only named sections are replaced
-    assert get_profile("rust", table) is table["rust"]
-    assert load_profiles(None) == {name: get_profile(name) for name in ("python", "java", "cuda", "generic")}
+    assert load_profiles(None) == {"python": PYTHON_PROFILE, "java": JAVA_PROFILE,
+                                   "cuda": CUDA_PROFILE, "generic": PYTHON_PROFILE}
     table["python"] = table["rust"]  # a caller's table is its own
-    assert get_profile("python") is PYTHON_PROFILE and load_profiles(None)["python"] is PYTHON_PROFILE
-    with pytest.raises(ValueError, match="unsupported language 'rust'"):
-        get_profile("rust")
+    assert load_profiles(None)["python"] is PYTHON_PROFILE
+    with pytest.raises(KeyError):
+        load_profiles(None)["rust"]
 
 
 def test_profile_ini_keys(tmp_path):

@@ -35,9 +35,13 @@ from codereadability.features.tf import (
     text_coherence,
 )
 from codereadability.lexical import extract_blocks, tokenize
+from codereadability.profiles import load_profiles
 from lexer_samples import fixture_snippets, ini_profile, ini_snippet
 
 from conftest import snip
+
+BUILTIN = load_profiles(None)
+PY = BUILTIN["python"]
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,7 +169,7 @@ def repo_snippet(start, n_lines):
 
 
 def assert_same(s, p=None, cases=((0.5, 2),)):
-    prof = tokenize(s, p)
+    prof = tokenize(s, BUILTIN[s.language] if p is None else p)
     blocks = extract_blocks(prof)
     assert text_coherence(blocks) == ref_text_coherence(blocks)
     for eps, min_samples in cases:
@@ -248,7 +252,7 @@ class TestJaccardProperties:
 
 
 def test_no_neighbour_at_nan_eps():
-    prof = tokenize(snip("a = 1\na = 1\nb = 2"))
+    prof = tokenize(snip("a = 1\na = 1\nb = 2"), PY)
     assert concept_count(prof, math.nan, 2) == ref_concept_count(prof, math.nan, 2) == (0.0, 0.0)
     assert concept_count(prof, math.nan, 0) == ref_concept_count(prof, math.nan, 0) == (3.0, 1.0)
 
@@ -290,7 +294,7 @@ def test_cluster_count_is_dbscan_in_any_pair_order(graph, min_samples, data):
 def test_compute_tf_memory_is_bounded():
     """20k lines: the dense kernels needed gigabytes here; never run them at this size."""
     s = repo_snippet(0, 20_000)
-    prof = tokenize(s)
+    prof = tokenize(s, PY)
     blocks = extract_blocks(prof)
     d = load_dictionary()
     tracemalloc.start()
@@ -315,7 +319,7 @@ def assert_same_bits(blocks):
 @pytest.fixture(scope="module")
 def long_blocks():
     s = repo_snippet(0, 4000)
-    return extract_blocks(tokenize(s))
+    return extract_blocks(tokenize(s, PY))
 
 
 @pytest.fixture
@@ -438,7 +442,7 @@ def join_calls():
 
 @pytest.fixture(scope="module")
 def long_profile():
-    return tokenize(repo_snippet(0, 4000))
+    return tokenize(repo_snippet(0, 4000), PY)
 
 
 @pytest.mark.parametrize("n_sets", sorted({tf._JOIN_MIN_SETS - 1, tf._JOIN_MIN_SETS,
@@ -451,7 +455,7 @@ def test_line_set_counts_around_the_join_threshold(long_profile, join_calls, n_s
             seen.add(frozenset(toks))
             if len(seen) == n_sets:
                 break
-    prof = tokenize(repo_snippet(0, n_lines))
+    prof = tokenize(repo_snippet(0, n_lines), PY)
     assert len(distinct_line_sets(prof)) == n_sets
     for eps, min_samples in ALL_CASES:
         assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
@@ -491,7 +495,7 @@ def many_lines(draw):
 @settings(max_examples=60, deadline=None)
 @given(many_lines(), st.sampled_from(JOIN_EPS + EPS_VALUES), st.sampled_from(MIN_SAMPLES))
 def test_generated_many_lines_match_reference(lines, eps, min_samples):
-    prof = tokenize(snip("\n".join(lines)))
+    prof = tokenize(snip("\n".join(lines)), PY)
     n_sets = len(distinct_line_sets(prof))
     assert n_sets >= tf._JOIN_MIN_SETS
     with spy_on("_array_pairs") as calls:
@@ -503,7 +507,7 @@ def test_generated_many_lines_match_reference(lines, eps, min_samples):
 
 def test_array_join_chunks_bound_the_gathered_rows(monkeypatch):
     """A small word budget splits the join into many chunks with the same pairs."""
-    token_sets = distinct_line_sets(tokenize(repo_snippet(0, 1000)))
+    token_sets = distinct_line_sets(tokenize(repo_snippet(0, 1000), PY))
     whole = array_join_pairs(token_sets, 0.5)
     monkeypatch.setattr(tf, "_BITSET_CHUNK_WORDS", 64)
     chunks = list(tf._array_pairs(token_sets, 0.5))
@@ -515,7 +519,7 @@ def test_array_join_chunks_bound_the_gathered_rows(monkeypatch):
 def test_concept_count_memory_is_bounded(join_calls):
     """20k lines on the array join: chunks of words keep the gathered rows
     small (the whole candidate set at once peaked near 60 MB here)."""
-    prof = tokenize(repo_snippet(0, 20_000))
+    prof = tokenize(repo_snippet(0, 20_000), PY)
     tracemalloc.start()
     try:
         concept_count(prof)
@@ -533,7 +537,7 @@ def test_lines_over_the_packed_cap_join_by_set_intersection(join_calls):
     n, k = 1024, 17
     lines = [" ".join([f"t{i - 1}_{j}" for j in range(k) if i] + [f"t{i}_{j}" for j in range(k) if i < n - 1])
              for i in range(n)]
-    prof = tokenize(snip("\n".join(lines)))
+    prof = tokenize(snip("\n".join(lines)), PY)
     token_sets = distinct_line_sets(prof)
     assert len(token_sets) == n and n * -(-k * (n - 1) // 64) > tf._BITSET_MAX_WORDS
     # neighbours are at distance 2/3; the two end lines, at 1/2 from theirs

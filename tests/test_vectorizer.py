@@ -24,7 +24,7 @@ from codereadability.features import (
     compute_tf,
 )
 from codereadability.lexical import extract_blocks, tokenize
-from codereadability.profiles import get_profile
+from codereadability.profiles import load_profiles
 from codereadability.vectorizer import (
     FAMILIES,
     family_indices,
@@ -40,8 +40,10 @@ from conftest import WORDNET_MINI, snip
 from lexer_samples import LEXER_DATA, fixture_snippets, ini_profile, ini_snippet
 from test_cli import write_labeled_dataset
 
+BUILTIN = load_profiles(None)
+PY = BUILTIN["python"]
+
 ROOT = Path(__file__).resolve().parent.parent
-PY = get_profile("python")
 
 
 class TestSchema:
@@ -83,7 +85,7 @@ class TestFamilyRecords:
                                   for name in record._fields]
 
     def test_featurize_copies_each_record_bit_for_bit(self, bundled_dict):
-        samples = [(s, get_profile(s.language)) for s in fixture_snippets()]
+        samples = [(s, BUILTIN[s.language]) for s in fixture_snippets()]
         samples.append((ini_snippet(), ini_profile()))
         for s, p in samples:
             profile = tokenize(s, p)
