@@ -9,10 +9,8 @@ reproduced exactly; outputs are byte-identical for identical
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -26,7 +24,6 @@ from .vectorizer import FAMILIES, N_FEATURES, feature_layers, featurize_corpus, 
 log = logging.getLogger("codereadability")
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
@@ -35,22 +32,14 @@ EXIT_INTERNAL = 4
 _DATA_ERRORS = (ValueError, OSError)
 
 
-def _resolve_config(args) -> AnalysisConfig:
-    """``--config`` (or the defaults), ``--lambda`` overriding ``[model] lambda_l2``."""
-    cfg = load_config(args.config)
-    if getattr(args, "lambda_l2", None) is not None:
-        cfg = dataclasses.replace(cfg, lambda_l2=args.lambda_l2)
-    log.info("resolved config: %s", json.dumps(cfg.to_dict(), sort_keys=True))
-    return cfg
-
-
 def _write_from_inputs(args, cfg: AnalysisConfig, output: str, write) -> int:
     """``write(snippets, dictionary)`` for the snippets of ``--in``, a
     directory of files or a labeled manifest CSV; the exit code. Each
     unreadable file is logged, and stops the command before any output
     unless ``--keep-going`` is set, which writes the rest and exits 3.
     A directory entry that is neither a directory nor a regular file (a
-    dangling symlink, a FIFO) is skipped with a warning and never opened.
+    dangling symlink, a FIFO) is skipped with a warning and never opened,
+    and so is a symlink to a directory, which ``rglob`` does not descend.
     No snippet at all warns that ``output`` is written header-only.
     """
     path = Path(args.in_path)
@@ -61,6 +50,8 @@ def _write_from_inputs(args, cfg: AnalysisConfig, output: str, write) -> int:
             if not file.is_file():  # never opened: reading a FIFO blocks
                 if not file.is_dir():
                     log.warning("skipping %s: not a regular file", file)
+                elif file.is_symlink():
+                    log.warning("skipping %s: symlink to a directory, not followed", file)
                 continue
             try:
                 snippets.append(preprocess(load_snippet_file(file, args.lang,
@@ -158,21 +149,15 @@ def cmd_compare(args, cfg: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def _at_least(low, convert=int):
-    """argparse type: a finite number, ``convert`` of the text, no smaller than ``low``."""
-    finite = " and finite" if convert is float else ""
-
-    def parse(text: str):
-        value = convert(text)
-        if not low <= value < math.inf:  # false for NaN too
-            raise argparse.ArgumentTypeError(f"must be at least {low}{finite}, got {value}")
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
-    parse.__name__ = convert.__name__  # argparse names the type in its "invalid int value" error
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
     return parse
-
-
-_LANG_HELP = ("language for directory inputs: python, java, cuda, generic, or a "
-              "section of the [lexical] profiles INI")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,13 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log the resolved configuration and progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_input_flags(p, out_help):
+        p.add_argument("--in", dest="in_path", required=True,
+                       help="snippet directory or manifest CSV")
+        p.add_argument("--lang", default="python",
+                       help="language for directory inputs: python, java, cuda, generic, "
+                            "or a section of the [lexical] profiles INI")
+        p.add_argument("--out", required=True, help=out_help)
+        p.add_argument("--keep-going", action="store_true",
+                       help="skip unreadable files but still exit nonzero")
+
     feat = sub.add_parser("featurize", help="compute the 61-column feature matrix")
-    feat.add_argument("--in", dest="in_path", required=True,
-                      help="snippet directory or manifest CSV")
-    feat.add_argument("--lang", default="python", help=_LANG_HELP)
-    feat.add_argument("--out", required=True, help="output matrix CSV")
-    feat.add_argument("--keep-going", action="store_true",
-                      help="skip unreadable files but still exit nonzero")
+    add_input_flags(feat, "output matrix CSV")
     feat.set_defaults(func=cmd_featurize)
 
     def add_train_eval_flags(p):
@@ -203,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="feature family to use")
         p.add_argument("--seed", type=_at_least(0), default=42,
                        help="RNG seed, at least 0")
-        p.add_argument("--lambda", dest="lambda_l2", type=_at_least(0, float), default=None,
-                       help="L2 regularization strength, finite and at least 0")
         p.add_argument("--kmax", type=_at_least(1), default=None,
                        help="max selected features, at least 1 (default: family size)")
 
@@ -222,12 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     score = sub.add_parser("score", help="score a corpus with a trained model")
     score.add_argument("--model", required=True, help="model JSON file")
-    score.add_argument("--in", dest="in_path", required=True,
-                       help="snippet directory or manifest CSV")
-    score.add_argument("--lang", default="python", help=_LANG_HELP)
-    score.add_argument("--out", required=True, help="output score-table CSV")
-    score.add_argument("--keep-going", action="store_true",
-                       help="skip unreadable files but still exit nonzero")
+    add_input_flags(score, "output score-table CSV")
     score.set_defaults(func=cmd_score)
 
     compare = sub.add_parser("compare", help="paired comparison of two score tables")
@@ -251,7 +234,9 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     log.setLevel(level)
     try:
-        return args.func(args, _resolve_config(args))
+        cfg = load_config(args.config)
+        log.info("resolved config: %s", json.dumps(cfg.to_dict(), sort_keys=True))
+        return args.func(args, cfg)
     except _DATA_ERRORS as exc:
         log.error("%s", exc)
         return EXIT_DATA

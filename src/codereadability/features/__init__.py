@@ -1,9 +1,9 @@
 from .bwf import BwfFeatures, compute_bwf
 from .df import DfFeatures, compute_df
-from .pf import PfFeatures, compute_pf, line_entropy
+from .pf import PfFeatures, compute_pf
 from .tf import TF_GROUPS, TfFeatures, compute_tf
 
 __all__ = [
     "BwfFeatures", "DfFeatures", "PfFeatures", "TF_GROUPS", "TfFeatures",
-    "compute_bwf", "compute_df", "compute_pf", "compute_tf", "line_entropy",
+    "compute_bwf", "compute_df", "compute_pf", "compute_tf",
 ]

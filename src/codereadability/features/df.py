@@ -51,6 +51,7 @@ def _pop_std(values) -> float:
     if len(values) <= 1:
         return 0.0
     mu = _mean(values)
+    # not math.sqrt as in pf: glibc's pow is not correctly rounded; golden features pin each root
     return (sum((v - mu) ** 2 for v in values) / len(values)) ** 0.5
 
 

@@ -56,6 +56,7 @@ def compute_pf(profile: LexicalProfile) -> PfFeatures:
     if entropies:
         mean = sum(entropies) / len(entropies)
         # population std, matching the snippet-level aggregation convention
+        # not ** 0.5 as in df: glibc's pow is not correctly rounded; golden features pin each root
         std = math.sqrt(sum((h - mean) ** 2 for h in entropies) / len(entropies))
     else:
         mean = std = 0.0

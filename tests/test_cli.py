@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -91,6 +93,27 @@ class TestFeaturizeCommand:
             f"WARNING codereadability: skipping {src / name}: not a regular file" for name in skipped]
         assert out.read_bytes() == want.read_bytes()
 
+    def test_directory_input_names_a_symlinked_directory_it_does_not_follow(self, tmp_path,
+                                                                             capsys):
+        plain = tmp_path / "plain"
+        src = tmp_path / "src"
+        for root in (plain, src):
+            (root / "sub").mkdir(parents=True)
+            (root / "a.py").write_text("x = 1\n")
+            (root / "sub" / "c.py").write_text("z = 3\n")
+        (tmp_path / "real").mkdir()
+        (tmp_path / "real" / "b.py").write_text("y = 2\n")
+        (src / "linked").symlink_to(tmp_path / "real", target_is_directory=True)
+        want = tmp_path / "want.csv"
+        assert main(["featurize", "--in", str(plain), "--out", str(want)]) == 0
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "o.csv"
+        assert main(["featurize", "--in", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARNING codereadability: skipping {src / 'linked'}: "
+            "symlink to a directory, not followed"]
+        assert out.read_bytes() == want.read_bytes()
+
     def test_corrupt_file_keep_going(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -166,8 +189,8 @@ class TestTrainEvaluateCommands:
     ])
     def test_kmax_and_folds_below_their_minimum_are_usage_errors_before_featurize(
             self, tmp_path, monkeypatch, capsys, command, flag, value):
-        """--kmax < 1, --folds < 2, --seed < 0 and --lambda < 0 or not finite: exit 2,
-        nothing featurized or written."""
+        """--kmax < 1, --folds < 2, --seed < 0 and any --lambda (not a flag; the
+        penalty is [model] lambda_l2 alone): exit 2, nothing featurized or written."""
         from codereadability import cli
 
         def never(*args, **kwargs):
@@ -179,7 +202,8 @@ class TestTrainEvaluateCommands:
         with pytest.raises(SystemExit) as exc:
             main([command, "--data", str(manifest), flag, value, "--out", str(out)])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert (f"unrecognized arguments: {flag} {value}" if flag == "--lambda"
+                else f"argument {flag}: must be at least") in capsys.readouterr().err
         assert not out.exists()
 
     def test_smallest_kmax_and_folds_run(self, tmp_path):
@@ -353,8 +377,8 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command,flags", [
         ("featurize", ["--in", "--lang", "--out", "--keep-going"]),
-        ("train", ["--data", "--family", "--seed", "--lambda", "--kmax", "--out"]),
-        ("evaluate", ["--data", "--family", "--folds", "--seed", "--lambda", "--kmax", "--out"]),
+        ("train", ["--data", "--family", "--seed", "--kmax", "--out"]),
+        ("evaluate", ["--data", "--family", "--folds", "--seed", "--kmax", "--out"]),
         ("score", ["--model", "--in", "--lang", "--out"]),
         ("compare", ["--a", "--b", "--format", "--out"]),
     ])
@@ -364,6 +388,17 @@ class TestCliContract:
         text = capsys.readouterr().out
         for flag in flags:
             assert flag in text, f"{command} help is missing {flag}"
+        assert "--lambda" not in text
+
+    def test_no_flag_sets_a_config_field(self):
+        """Each setting has one source: a subcommand flag whose dest is an
+        AnalysisConfig field would be a second one beside the config file."""
+        fields = {field.name for field in dataclasses.fields(AnalysisConfig)}
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        both = [(command, action.dest) for command, parser in commands.items()
+                for action in parser._actions if action.dest in fields]
+        assert both == []
 
     def test_global_flags_in_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -610,8 +645,8 @@ class TestCliContract:
 
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_invalid_lambda_flag_exit_3(self, tmp_path, capsys, value):
-        """An invalid lambda exits 3 from the config file, naming its key; the same
-        value given as --lambda is a usage error (exit 2) naming the flag, not the key."""
+        """An invalid lambda exits 3 from the config file, naming its key; --lambda
+        is no flag, so the same value given as one is a usage error (exit 2)."""
         manifest = write_labeled_dataset(tmp_path / "data")
         model_path = tmp_path / "model.json"
         cfg = tmp_path / "conf.ini"
@@ -625,7 +660,7 @@ class TestCliContract:
                   "--out", str(model_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --lambda: must be at least" in err
+        assert f"unrecognized arguments: --lambda={value}" in err
         assert "lambda_l2" not in err
         assert not model_path.exists()
 
