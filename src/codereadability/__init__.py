@@ -11,8 +11,6 @@ imported on first access, so code that only featurizes never loads them
 or scipy.
 """
 
-import importlib
-
 from .config import AnalysisConfig, load_config
 from .corpus import (
     LabeledDataset,
@@ -89,13 +87,14 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name in _LAZY_MODULES:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _LAZY:
-        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _LAZY.get(name, name)
+    if home not in _LAZY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")  # which binds the submodule in this namespace
+    if name == home:
+        return globals()[home]
+    value = globals()[name] = getattr(globals()[home], name)
+    return value
 
 
 def __dir__():

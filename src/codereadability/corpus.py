@@ -98,6 +98,24 @@ def read_utf8(path: str | Path, error: type[Exception]) -> str:
         raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+class BoundedMemo(dict):
+    """``key -> build(key)``, built on first sight of the key and emptied
+    when it holds ``size`` keys, so it never grows past that; a build that
+    raises stores nothing. The one cache of the package: each memo's
+    ``build`` is pure, so a cleared key is rebuilt with the same value."""
+
+    def __init__(self, build, size: int = 1 << 13):
+        super().__init__()
+        self.build = build
+        self.size = size
+
+    def __missing__(self, key):
+        if len(self) >= self.size:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
+
+
 def read_table(path: str | Path, columns: tuple[str, ...], what: str) -> list[tuple[str, list[str]]]:
     """The data rows of a CSV table file (a ``what``), each with its place "<path>, line <n>".
 

@@ -11,18 +11,17 @@ Two interchangeable backends:
   empty synonym set.
 
 Terms absent from the backend get ``in_dictionary=False`` with all
-sense/depth quantities zero and no synonyms.
+sense/depth quantities zero and no synonyms. A WordNet provider keeps
+each term's entry in a ``corpus.BoundedMemo`` of 8,192 terms.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-from .corpus import read_utf8
+from .corpus import BoundedMemo, read_utf8
 
 
 class DictionaryError(ValueError):
@@ -149,27 +148,22 @@ def _parse_records(path: Path, parse, pos: str) -> None:
             raise DictionaryError(f"{path}, line {lineno}: malformed WordNet record: {exc}") from None
 
 
-@functools.cache  # the bundled list never changes; read it once per process
-def _load_fallback_words() -> frozenset[str]:
-    data = resources.files("codereadability").joinpath("data/wordlist.txt").read_text("utf-8")
-    return frozenset(w for w in data.split() if w)
+# the bundled list never changes: read it once per process, by its path
+_load_fallback_words = BoundedMemo(lambda path: frozenset(read_utf8(path, DictionaryError).split()),
+                                   1).__getitem__
 
 
 class DictionaryProvider:
     """Read-only lexical lookups; safe to share across threads after init."""
 
     def __init__(self, wordnet: _WordNetDatabase | None, fallback: frozenset[str] | None):
-        self._wordnet = wordnet
         self._fallback = fallback
-        self._cache: dict[str, LexEntry] = {}
+        self._entries = None if wordnet is None else BoundedMemo(wordnet.entry)
 
     def lookup(self, term: str) -> LexEntry:
-        if self._wordnet is None:
+        if self._entries is None:
             return _LISTED if term in self._fallback else _ABSENT
-        entry = self._cache.get(term)
-        if entry is None:
-            entry = self._cache[term] = self._wordnet.entry(term)
-        return entry
+        return self._entries[term]
 
     def is_english(self, term: str) -> bool:
         return self.lookup(term).in_dictionary
@@ -187,7 +181,7 @@ def load_dictionary(path: str | Path | None = None) -> DictionaryProvider:
     list (read once per process) when no path is given."""
     if path:
         return DictionaryProvider(_WordNetDatabase(path), None)
-    return DictionaryProvider(None, _load_fallback_words())
+    return DictionaryProvider(None, _load_fallback_words(Path(__file__).parent / "data" / "wordlist.txt"))
 
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")

@@ -3,18 +3,19 @@ character entropy, Halstead volume.
 
 A line's entropy sums one term per distinct character, in ``Counter``
 order, through the builtin ``sum``. The term of a count ``c`` on a line of
-``n`` characters, ``(c/n) * log2(c/n)``, comes from a bounded table keyed
-by ``n`` and then ``c``, so each is computed once.
+``n`` characters, ``(c/n) * log2(c/n)``, comes from a two-level
+``corpus.BoundedMemo``, 256 line lengths of 1,024 counts each, so each
+is computed once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import partial
 from typing import NamedTuple
 
-from ..lexical import BoundedMemo, LexicalProfile
+from ..corpus import BoundedMemo
+from ..lexical import LexicalProfile
 
 
 class PfFeatures(NamedTuple):
@@ -24,13 +25,10 @@ class PfFeatures(NamedTuple):
     halstead_volume: float
 
 
-def _entropy_term(total: int, c: int) -> float:
-    return (c / total) * math.log2(c / total)
-
-
 # the term of a character seen c times on a line of ``total`` characters, by
 # total and then by c; a line of n characters has at most n distinct counts
-_TERMS = BoundedMemo(lambda total: BoundedMemo(partial(_entropy_term, total), 1 << 10), 1 << 8)
+_TERMS = BoundedMemo(lambda total: BoundedMemo(lambda c: (c / total) * math.log2(c / total), 1 << 10),
+                     1 << 8)
 
 
 def line_entropy(line: str) -> float:

@@ -57,8 +57,9 @@ _SENTENCE_RE = re.compile(r"[.!?]+")
 # block coherence: from this many blocks the packed bitsets beat the set
 # loop (about 24 blocks on real code; 2x at 48), ...
 _BITSET_MIN_BLOCKS = 32
-# ... as long as the packed matrix stays within this many words (2 MB);
-_BITSET_MAX_WORDS = 1 << 18
+# ... as long as the packed matrix stays within this many words, a 16 MB
+# budget (a 64k-line snippet of real code packs about 3.1 MB);
+_BITSET_MAX_WORDS = 1 << 21
 # and the words intersected at once (at least one row against all later
 # ones), which bound each chunk's temporaries
 _BITSET_CHUNK_WORDS = 1 << 15

@@ -9,8 +9,9 @@ Scanning is regex based, never a full parse, so incomplete or
 syntactically broken snippets still produce a best-effort profile.
 
 Each language profile gets one scanner, compiled the first time the
-profile is used and cached by profile value (so an INI profile named
-``generic`` does not share the built-in one). It holds two alternations:
+profile is used and kept in a ``corpus.BoundedMemo`` of 32 profiles, keyed
+by profile value (so an INI profile named ``generic`` does not share the
+built-in one). It holds two alternations:
 
 * Markers: the line-comment markers, block-comment openers, docstring
   delimiters and string delimiters, in that group order and in profile
@@ -37,12 +38,14 @@ run of non-blank lines between blank ones, as a frozenset.
 
 The scanner also keeps a token table: code-token text -> everything the
 profile needs of that token, built the first time the text is seen (a
-token's text fixes its kind) and bounded in size. Its per-line counts
-are packed into one int, so a line's 12 category counts are one builtin
-``sum`` over its tokens' entries, and the snippet's identifiers,
-operators, operands and bracket and assignment columns are selected
-from its tokens with ``itertools.compress`` over the entries' flags. No
-token is visited by a Python-level loop.
+token's text fixes its kind), in a ``BoundedMemo`` of 8,192 tokens. An
+entry's per-line counts are packed into one int, so a line's 12 category
+counts are one builtin ``sum`` over its tokens' entries, and the
+snippet's identifiers, operators, operands and bracket and assignment
+columns are selected from its tokens with ``itertools.compress`` over the
+entries' flags. No token is visited by a Python-level loop. An
+identifier's terms come from one more memo of 8,192 identifiers, shared
+by every profile.
 """
 
 from __future__ import annotations
@@ -50,13 +53,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import itemgetter, not_, sub
 from struct import Struct
 from typing import NamedTuple
 
-from .corpus import Snippet
+from .corpus import BoundedMemo, Snippet
 from .profiles import LanguageProfile
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -135,11 +137,9 @@ def split_identifier(ident: str) -> list[str]:
     return terms
 
 
-@lru_cache(maxsize=1 << 13)
-def identifier_terms(ident: str) -> tuple[str, ...]:
-    """``split_identifier`` as a tuple; bounded memo, since the same
-    identifiers recur on most lines of a snippet and across snippets."""
-    return tuple(split_identifier(ident))
+# ``split_identifier`` as a tuple; memoized, since the same identifiers
+# recur on most lines of a snippet and across snippets
+identifier_terms = BoundedMemo(lambda ident: tuple(split_identifier(ident))).__getitem__
 
 
 def _word_terms(token: str) -> tuple[str, ...]:
@@ -186,26 +186,9 @@ def _literal(as_comment: bool, raw: str, text: str, opens: bool) -> tuple:
     return (_COMMENT, raw, text) if as_comment else (_STRING, raw, opens)
 
 
-@lru_cache(maxsize=64)
 def _pack(counts: tuple) -> int:
-    """The packed counts; memoized, since few count tuples occur."""
+    """The packed counts of one token-table entry."""
     return int.from_bytes(_COUNTS.pack(*counts), "little")
-
-
-class BoundedMemo(dict):
-    """``key -> build(key)``, built on first sight of the key and emptied
-    when it holds ``size`` keys, so it never grows past that."""
-
-    def __init__(self, build, size: int = 1 << 13):
-        super().__init__()
-        self.build = build
-        self.size = size
-
-    def __missing__(self, key):
-        if len(self) >= self.size:
-            self.clear()
-        value = self[key] = self.build(key)
-        return value
 
 
 class _Scanner:
@@ -321,10 +304,8 @@ class _Scanner:
         return -1 if k == -1 else k + len(close)
 
 
-@lru_cache(maxsize=32)
-def _scanner(p: LanguageProfile) -> _Scanner:
-    """The scanner of a profile, keyed by its value, built on first use."""
-    return _Scanner(p)
+# the scanner of a profile, keyed by its value, built on first use
+_scanner = BoundedMemo(_Scanner, 32).__getitem__
 
 
 # --------------------------------------------------------------------------

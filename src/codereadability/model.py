@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -415,8 +414,9 @@ def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
     family_indices(family)  # an unknown family fails here, before any fork
     folds = stratified_folds(y, k, seed)
 
-    run = partial(_outer_fold, X=X, y=y, folds=folds, family=family, k_max=k_max,
-                  inner_cv=inner_cv, seed=seed, lambda_l2=lambda_l2)
+    def run(fold: int) -> tuple[float, float, list[int]]:
+        return _outer_fold(fold, X, y, folds, family, k_max, inner_cv, seed, lambda_l2)
+
     fold_accuracy, fold_auc, fold_selected = map(list, zip(*fan_out(run, [1] * k)))
     return EvaluationReport(family=family, k=k, seed=seed, lambda_l2=lambda_l2,
                             accuracy=float(np.mean(fold_accuracy)),

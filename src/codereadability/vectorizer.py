@@ -21,7 +21,6 @@ the same bits at any CPU count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -95,25 +94,19 @@ _COLUMN_LAYERS = tuple(_TF_LAYERS.get(spec.name, spec.family.lower()) for spec i
 _LAYER_ORDER = (*(f"tf.{group}" for group in TF_GROUPS), *(family.lower() for family in FAMILIES[1:]))
 
 
-@lru_cache(maxsize=64)
-def _feature_layers(columns: tuple[int, ...] | None) -> tuple[str, ...]:
-    if columns is None:
-        columns = range(N_FEATURES)
-    elif not all(0 <= i < N_FEATURES for i in columns):
-        raise ValueError(f"feature columns must lie in [0, {N_FEATURES}), got {list(columns)}")
-    read = {_COLUMN_LAYERS[i] for i in columns}
-    if not read:
-        return ()
-    first = ("tokenize", "extract_blocks") if "tf.text_coherence" in read else ("tokenize",)
-    return (*first, *(layer for layer in _LAYER_ORDER if layer in read))
-
-
 def feature_layers(columns=None) -> list[str]:
     """The feature layers ``featurize`` runs on a non-empty snippet for
     ``columns`` (all 61 for None), in run order: ``tokenize``,
     ``extract_blocks``, ``tf.<group>`` for each group of
     ``features.TF_GROUPS``, ``bwf``, ``pf`` and ``df``."""
-    return list(_feature_layers(None if columns is None else tuple(columns)))
+    columns = range(N_FEATURES) if columns is None else tuple(columns)
+    if not all(0 <= i < N_FEATURES for i in columns):
+        raise ValueError(f"feature columns must lie in [0, {N_FEATURES}), got {list(columns)}")
+    read = {_COLUMN_LAYERS[i] for i in columns}
+    if not read:
+        return []
+    first = ["tokenize", "extract_blocks"] if "tf.text_coherence" in read else ["tokenize"]
+    return [*first, *(layer for layer in _LAYER_ORDER if layer in read)]
 
 
 _TF, _BWF, _PF, _DF = (slice(idx[0], idx[-1] + 1) for idx in map(family_indices, FAMILIES))
@@ -132,7 +125,7 @@ def featurize(s: Snippet, p: LanguageProfile, d: DictionaryProvider,
     if config is None:
         config = AnalysisConfig()
     columns = None if columns is None else tuple(columns)
-    layers = _feature_layers(columns)
+    layers = feature_layers(columns)
 
     # an empty snippet has no evidence at all: every feature takes its default
     values = np.zeros(N_FEATURES)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codereadability.corpus import (
+    BoundedMemo,
     DatasetError,
     load_labeled_dataset,
     load_snippet,
@@ -15,6 +16,32 @@ from codereadability.corpus import (
     preprocess,
 )
 from codereadability.vectorizer import featurize_corpus
+
+
+class TestBoundedMemo:
+    def test_holds_at_most_size_keys_and_builds_each_key_once_until_cleared(self):
+        built = []
+        memo = BoundedMemo(lambda key: built.append(key) or key * 2, 3)
+        for key in [0, 1, 0, 2, 1, 2, 0]:
+            assert memo[key] == key * 2
+            assert len(memo) <= 3
+        assert built == [0, 1, 2]
+        assert memo[3] == 6  # the fourth key empties it first
+        assert dict(memo) == {3: 6}
+        assert [memo[key] for key in (0, 3, 0)] == [0, 6, 0]
+        assert built == [0, 1, 2, 3, 0]
+
+    def test_a_build_that_raises_stores_nothing(self):
+        def build(key):
+            if key < 0:
+                raise ValueError(key)
+            return key
+
+        memo = BoundedMemo(build, 4)
+        assert memo[1] == 1
+        with pytest.raises(ValueError):
+            memo[-1]
+        assert dict(memo) == {1: 1}
 
 
 class TestLoadSnippet:

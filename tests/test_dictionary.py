@@ -71,6 +71,20 @@ class TestWordNetBackend:
     def test_lookup_is_pure(self, wordnet_dict):
         assert wordnet_dict.lookup("dog") == wordnet_dict.lookup("dog")
 
+    def test_lookups_stay_bounded(self):
+        """More distinct terms than the memo holds, the fixture's own among
+        many absent ones: the memo never passes its size, and every term
+        looks up to the entry it had before."""
+        provider = load_dictionary(WORDNET_MINI)
+        memo = provider._entries
+        terms = [*FIXTURE_TERMS, *(f"absent{i}" for i in range(memo.size + 100))]
+        first = []
+        for term in terms * 2:
+            first.append(provider.lookup(term))
+            assert len(memo) <= memo.size
+        assert first[:len(terms)] == first[len(terms):]
+        assert [e.in_dictionary for e in first[:len(FIXTURE_TERMS)]] == [True] * 7 + [False]
+
 
 def _recursive_depth(hypernyms, memo, key) -> int:
     """The recursive hypernym depth the explicit stack replaced, kept as its oracle."""

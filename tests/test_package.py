@@ -78,9 +78,9 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == UNUSED_IMPORTS
 
 
-# the functions that read a file: the one reader of input files, and the
-# bundled word list, which is package data and not user input
-FILE_READERS = {"corpus.read_utf8", "dictionary._load_fallback_words"}
+# the functions that read a file: the one reader of input files, which
+# also reads the bundled word list
+FILE_READERS = {"corpus.read_utf8"}
 
 _MODE = re.compile(r"[rwxabt+]+")
 
@@ -134,6 +134,33 @@ def test_only_read_utf8_reads_a_file():
 ])
 def test_the_scan_sees_each_way_to_read_a_file(source, reads):
     assert _reads_a_file(ast.parse(source).body[0].value) is reads
+
+
+_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _names_a_cache(node: ast.AST) -> bool:
+    """An import of a ``functools`` cache, or a ``functools.<cache>``."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(alias.name in _CACHES for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in _CACHES
+            and getattr(node.value, "id", None) == "functools")
+
+
+def test_bounded_memo_is_the_one_cache():
+    """Every cache of the package is a ``corpus.BoundedMemo``, which never
+    grows past its size; no ``functools`` cache."""
+    assert _package_sites(_names_a_cache) == set()
+
+
+@pytest.mark.parametrize("source,names", [
+    ("from functools import lru_cache", True), ("from functools import partial, cache", True),
+    ("from functools import cached_property", True), ("@functools.cache\ndef f(): pass", True),
+    ("functools.lru_cache(maxsize=8)(f)", True), ("from functools import partial", False),
+    ("functools.reduce(f, xs)", False), ("memo.cache", False),
+])
+def test_the_scan_sees_each_functools_cache(source, names):
+    assert any(map(_names_a_cache, ast.walk(ast.parse(source)))) is names
 
 
 # the one place a language becomes a profile

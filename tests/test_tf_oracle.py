@@ -386,9 +386,10 @@ def test_generated_many_blocks_match_reference(blocks):
     assert_same_bits(blocks)
 
 
-def test_blocks_over_the_packed_cap_keep_the_set_loop(bitset_calls):
+def test_blocks_over_the_packed_cap_keep_the_set_loop(bitset_calls, monkeypatch):
     """1024 blocks, each sharing 17 tokens with the next only: 272 words a
-    row, 2.1 MB packed, over the cap; the set loop stays well under it."""
+    row, 2.1 MB packed, over a 2 MB cap; the set loop stays well under it."""
+    monkeypatch.setattr(tf, "_BITSET_MAX_WORDS", 1 << 18)
     n, k = 1024, 17
     blocks = [frozenset([f"t{i - 1}.{j}" for j in range(k) if i]
                         + [f"t{i}.{j}" for j in range(k) if i < n - 1])
@@ -530,10 +531,11 @@ def test_concept_count_memory_is_bounded(join_calls):
     assert peak <= 6 * 2**20, f"concept_count peaked at {peak / 2**20:.1f} MB"
 
 
-def test_lines_over_the_packed_cap_join_by_set_intersection(join_calls):
+def test_lines_over_the_packed_cap_join_by_set_intersection(join_calls, monkeypatch):
     """1024 lines, each sharing 17 tokens with the next only: 272 words a
-    row, over the cap, so the join packs nothing and checks its candidates
+    row, over a 2 MB cap, so the join packs nothing and checks its candidates
     by set intersection (the set join it replaced peaked at 4.9 MB here)."""
+    monkeypatch.setattr(tf, "_BITSET_MAX_WORDS", 1 << 18)
     n, k = 1024, 17
     lines = [" ".join([f"t{i - 1}_{j}" for j in range(k) if i] + [f"t{i}_{j}" for j in range(k) if i < n - 1])
              for i in range(n)]
