@@ -6,9 +6,10 @@ and evaluates a logistic-regression readability classifier with forward
 feature selection; scores corpora; and compares paired corpora with a
 Wilcoxon signed-rank test.
 
-The scoring and statistics names (``analytics`` and ``model``) are
+The scoring and classifier names (``analytics`` and ``model``) are
 imported on first access, so code that only featurizes never loads them
-or scipy.
+or scipy. The rank statistics (``stats``: ``auc`` and
+``wilcoxon_signed_rank``) import numpy alone and load with the package.
 """
 
 from .config import AnalysisConfig, load_config
@@ -22,6 +23,7 @@ from .corpus import (
 from .dictionary import DictionaryProvider, count_syllables, load_dictionary
 from .lexical import extract_blocks, split_identifier, tokenize
 from .profiles import LanguageProfile, load_profiles
+from .stats import auc, wilcoxon_signed_rank
 from .vectorizer import (
     SCHEMA_VERSION,
     family_indices,
@@ -35,8 +37,8 @@ from .vectorizer import (
 _LAZY_MODULES = ("analytics", "model")
 _LAZY = {
     **dict.fromkeys(("ComparisonReport", "ScoreTable", "paired_compare", "render_report",
-                     "score_corpus", "wilcoxon_signed_rank"), "analytics"),
-    **dict.fromkeys(("EvaluationReport", "ReadabilityModel", "auc", "evaluate", "fit_scaler",
+                     "score_corpus"), "analytics"),
+    **dict.fromkeys(("EvaluationReport", "ReadabilityModel", "evaluate", "fit_scaler",
                      "load_model", "predict", "save_model", "sfs", "stratified_folds",
                      "train_logreg", "train_model"), "model"),
 }

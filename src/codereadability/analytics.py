@@ -1,10 +1,8 @@
 """Corpus scoring and paired corpus comparison.
 
-The comparison is a two-sided Wilcoxon signed-rank test on matched score
-pairs: zero differences are dropped, tied absolute differences get average
-ranks, the p-value comes from the exact sign-assignment distribution for
-up to 25 nonzero pairs and from the tie-corrected normal approximation
-beyond that. The effect size is |Z|/sqrt(N) over all submitted pairs.
+The comparison is a two-sided Wilcoxon signed-rank test
+(:func:`stats.wilcoxon_signed_rank`) on matched score pairs. The effect
+size is |Z|/sqrt(N) over all submitted pairs.
 """
 
 from __future__ import annotations
@@ -16,18 +14,14 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .config import AnalysisConfig
 from .corpus import Snippet, read_id_table, write_table
 from .dictionary import DictionaryProvider
-from .model import ReadabilityModel, predict, rankdata
+from .model import ReadabilityModel, predict
+from .stats import wilcoxon_signed_rank
 # perfbench/tracing.py wraps analytics.featurize; nothing here calls it
 from .vectorizer import featurize, featurize_corpus  # noqa: F401
-
-# up to this many nonzero pairs the p-value is exact; the 2^n
-# sign-assignment counts stay exact in int64 only for n <= 62
-EXACT_TEST_MAX_PAIRS = 25
 
 _SCORE_COLUMNS = ("id", "linear_score", "probability")
 
@@ -73,80 +67,6 @@ def read_score_table(path: str | Path, label: str = "") -> ScoreTable:
     ids, values = read_id_table(path, _SCORE_COLUMNS, "score table", allow_nan=False)
     return ScoreTable(tuple(ids), *map(tuple, values.T.tolist()),
                       corpus_label=label or Path(path).stem)
-
-
-# --------------------------------------------------------------------------
-# Wilcoxon signed-rank test
-# --------------------------------------------------------------------------
-
-def _exact_two_sided_p(w_plus: float, ranks: np.ndarray) -> float:
-    """Exact p over all 2^n sign assignments, via the rank-sum distribution.
-
-    Average ranks can be half-integers, so everything is doubled to stay
-    integral; counts are exact int64 (safe for n <= 62).
-    """
-    doubled = np.rint(2.0 * ranks).astype(np.int64)
-    total = int(doubled.sum())
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in doubled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[:-r]
-        counts = counts + shifted
-    w2 = int(round(2.0 * w_plus))
-    lo = min(w2, total - w2)
-    # the distribution is symmetric, so both tails have equal mass
-    tail = int(counts[: lo + 1].sum())
-    return min(1.0, 2.0 * tail / float(2 ** len(ranks)))
-
-
-@dataclass(frozen=True)
-class WilcoxonResult:
-    w: float            # min(W+, W-)
-    w_plus: float
-    n_nonzero: int
-    p_value: float
-    z: float            # tie-corrected normal deviate of W+
-    method: str         # "exact", "normal", or "degenerate"
-
-
-def wilcoxon_signed_rank(differences) -> WilcoxonResult:
-    """Two-sided test on paired differences; zeros dropped.
-
-    The p-value is exact up to ``EXACT_TEST_MAX_PAIRS`` nonzero pairs and
-    normal beyond. A NaN difference is rejected: it has no rank. ±inf
-    ranks last and ties with itself.
-    """
-    diffs = np.asarray(differences, dtype=np.float64)
-    nan_at = np.flatnonzero(np.isnan(diffs))
-    if len(nan_at):
-        raise ValueError(f"NaN paired difference at position {int(nan_at[0])} "
-                         f"({len(nan_at)} in total)")
-    nonzero = diffs[diffs != 0.0]
-    n = len(nonzero)
-    if n == 0:
-        return WilcoxonResult(w=0.0, w_plus=0.0, n_nonzero=0, p_value=1.0,
-                              z=0.0, method="degenerate")
-
-    ranks = rankdata(np.abs(nonzero))
-    w_plus = float(ranks[nonzero > 0].sum())
-    w_minus = float(ranks[nonzero < 0].sum())
-    w = min(w_plus, w_minus)
-
-    mean = n * (n + 1) / 4.0
-    variance = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(np.abs(nonzero), return_counts=True)
-    variance -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    z = (w_plus - mean) / np.sqrt(variance)
-
-    if n <= EXACT_TEST_MAX_PAIRS:
-        p = _exact_two_sided_p(w_plus, ranks)
-        method = "exact"
-    else:
-        p = float(2.0 * ndtr(-abs(z)))
-        method = "normal"
-    return WilcoxonResult(w=w, w_plus=w_plus, n_nonzero=n, p_value=p,
-                          z=float(z), method=method)
 
 
 # --------------------------------------------------------------------------

@@ -141,11 +141,13 @@ def cmd_compare(args, cfg: AnalysisConfig) -> int:
     table_b = analytics.read_score_table(args.b)
     report = analytics.paired_compare(table_a, table_b)
     rendered = analytics.render_report(report, format=args.format)
+    if not rendered.endswith("\n"):  # csv ends its last record with the csv module's \r\n
+        rendered += "\n"
     if args.out:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+        Path(args.out).write_text(rendered, encoding="utf-8")
         log.info("comparison written to %s", args.out)
     else:
-        print(rendered)
+        sys.stdout.write(rendered)
     return EXIT_OK
 
 

@@ -58,7 +58,8 @@ _SENTENCE_RE = re.compile(r"[.!?]+")
 # loop (about 24 blocks on real code; 2x at 48), ...
 _BITSET_MIN_BLOCKS = 32
 # ... as long as the packed matrix stays within this many words, a 16 MB
-# budget (a 64k-line snippet of real code packs about 3.1 MB);
+# budget for the matrix alone (a 64k-line snippet of real code packs about
+# 3.1 MB, and its packing temporaries peak at about 10 MB);
 _BITSET_MAX_WORDS = 1 << 21
 # and the words intersected at once (at least one row against all later
 # ones), which bound each chunk's temporaries

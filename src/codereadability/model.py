@@ -33,6 +33,7 @@ from scipy.special import expit
 from .config import check_lambda_l2
 from .corpus import read_utf8
 from .fanout import fan_out
+from .stats import accuracy, auc, auc_rows
 from .vectorizer import N_FEATURES, SCHEMA_VERSION, family_indices
 
 log = logging.getLogger(__name__)
@@ -173,57 +174,6 @@ def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0) -> tuple
 
 
 # --------------------------------------------------------------------------
-# Metrics
-# --------------------------------------------------------------------------
-
-def rankdata(a) -> np.ndarray:
-    """Average ranks (1-based) along the last axis; each tie group gets
-    the mean of its first and last sorted position, like
-    ``scipy.stats.rankdata(a, axis=-1)``. Every row is ranked at once; a
-    row holding NaN ranks as all NaN, as scipy's does."""
-    a = np.asarray(a)
-    n = a.shape[-1]
-    if n == 0:
-        return np.zeros(a.shape, dtype=np.float64)
-    order = np.argsort(a, axis=-1, kind="stable")
-    ordered = np.take_along_axis(a, order, axis=-1)
-    starts = np.ones(a.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends = np.ones(a.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    position = np.arange(n)
-    first = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, position, n)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = np.empty(a.shape, dtype=np.float64)
-    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
-    ranks[np.isnan(ordered[..., -1])] = np.nan  # NaN sorts last
-    return ranks
-
-
-def _auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """AUC of each row of ``scores`` against one label vector."""
-    pos = np.asarray(labels) == 1
-    n_pos = int(pos.sum())
-    n_neg = len(pos) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC requires both classes")
-    ranks = rankdata(scores)
-    return (ranks[:, pos].sum(axis=1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def auc(scores, labels) -> float:
-    """Rank-based AUC: P(score_pos > score_neg) + 0.5 P(equal)."""
-    return float(_auc_rows(np.asarray(scores, dtype=np.float64)[None], labels)[0])
-
-
-def accuracy(scores, labels) -> float:
-    """Share of labels matched by ``scores >= 0.5``."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    return float(np.mean((scores >= 0.5).astype(int) == labels))
-
-
-# --------------------------------------------------------------------------
 # Cross-validation and feature selection
 # --------------------------------------------------------------------------
 
@@ -290,8 +240,8 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
             fits += len(remaining)
             unconverged += missed
             held_out = _candidate_stack(Xn[test], selected, remaining)
-            total += _auc_rows((held_out @ params[:, :-1, None])[:, :, 0] + params[:, -1:],
-                               y[test])
+            total += auc_rows((held_out @ params[:, :-1, None])[:, :, 0] + params[:, -1:],
+                              y[test])
         scores = total / inner_cv
         best = int(np.argmax(scores))
         selected.append(remaining.pop(best))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from codereadability import analytics
+from codereadability import stats
 from codereadability.analytics import wilcoxon_signed_rank
 from codereadability.cli import main
 from codereadability.features.pf import line_entropy
@@ -182,7 +182,7 @@ def test_criterion_4_wilcoxon_correctness(monkeypatch):
         rng = np.random.default_rng(7)
         samples = [rng.normal(0.3, 1.0, size=n) for n in range(20, 26) for _ in range(30)]
         exact = [wilcoxon_signed_rank(diffs) for diffs in samples]
-        monkeypatch.setattr(analytics, "EXACT_TEST_MAX_PAIRS", 0)
+        monkeypatch.setattr(stats, "EXACT_TEST_MAX_PAIRS", 0)
         for diffs, e in zip(samples, exact):
             approx = wilcoxon_signed_rank(diffs)
             assert e.method == "exact" and approx.method == "normal"

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codereadability import analytics
+from codereadability import stats
 from codereadability.analytics import (
     ScoreTable,
     paired_compare,
@@ -87,7 +87,7 @@ class TestWilcoxon:
         rng = np.random.default_rng(12)
         samples = [rng.normal(0.2, 1.0, size=n) for n in range(20, 26) for _ in range(20)]
         exact = [wilcoxon_signed_rank(diffs) for diffs in samples]
-        monkeypatch.setattr(analytics, "EXACT_TEST_MAX_PAIRS", 0)
+        monkeypatch.setattr(stats, "EXACT_TEST_MAX_PAIRS", 0)
         for diffs, e in zip(samples, exact):
             approx = wilcoxon_signed_rank(diffs)
             assert e.method == "exact" and approx.method == "normal"
@@ -95,7 +95,7 @@ class TestWilcoxon:
 
     def test_exact_matches_scipy_at_largest_exact_n(self, monkeypatch):
         # 62 is the largest n whose exact counts stay within int64
-        monkeypatch.setattr(analytics, "EXACT_TEST_MAX_PAIRS", 62)
+        monkeypatch.setattr(stats, "EXACT_TEST_MAX_PAIRS", 62)
         diffs = np.random.default_rng(62).normal(0.1, 1.0, size=62)
         theirs = scipy.stats.wilcoxon(diffs, method="exact", zero_method="wilcox")
         ours = wilcoxon_signed_rank(diffs)

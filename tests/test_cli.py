@@ -359,6 +359,21 @@ class TestScoreCompareCommands:
         assert f"ERROR codereadability: empty score table: {empty}" in err
         assert "internal error" not in err
 
+    def test_compare_csv_ends_at_its_last_record(self, tmp_path, capsys):
+        for name, scores in (("a.csv", (0.3, 0.1, 0.9)), ("b.csv", (0.2, 0.4, 0.1))):
+            (tmp_path / name).write_text(
+                "id,linear_score,probability\n"
+                + "".join(f"{sid},{score},0.5\n" for sid, score in zip("xyz", scores)),
+                encoding="utf-8")
+        argv = ["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                "--format", "csv"]
+        expected = ("Corpus A,Corpus B,Avg A,Avg B,Win Rate (%),W/Wmax,p-value,r\r\n"
+                    "a,b,0.4333,0.2333,66.67,0.333,0.75,0.309\r\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert main([*argv, "--out", str(tmp_path / "report.csv")]) == 0
+        assert (tmp_path / "report.csv").read_bytes() == expected.encode()
+
     def test_compare_disjoint_ids_error(self, tmp_path):
         for name, sid in (("a.csv", "only_a"), ("b.csv", "only_b")):
             with open(tmp_path / name, "w", newline="") as fh:

@@ -18,16 +18,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 EXPORTS = {
     "analytics": ["ComparisonReport", "ScoreTable", "paired_compare", "render_report",
-                  "score_corpus", "wilcoxon_signed_rank"],
+                  "score_corpus"],
     "config": ["AnalysisConfig", "load_config"],
     "corpus": ["LabeledDataset", "Snippet", "load_labeled_dataset", "load_snippet",
                "preprocess"],
     "dictionary": ["DictionaryProvider", "count_syllables", "load_dictionary"],
     "lexical": ["extract_blocks", "split_identifier", "tokenize"],
-    "model": ["EvaluationReport", "ReadabilityModel", "auc", "evaluate", "fit_scaler",
+    "model": ["EvaluationReport", "ReadabilityModel", "evaluate", "fit_scaler",
               "load_model", "predict", "save_model", "sfs", "stratified_folds",
               "train_logreg", "train_model"],
     "profiles": ["LanguageProfile", "load_profiles"],
+    "stats": ["auc", "wilcoxon_signed_rank"],
     "vectorizer": ["SCHEMA_VERSION", "family_indices", "featurize",
                    "featurize_corpus", "schema", "schema_names"],
 }
@@ -208,6 +209,77 @@ def test_the_scan_sees_each_read_of_the_builtins(source, reads):
     assert any(map(_reads_builtin_profiles, ast.walk(node))) is reads
 
 
+# the rank statistics, each defined in ``stats`` alone
+RANK_STATISTICS = {"rankdata", "auc", "auc_rows", "accuracy", "wilcoxon_signed_rank"}
+
+
+def _rank_statistics_defined(tree: ast.Module) -> set[str]:
+    """The rank statistics that a module defines: a def or a class
+    anywhere in it, or a module-level assignment, named for one with or
+    without leading underscores."""
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        names.update(getattr(target, "id", "") for target in targets)
+    return {name.lstrip("_") for name in names} & RANK_STATISTICS
+
+
+# what ``stats`` may import at module level
+NUMPY_AND_STDLIB = {*sys.stdlib_module_names, "numpy"}
+
+
+def _imports_beyond(node: ast.AST, allowed: set[str]) -> bool:
+    """An import of a package not in ``allowed``; a relative import counts."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] not in allowed for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.partition(".")[0] not in allowed
+    return False
+
+
+def test_stats_is_the_one_home_of_the_rank_statistics():
+    package = ROOT / "src" / "codereadability"
+    homes = {}
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for name in _rank_statistics_defined(ast.parse(path.read_text(encoding="utf-8"))):
+            homes.setdefault(name, set()).add(module)
+    assert homes == dict.fromkeys(RANK_STATISTICS, {"stats"})
+
+
+def test_stats_imports_numpy_and_the_standard_library_alone():
+    """At module level ``stats`` imports numpy and the standard library
+    alone; scipy only inside ``wilcoxon_signed_rank``."""
+    tree = ast.parse((ROOT / "src" / "codereadability" / "stats.py").read_text(encoding="utf-8"))
+    assert set(_sites(tree, "stats", lambda node: _imports_beyond(node, NUMPY_AND_STDLIB))) <= {
+        "stats.wilcoxon_signed_rank"}
+    assert not set(_sites(tree, "stats",
+                          lambda node: _imports_beyond(node, NUMPY_AND_STDLIB | {"scipy"})))
+
+
+@pytest.mark.parametrize("source,defined", [
+    ("def rankdata(a): pass", {"rankdata"}), ("def _auc_rows(s, y): pass", {"auc_rows"}),
+    ("def f():\n    def accuracy(s, y): pass", {"accuracy"}), ("auc = roc_auc", {"auc"}),
+    ("class wilcoxon_signed_rank: pass", {"wilcoxon_signed_rank"}),
+    ("class Report:\n    auc: float", set()), ("from .stats import auc", set()),
+    ("def f():\n    auc = 0.5", set()), ("accuracy(scores, y)", set()),
+])
+def test_the_scan_sees_each_definition_of_a_rank_statistic(source, defined):
+    assert _rank_statistics_defined(ast.parse(source)) == defined
+
+
+@pytest.mark.parametrize("source,beyond", [
+    ("import numpy as np", False), ("import numpy.linalg", False),
+    ("from math import sqrt", False), ("from __future__ import annotations", False),
+    ("from scipy.special import ndtr", True), ("import os, scipy", True),
+    ("from . import model", True), ("from .model import predict", True),
+])
+def test_the_scan_sees_each_import_beyond_numpy_and_the_standard_library(source, beyond):
+    node = ast.parse(source).body[0]
+    assert _imports_beyond(node, NUMPY_AND_STDLIB) is beyond
+
+
 def test_star_import_binds_each_name_to_its_submodule_object():
     namespace: dict = {}
     exec("from codereadability import *", namespace)
@@ -242,8 +314,8 @@ steps = {}
 import codereadability.cli
 steps["cli"] = loaded()
 import codereadability
-codereadability.auc
-steps["auc"] = loaded()
+codereadability.evaluate
+steps["evaluate"] = loaded()
 codereadability.paired_compare
 steps["paired_compare"] = loaded()
 print(json.dumps(steps))
@@ -258,9 +330,9 @@ def test_modules_load_on_first_access():
     steps = json.loads(proc.stdout)
     assert steps["cli"] == {"model": False, "analytics": False, "multiprocessing": False,
                             "scipy": []}
-    assert steps["auc"]["model"] and not steps["auc"]["analytics"]
+    assert steps["evaluate"]["model"] and not steps["evaluate"]["analytics"]
     # only a fan-out over two CPUs or more loads multiprocessing
-    assert not steps["auc"]["multiprocessing"]
-    assert "scipy.special" in steps["auc"]["scipy"]
+    assert not steps["evaluate"]["multiprocessing"]
+    assert "scipy.special" in steps["evaluate"]["scipy"]
     assert steps["paired_compare"]["analytics"]
     assert not [m for m in steps["paired_compare"]["scipy"] if m.startswith("scipy.stats")]

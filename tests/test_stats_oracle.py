@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
-from codereadability.analytics import wilcoxon_signed_rank
-from codereadability.model import rankdata
+from codereadability.stats import rankdata, wilcoxon_signed_rank
 
 # few distinct values, so most draws are full of ties
 TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e-300, 3.0, np.inf, -np.inf])

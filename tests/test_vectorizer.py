@@ -169,13 +169,13 @@ class TestCorpusMatrix:
             read_feature_matrix(path)
 
 
-_TRACED_FEATURIZE_AND_SCORE = """
+_TRACED_COMMANDS = """
 import json, os, sys
 # the tracer counts calls in this process only, so nothing may fan out
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import tracing
 from codereadability.cli import main
-manifest, model, every_layer_model, matrix, scores, every_layer_scores, columns = sys.argv[1:]
+manifest, model, every_layer_model, matrix, scores, every_layer_scores, report, columns = sys.argv[1:]
 trained = main(["train", "--data", manifest, "--kmax", "2", "--out", model])
 doc = json.load(open(model))
 selected = doc["selected"]
@@ -192,7 +192,8 @@ def calls():
 codes, steps = [trained], []
 for argv in (["featurize", "--in", manifest, "--out", matrix],
              ["score", "--model", model, "--in", manifest, "--out", scores],
-             ["score", "--model", every_layer_model, "--in", manifest, "--out", every_layer_scores]):
+             ["score", "--model", every_layer_model, "--in", manifest, "--out", every_layer_scores],
+             ["compare", "--a", scores, "--b", every_layer_scores, "--out", report]):
     before = calls()
     codes.append(main(argv))
     steps.append({name: n - before.get(name, 0) for name, n in calls().items()})
@@ -215,11 +216,11 @@ _EVERY_LAYER_COLUMNS = ("tf.cic", "tf.itid_avg", "tf.cr", "tf.tc_avg", "tf.noc",
                         "bwf.line_len_avg", "pf.loc", "df.vkd")
 
 
-def test_benchmark_layers_see_featurize_and_score(tmp_path):
-    """The per-layer trace wraps module-level names. ``featurize`` reaches
-    every feature layer once per snippet through them. ``score`` featurizes
-    once per snippet too, and reaches a feature layer once per snippet when
-    the model's columns need it and never otherwise."""
+@pytest.fixture(scope="module")
+def traced_steps(tmp_path_factory):
+    """Snippet count and the traced run: the exit codes, the trained
+    model's columns, and the per-layer calls of each step."""
+    tmp_path = tmp_path_factory.mktemp("traced")
     manifest = write_labeled_dataset(tmp_path / "data")
     n = len(manifest.read_text().splitlines()) - 1
     names = schema_names()
@@ -227,23 +228,46 @@ def test_benchmark_layers_see_featurize_and_score(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_FEATURIZE_AND_SCORE, str(manifest),
+        [sys.executable, "-c", _TRACED_COMMANDS, str(manifest),
          *(str(tmp_path / name) for name in ("model.json", "every_layer_model.json", "m.csv",
-                                             "scores.csv", "every_layer_scores.csv")),
+                                             "scores.csv", "every_layer_scores.csv",
+                                             "report.txt")),
          json.dumps(every_layer)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["exit"] == [0, 0, 0, 0]
-    featurized, scored, every_layer_scored = result["steps"]
+    assert result["exit"] == [0, 0, 0, 0, 0]
+    return n, result
+
+
+def test_benchmark_layers_see_featurize_and_score(traced_steps):
+    """The per-layer trace wraps module-level names. ``featurize`` reaches
+    every feature layer once per snippet through them. ``score`` featurizes
+    once per snippet too, and reaches a feature layer once per snippet when
+    the model's columns need it and never otherwise."""
+    n, result = traced_steps
+    names = schema_names()
+    featurized, scored, every_layer_scored, _ = result["steps"]
     read = [names[i] for i in result["selected"]]
     assert read  # the trained model reads at least one column
     for layer, prefix in _FEATURE_LAYERS.items():
         assert featurized[layer] == n, layer
         assert scored[layer] == (n if any(c.startswith(prefix) for c in read) else 0), layer
         assert every_layer_scored[layer] == n, layer
-    for step in result["steps"]:
+    for step in (featurized, scored, every_layer_scored):
         assert step["vectorizer.featurize"] == n
     for step in (scored, every_layer_scored):
         assert step["model.predict"] == n
+
+
+def test_benchmark_layers_see_compare(traced_steps):
+    """``compare`` reads its two score tables and runs one paired
+    comparison and one signed-rank test, each through the name the trace
+    wraps; it featurizes and scores nothing."""
+    _, result = traced_steps
+    compared = result["steps"][-1]
+    assert compared["io.score_table"] == 2
+    assert compared["analytics.paired_compare"] == 1
+    assert compared["analytics.wilcoxon"] == 1
+    assert compared["vectorizer.featurize"] == compared["model.predict"] == 0
