@@ -6,12 +6,19 @@ and evaluates a logistic-regression readability classifier with forward
 feature selection; scores corpora; and compares paired corpora with a
 Wilcoxon signed-rank test.
 
-The scoring and classifier names (``analytics`` and ``model``) are
-imported on first access, so code that only featurizes never loads them
-or scipy. The rank statistics (``stats``: ``auc`` and
-``wilcoxon_signed_rank``) import numpy alone and load with the package.
+Every module loads with the package, and none imports anything beyond
+numpy and the standard library: the sigmoid (``model``) and the normal
+tail of the signed-rank test (``stats``) compute the bits of
+``scipy.special``'s ``expit`` and ``ndtr`` without it.
 """
 
+from .analytics import (
+    ComparisonReport,
+    ScoreTable,
+    paired_compare,
+    render_report,
+    score_corpus,
+)
 from .config import AnalysisConfig, load_config
 from .corpus import (
     LabeledDataset,
@@ -22,6 +29,19 @@ from .corpus import (
 )
 from .dictionary import DictionaryProvider, count_syllables, load_dictionary
 from .lexical import extract_blocks, split_identifier, tokenize
+from .model import (
+    EvaluationReport,
+    ReadabilityModel,
+    evaluate,
+    fit_scaler,
+    load_model,
+    predict,
+    save_model,
+    sfs,
+    stratified_folds,
+    train_logreg,
+    train_model,
+)
 from .profiles import LanguageProfile, load_profiles
 from .stats import auc, wilcoxon_signed_rank
 from .vectorizer import (
@@ -32,16 +52,6 @@ from .vectorizer import (
     schema,
     schema_names,
 )
-
-# the submodules and the names taken from them, resolved on first access (PEP 562)
-_LAZY_MODULES = ("analytics", "model")
-_LAZY = {
-    **dict.fromkeys(("ComparisonReport", "ScoreTable", "paired_compare", "render_report",
-                     "score_corpus"), "analytics"),
-    **dict.fromkeys(("EvaluationReport", "ReadabilityModel", "evaluate", "fit_scaler",
-                     "load_model", "predict", "save_model", "sfs", "stratified_folds",
-                     "train_logreg", "train_model"), "model"),
-}
 
 __version__ = "0.1.0"
 
@@ -86,18 +96,3 @@ __all__ = [
     "train_model",
     "wilcoxon_signed_rank",
 ]
-
-
-def __getattr__(name):
-    home = _LAZY.get(name, name)
-    if home not in _LAZY_MODULES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    __import__(f"{__name__}.{home}")  # which binds the submodule in this namespace
-    if name == home:
-        return globals()[home]
-    value = globals()[name] = getattr(globals()[home], name)
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULES))

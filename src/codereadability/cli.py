@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import analytics, model
 from .config import AnalysisConfig, load_config
 from .corpus import DatasetError, Snippet, load_labeled_dataset, load_snippet_file, preprocess
 from .dictionary import load_dictionary
@@ -87,30 +88,26 @@ def _featurized_dataset(args, cfg: AnalysisConfig):
 
 
 def cmd_train(args, cfg: AnalysisConfig) -> int:
-    from . import model as model_mod
-
     dataset, X, y = _featurized_dataset(args, cfg)
-    trained = model_mod.train_model(
+    trained = model.train_model(
         X, y, family=args.family, lambda_l2=cfg.lambda_l2,
         k_max=args.kmax, inner_cv=cfg.inner_cv, seed=args.seed,
         provenance=f"data={args.data} family={args.family} seed={args.seed}",
     )
-    model_mod.save_model(trained, args.out)
+    model.save_model(trained, args.out)
     log.info("trained on %d snippets; %d features selected; model at %s",
              len(dataset), len(trained.selected), args.out)
     return EXIT_OK
 
 
 def cmd_evaluate(args, cfg: AnalysisConfig) -> int:
-    from . import model as model_mod
-
     _, X, y = _featurized_dataset(args, cfg)
-    report = model_mod.evaluate(
+    report = model.evaluate(
         X, y, family=args.family, k=args.folds, seed=args.seed,
         lambda_l2=cfg.lambda_l2, k_max=args.kmax, inner_cv=cfg.inner_cv,
     )
     report.config = cfg.to_dict()
-    print(model_mod.render_evaluation_table([report]))
+    print(model.render_evaluation_table([report]))
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
                                   encoding="utf-8")
@@ -119,9 +116,7 @@ def cmd_evaluate(args, cfg: AnalysisConfig) -> int:
 
 
 def cmd_score(args, cfg: AnalysisConfig) -> int:
-    from . import analytics, model as model_mod
-
-    trained = model_mod.load_model(args.model)
+    trained = model.load_model(args.model)
     log.info("model reads %d of %d feature columns; feature layers run: %s",
              len(trained.selected), N_FEATURES,
              ", ".join(feature_layers(trained.selected)) or "none")
@@ -135,8 +130,6 @@ def cmd_score(args, cfg: AnalysisConfig) -> int:
 
 
 def cmd_compare(args, cfg: AnalysisConfig) -> int:
-    from . import analytics
-
     table_a = analytics.read_score_table(args.a)
     table_b = analytics.read_score_table(args.b)
     report = analytics.paired_compare(table_a, table_b)

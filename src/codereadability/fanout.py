@@ -15,11 +15,12 @@ migrate (left alone, the kernel often keeps a worker on its parent's CPU
 while another idles). Once they are joined, each run logs its item count,
 cost, wall and CPU seconds at INFO, so a shared CPU or uneven split shows.
 
-The workers are forked, not spawned: a spawned worker re-imports numpy and
-scipy, about 0.4 s of set-up each, which is more than the work of most
-calls. A fork copies the caller's threads' locks but not the threads, so a
-library caller that runs threads of its own should not fork: pin it to one
-CPU (``taskset -c 0``), and everything runs serially in the caller.
+The workers are forked, not spawned: a spawned worker starts a new
+interpreter and re-imports numpy and the package, about 0.19 s of set-up
+each on a 2-vCPU x86-64 VM, which is more than the work of most calls. A
+fork copies the caller's threads' locks but not the threads, so a library
+caller that runs threads of its own should not fork: pin it to one CPU
+(``taskset -c 0``), and everything runs serially in the caller.
 
 It also runs serially where ``os.sched_getaffinity`` is missing (no safe
 fork) and in a daemonic process, which may not have children.
@@ -28,6 +29,11 @@ fork) and in a daemonic process, which may not have children.
 from __future__ import annotations
 
 import logging
+# the fork stack is imported with the package, not on the first fan-out,
+# so a command's set-up shows what its run would otherwise pay
+import multiprocessing
+import multiprocessing.connection
+import multiprocessing.popen_fork
 import os
 import time
 from itertools import accumulate, groupby
@@ -144,9 +150,6 @@ def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
     runs = split_shares(costs, min(len(costs), len(cpus)))
     if len(runs) <= 1:
         return [work(i) for i in range(len(costs))]
-
-    import multiprocessing
-
     if multiprocessing.current_process().daemon:  # it may not have children
         return [work(i) for i in range(len(costs))]
     context = multiprocessing.get_context("fork")

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
+from numpy.random import default_rng
 
 from .config import check_lambda_l2
 from .corpus import read_utf8
@@ -77,6 +78,33 @@ NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 10000
 
 
+def _exp(t: float) -> float:
+    """libm's ``exp``, ``inf`` past its range."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
+def sigmoid(z) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` elementwise with libm's ``exp``: the bits of
+    ``scipy.special.expit``, with no overflow and no warning.
+
+    numpy's float64 ``exp`` is a SIMD kernel that differs from libm in the
+    last bit on some inputs; its complex ``exp`` calls libm's ``cexp``,
+    which on a real argument up to 709 is ``exp`` itself. The rare entries
+    past 709 (an ``exp`` near or over the float64 maximum), and NaN, go
+    through :func:`_exp` one at a time.
+    """
+    t = -np.asarray(z, dtype=np.float64)
+    e = np.exp(np.minimum(t, 709.0).astype(np.complex128)).real
+    rare = ~(t <= 709.0)
+    if rare.any():
+        e = np.array(e)  # writable, also for a 0-d input
+        e[rare] = [_exp(v) for v in t[rare].tolist()]
+    return 1.0 / (1.0 + e)
+
+
 def _objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                lambda_l2: float) -> tuple[np.ndarray, np.ndarray]:
     """Objective (c,) and gradient (c, d+1) of c problems sharing labels ``y``;
@@ -86,7 +114,7 @@ def _objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     # mean log-loss via logaddexp for numerical stability
     loss = (np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
             + 0.5 * lambda_l2 * (w[:, None, :] @ w[:, :, None])[:, 0, 0])
-    resid = (expit(z) - y) / y.shape[0]
+    resid = (sigmoid(z) - y) / y.shape[0]
     grad = np.concatenate([(X.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0] + lambda_l2 * w,
                            resid.sum(axis=1, keepdims=True)], axis=1)
     return loss, grad
@@ -134,7 +162,7 @@ def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float) -> tuple[np.ndarray,
                 a[moving] for a in (live, Xa, X, params, loss, grad))
             if live.size == 0:
                 break
-        p = expit((Xa @ params[:, :, None])[:, :, 0])
+        p = sigmoid((Xa @ params[:, :, None])[:, :, 0])
         weights = np.maximum(p * (1.0 - p), 1e-12)
         # F-ordered slices, so each slice's gemm rounds as 2-D (Xa.T * weights) @ Xa does
         hessian = (Xa * weights[:, :, None]).transpose(0, 2, 1) @ Xa / n + reg
@@ -157,13 +185,18 @@ def _newton(X: np.ndarray, y: np.ndarray, lambda_l2: float) -> tuple[np.ndarray,
     return fitted, int(np.count_nonzero(~(np.max(np.abs(grad), axis=1) <= NEWTON_TOL)))
 
 
+def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct labels, ascending, and the count of each. (Without
+    counts, ``np.unique`` imports ``numpy.ma`` on its first call.)"""
+    return np.unique(labels, return_counts=True)
+
+
 def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0) -> tuple[np.ndarray, float]:
     """Fit (w, b) on already-scaled features. Requires both classes."""
     check_lambda_l2(lambda_l2)
     Xn = np.asarray(Xn, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    classes = np.unique(y)
-    if len(classes) < 2:
+    if len(_classes(y)[0]) < 2:
         raise ValueError("training labels contain a single class")
 
     params, unconverged = _newton(Xn[None], y, lambda_l2)
@@ -183,8 +216,8 @@ def stratified_folds(labels, k: int, seed: int) -> np.ndarray:
     if k < 2:
         raise ValueError("stratified CV needs k >= 2")
     assignment = np.empty(len(labels), dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    for cls in np.unique(labels):
+    rng = default_rng(seed)
+    for cls in _classes(labels)[0]:
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
             raise ValueError(f"class {cls:g} has {len(idx)} members, fewer than k={k}")
@@ -223,7 +256,7 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
     if k_max > len(pool):
         k_max = len(pool)
     # the inner split cannot have more folds than the smallest class
-    smallest = min(int((y == cls).sum()) for cls in np.unique(y))
+    smallest = int(_classes(y)[1].min())
     inner_cv = max(2, min(inner_cv, smallest))
     folds = stratified_folds(y, inner_cv, seed)
     splits = [(folds != fold, folds == fold) for fold in range(inner_cv)]
@@ -287,7 +320,7 @@ def predict(model: ReadabilityModel, x: np.ndarray) -> tuple[float, float]:
     """
     picked = transform(model.scaler, x)[list(model.selected)]
     linear = float(picked @ model.weights)
-    probability = float(expit(linear + model.intercept))
+    probability = float(sigmoid(linear + model.intercept))
     return probability, linear
 
 

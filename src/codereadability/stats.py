@@ -5,15 +5,17 @@ The AUC is the Mann–Whitney statistic over average ranks. The signed-rank
 test is two-sided on paired differences: zero differences are dropped,
 tied absolute differences get average ranks, the p-value comes from the
 exact sign-assignment distribution for up to 25 nonzero pairs and from the
-tie-corrected normal approximation beyond that.
+tie-corrected normal approximation beyond that. Its normal tail,
+:func:`ndtr`, is Moshier's Cephes ``ndtr`` (the one scipy compiles),
+ported to Python floats with libm's ``exp``, so it returns the bits of
+``scipy.special.ndtr``.
 
-At module level this imports numpy and the standard library alone;
-``scipy.special.ndtr`` is imported only where the normal approximation
-needs it.
+This module imports numpy and the standard library alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,59 @@ def accuracy(scores, labels) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     return float(np.mean((scores >= 0.5).astype(int) == labels))
+
+
+# --------------------------------------------------------------------------
+# The standard normal distribution function (Cephes ndtr.c)
+# --------------------------------------------------------------------------
+
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) from 8 on
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log of the largest double
+_SQRT1_2 = 7.07106781186547524401E-1
+
+
+def _polevl(x: float, coef: tuple[float, ...], monic: bool = False) -> float:
+    """The polynomial at ``x`` by Horner's rule, ``coef`` from the highest
+    power down; ``monic`` puts an implied leading 1 before ``coef`` (Cephes
+    ``p1evl``)."""
+    value = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        value = value * x + c
+    return value
+
+
+def ndtr(a: float) -> float:
+    """Φ(a), the standard normal distribution function, as Cephes
+    computes it: ``0.5 + 0.5 erf(a/√2)`` near 0, else ``0.5 erfc(|a|/√2)``
+    (taken from 1 above 0), and 0 once ``exp(-a²/2)`` underflows."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        zz = x * x
+        return 0.5 + 0.5 * (x * _polevl(zz, _ERF_T) / _polevl(zz, _ERF_U, monic=True))
+    if z * z > _MAXLOG:
+        tail = 0.0
+    else:
+        p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+        tail = 0.5 * (math.exp(-z * z) * _polevl(z, p) / _polevl(z, q, monic=True))
+    return 1.0 - tail if x > 0 else tail
 
 
 # --------------------------------------------------------------------------
@@ -142,9 +197,7 @@ def wilcoxon_signed_rank(differences) -> WilcoxonResult:
         p = _exact_two_sided_p(w_plus, ranks)
         method = "exact"
     else:
-        from scipy.special import ndtr
-
-        p = float(2.0 * ndtr(-abs(z)))
+        p = 2.0 * ndtr(-abs(float(z)))
         method = "normal"
     return WilcoxonResult(w=w, w_plus=w_plus, n_nonzero=n, p_value=p,
                           z=float(z), method=method)

@@ -809,22 +809,34 @@ def test_benchmark_tracer_hooks_resolve(tmp_path):
 
 _SCIPY_MODULES = """
 import json, sys
+{preload}
 from codereadability.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"exit": code, "scipy": sorted(m for m in sys.modules
-                                                 if m.partition(".")[0] == "scipy")}))
+print(json.dumps({{"exit": code, "scipy": sorted(m for m in sys.modules
+                                                  if m.partition(".")[0] == "scipy")}}))
 """
 
 
-def run_cli_reporting_scipy(*argv):
-    """Exit code and loaded scipy modules of one CLI command in a fresh process."""
+def run_cli_reporting_scipy(*argv, preload=""):
+    """Exit code and loaded scipy modules of one CLI command in a fresh
+    process, after the import statement ``preload``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(preload=preload),
+                           *map(str, argv)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0, proc.stderr
     return result["scipy"]
+
+
+def write_score_tables(root, n=40):
+    """Two score tables over the same ``n`` ids, every pair differing."""
+    paths = root / "a.csv", root / "b.csv"
+    for path, scale in zip(paths, (1.0, 1.3)):
+        path.write_text("id,linear_score,probability\n" + "".join(
+            f"s{i},{scale * i + 0.01:.6f},{(scale * i + 0.5) / (1.5 * n):.6f}\n" for i in range(n)),
+            encoding="utf-8")
+    return paths
 
 
 class TestImportFootprint:
@@ -833,18 +845,25 @@ class TestImportFootprint:
         assert run_cli_reporting_scipy("featurize", "--in", manifest,
                                        "--out", tmp_path / "m.csv") == []
 
-    def test_model_and_compare_commands_never_load_scipy_stats(self, tmp_path):
+    def test_model_and_compare_commands_load_no_scipy(self, tmp_path):
         manifest = write_labeled_dataset(tmp_path / "data")
         model, scores = tmp_path / "model.json", tmp_path / "scores.csv"
+        table_a, table_b = write_score_tables(tmp_path)
+        report = tmp_path / "report.json"
+        compare = ("compare", "--a", table_a, "--b", table_b, "--format", "json", "--out", report)
         loaded = {
+            "featurize": run_cli_reporting_scipy("featurize", "--in", manifest,
+                                                 "--out", tmp_path / "m.csv"),
             "train": run_cli_reporting_scipy("train", "--data", manifest, "--kmax", "2",
                                              "--out", model),
             "evaluate": run_cli_reporting_scipy("evaluate", "--data", manifest, "--folds", "2",
                                                 "--kmax", "2"),
             "score": run_cli_reporting_scipy("score", "--model", model, "--in", manifest,
                                              "--out", scores),
-            "compare": run_cli_reporting_scipy("compare", "--a", scores, "--b", scores),
+            "compare": run_cli_reporting_scipy(*compare),
         }
-        for command, modules in loaded.items():
-            assert "scipy.special" in modules, command  # the check can see scipy at all
-            assert not [m for m in modules if m.startswith("scipy.stats")], command
+        # more than 25 nonzero pairs: the p-value takes the normal tail
+        assert [r["method"] for r in json.loads(report.read_text(encoding="utf-8"))] == ["normal"]
+        assert loaded == dict.fromkeys(loaded, [])
+        # the check can see scipy at all
+        assert "scipy.special" in run_cli_reporting_scipy(*compare, preload="import scipy.special")

@@ -249,13 +249,42 @@ def test_stats_is_the_one_home_of_the_rank_statistics():
 
 
 def test_stats_imports_numpy_and_the_standard_library_alone():
-    """At module level ``stats`` imports numpy and the standard library
-    alone; scipy only inside ``wilcoxon_signed_rank``."""
+    """``stats`` imports numpy and the standard library alone, at module
+    level and inside its functions."""
     tree = ast.parse((ROOT / "src" / "codereadability" / "stats.py").read_text(encoding="utf-8"))
-    assert set(_sites(tree, "stats", lambda node: _imports_beyond(node, NUMPY_AND_STDLIB))) <= {
-        "stats.wilcoxon_signed_rank"}
-    assert not set(_sites(tree, "stats",
-                          lambda node: _imports_beyond(node, NUMPY_AND_STDLIB | {"scipy"})))
+    assert set(_sites(tree, "stats", lambda node: _imports_beyond(node, NUMPY_AND_STDLIB))) == set()
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    """An import statement of scipy or a scipy submodule, or an
+    ``__import__`` or ``import_module`` call naming one."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and node.module.partition(".")[0] == "scipy"
+    if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "__import__"
+                                       or getattr(node.func, "attr", None) == "import_module"):
+        return any(isinstance(arg, ast.Constant) and str(arg.value).partition(".")[0] == "scipy"
+                   for arg in node.args[:1])
+    return False
+
+
+def test_no_module_imports_scipy():
+    """scipy is a test dependency: no module of the package imports it,
+    at module level or inside a function."""
+    assert _package_sites(_imports_scipy) == set()
+
+
+@pytest.mark.parametrize("source,imports", [
+    ("import scipy", True), ("import os, scipy.special as sp", True),
+    ("from scipy.special import expit", True), ("from scipy import stats", True),
+    ("def f():\n    from scipy.special import ndtr", True),
+    ("importlib.import_module('scipy.special')", True), ("__import__('scipy')", True),
+    ("import numpy as np", False), ("from .stats import ndtr", False),
+    ("from . import scipy", False), ("import scipyish", False), ("scipy_version = 1", False),
+])
+def test_the_scan_sees_each_scipy_import(source, imports):
+    assert any(map(_imports_scipy, ast.walk(ast.parse(source)))) is imports
 
 
 @pytest.mark.parametrize("source,defined", [
@@ -290,7 +319,7 @@ def test_star_import_binds_each_name_to_its_submodule_object():
             assert getattr(codereadability, name) is getattr(home, name), name
 
 
-def test_dir_lists_lazy_names():
+def test_dir_lists_the_public_names_and_modules():
     listed = dir(codereadability)
     assert set(codereadability.__all__) <= set(listed)
     assert {"analytics", "model"} <= set(listed)
@@ -303,36 +332,26 @@ def test_unknown_attribute_raises_attribute_error():
 
 _LOADED = """
 import json, sys
-
-def loaded():
-    return {"model": "codereadability.model" in sys.modules,
-            "analytics": "codereadability.analytics" in sys.modules,
-            "multiprocessing": "multiprocessing" in sys.modules,
-            "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}
-
-steps = {}
 import codereadability.cli
-steps["cli"] = loaded()
 import codereadability
-codereadability.evaluate
-steps["evaluate"] = loaded()
-codereadability.paired_compare
-steps["paired_compare"] = loaded()
-print(json.dumps(steps))
+print(json.dumps({
+    "modules": sorted(m for m in ("codereadability.model", "codereadability.analytics",
+                                  "multiprocessing") if m in sys.modules),
+    "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    "same": [getattr(codereadability, name) is getattr(getattr(codereadability, home), name)
+             for home, name in (("model", "evaluate"), ("analytics", "paired_compare"))],
+}))
 """
 
 
-def test_modules_load_on_first_access():
+def test_the_cli_loads_every_module_and_no_scipy():
+    """In a fresh process, ``import codereadability.cli`` loads the model,
+    the analytics and the fork stack up front, each package name is its
+    module's object, and no scipy module is loaded."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", _LOADED], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
-    assert steps["cli"] == {"model": False, "analytics": False, "multiprocessing": False,
-                            "scipy": []}
-    assert steps["evaluate"]["model"] and not steps["evaluate"]["analytics"]
-    # only a fan-out over two CPUs or more loads multiprocessing
-    assert not steps["evaluate"]["multiprocessing"]
-    assert "scipy.special" in steps["evaluate"]["scipy"]
-    assert steps["paired_compare"]["analytics"]
-    assert not [m for m in steps["paired_compare"]["scipy"] if m.startswith("scipy.stats")]
+    assert json.loads(proc.stdout) == {
+        "modules": ["codereadability.analytics", "codereadability.model", "multiprocessing"],
+        "scipy": [], "same": [True, True]}

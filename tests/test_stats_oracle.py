@@ -1,4 +1,4 @@
-"""The numpy ranks and the ``scipy.special`` normal tail that replaced
+"""The numpy ranks and the Cephes normal tail that replaced
 ``scipy.stats``, checked bit for bit against ``scipy.stats``."""
 
 import numpy as np
@@ -7,9 +7,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import ndtr
 
-from codereadability.stats import rankdata, wilcoxon_signed_rank
+from codereadability.stats import ndtr, rankdata, wilcoxon_signed_rank
 
 # few distinct values, so most draws are full of ties
 TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e-300, 3.0, np.inf, -np.inf])
@@ -54,7 +53,7 @@ def test_rankdata_edge_cases(a):
 
 def test_normal_tail_equals_norm_sf_out_to_40():
     z = np.linspace(-40.0, 40.0, 400_001)
-    ours = 2.0 * ndtr(-np.abs(z))
+    ours = 2.0 * np.array([ndtr(-abs(v)) for v in z.tolist()])
     theirs = 2.0 * scipy.stats.norm.sf(np.abs(z))
     assert ours.tobytes() == theirs.tobytes()
 

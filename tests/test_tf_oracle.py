@@ -152,10 +152,12 @@ def token_overlap_distance(a, b):
 # --------------------------------------------------------------------------
 
 def _repo_python_lines():
+    """The lines of the frozen snapshot of the repo's Python sources that
+    the benchmark reads (``perfbench/corpus/python``), in file-name order:
+    the long-snippet figures do not move when the sources do."""
     lines = []
-    for folder in ("src", "tests"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            lines += path.read_text(encoding="utf-8").splitlines()
+    for path in sorted((ROOT / "perfbench" / "corpus" / "python").glob("*.py.txt")):
+        lines += path.read_text(encoding="utf-8").splitlines()
     return lines
 
 
@@ -163,7 +165,7 @@ REPO_LINES = _repo_python_lines()
 
 
 def repo_snippet(start, n_lines):
-    """``n_lines`` consecutive lines of the repo's Python sources, wrapping around."""
+    """``n_lines`` consecutive lines of the frozen Python sources, wrapping around."""
     lines = (REPO_LINES * (1 + (start + n_lines) // len(REPO_LINES)))[start:start + n_lines]
     return preprocess(load_snippet("\n".join(lines), "python", f"repo{start}+{n_lines}"))
 
