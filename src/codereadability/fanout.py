@@ -4,8 +4,8 @@
 It cuts the items into at most ``min(len(costs), available CPUs)``
 contiguous runs of about equal cost (see :func:`split_shares`). This
 process works the first run itself, with the caller's log handlers in
-place, and each later run is a forked daemonic process that sends its
-results and log records back over a pipe. The runs are read back in
+place, and each later run is a forked process (``os.fork``) that pickles
+its results and log records into a pipe. The runs are read back in
 order, so the results are the runs' outputs joined, and the log records
 reach the handlers in item order. Every item is computed by the same code
 on the same inputs, so the output is the serial one, bit for bit.
@@ -23,21 +23,19 @@ caller that runs threads of its own should not fork: pin it to one CPU
 (``taskset -c 0``), and everything runs serially in the caller.
 
 It also runs serially where ``os.sched_getaffinity`` is missing (no safe
-fork) and in a daemonic process, which may not have children.
+fork).
 """
 
 from __future__ import annotations
 
 import logging
-# the fork stack is imported with the package, not on the first fan-out,
-# so a command's set-up shows what its run would otherwise pay
-import multiprocessing
-import multiprocessing.connection
-import multiprocessing.popen_fork
 import os
+import pickle
+import signal
+import sys
 import time
 from itertools import accumulate, groupby
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -113,25 +111,47 @@ def _run_share(work: Callable[[int], T], items: list[int]):
     return results, failure, (time.perf_counter() - start[0], time.process_time() - start[1])
 
 
-def _worker(work: Callable[[int], T], items: list[int], cpu: int, cpus: list[int], conn) -> None:
+def _flush_std_streams() -> None:
+    """Flush stdout and stderr, so no buffered text is written twice by a
+    fork or lost by ``os._exit``; a stream that is gone or closed is skipped."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass
+
+
+def _worker(work: Callable[[int], T], items: list[int], cpu: int, cpus: list[int],
+            send: int) -> NoReturn:
     """A forked run started on ``cpu``: its results, log records, failure and
-    seconds go back over ``conn``."""
-    _place(cpu, cpus)
-    held = _Held()
-    logger = logging.getLogger(_LOGGER)
-    logger.handlers, logger.propagate = [held], False
-    results, failure, seconds = _run_share(work, items)
-    for record in held.records:
-        # what the parent's handlers need, without args that may not pickle
-        if record.exc_info:
-            record.exc_text = logging.Formatter().formatException(record.exc_info)
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+    seconds are pickled into the pipe end ``send``. The process then exits
+    with 0, with the code of a ``SystemExit`` that escaped the run, or with 1
+    after any other escaping exception."""
+    code = 1
     try:
-        conn.send((results, held.records, failure, seconds))
-    except Exception as exc:  # a result or exception that does not pickle
-        conn.send(([], [], RuntimeError(
-            f"a fan-out worker could not send its results: {exc!r}"), seconds))
-    conn.close()
+        _place(cpu, cpus)
+        held = _Held()
+        logger = logging.getLogger(_LOGGER)
+        logger.handlers, logger.propagate = [held], False
+        results, failure, seconds = _run_share(work, items)
+        for record in held.records:
+            # what the parent's handlers need, without args that may not pickle
+            if record.exc_info:
+                record.exc_text = logging.Formatter().formatException(record.exc_info)
+            record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        try:
+            data = pickle.dumps((results, held.records, failure, seconds))
+        except Exception as exc:  # a result or exception that does not pickle
+            data = pickle.dumps(([], [], RuntimeError(
+                f"a fan-out worker could not send its results: {exc!r}"), seconds))
+        with os.fdopen(send, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+    finally:
+        _flush_std_streams()
+        os._exit(code)
 
 
 def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
@@ -150,43 +170,44 @@ def fan_out(work: Callable[[int], T], costs: Sequence[float]) -> list[T]:
     runs = split_shares(costs, min(len(costs), len(cpus)))
     if len(runs) <= 1:
         return [work(i) for i in range(len(costs))]
-    if multiprocessing.current_process().daemon:  # it may not have children
-        return [work(i) for i in range(len(costs))]
-    context = multiprocessing.get_context("fork")
-    workers = []
+    workers = []  # the pid and the pipe of each forked run, in run order
+    reaped = 0  # how many of them have exited and been waited for
     try:
         for cpu, items in zip(cpus[1:], runs[1:]):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_worker, args=(work, items, cpu, cpus, send), daemon=True)
-            worker.start()
-            send.close()  # so a worker that dies leaves EOF behind
-            workers.append((worker, receive))
+            receive, send = os.pipe()
+            _flush_std_streams()
+            pid = os.fork()
+            if pid == 0:
+                os.close(receive)
+                _worker(work, items, cpu, cpus, send)
+            os.close(send)  # so a worker that dies leaves EOF behind
+            workers.append((pid, os.fdopen(receive, "rb")))
         _place(cpus[0], cpus)
         results, failure, seconds = _run_share(work, runs[0])
         run_seconds = [seconds]
         logger = logging.getLogger(_LOGGER)
-        for worker, receive in workers:
+        for pid, pipe in workers:
             if failure is not None:
                 break
-            try:
-                done, records, failure, seconds = receive.recv()
-            except EOFError:  # the worker died before it sent anything
-                worker.join()
-                failure = RuntimeError(f"a fan-out worker exited with code {worker.exitcode} "
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code or not data:  # the worker died before it sent everything
+                failure = RuntimeError(f"a fan-out worker exited with code {code} "
                                        "before it sent its results")
                 break
-            worker.join()
+            done, records, failure, seconds = pickle.loads(data)
             for record in records:
                 logger.handle(record)
             results += done
             run_seconds.append(seconds)
     finally:
-        # a worker still running here is one whose outcome will not be read
-        for worker, receive in workers:
-            if worker.is_alive():
-                worker.terminate()
-            worker.join()
-            receive.close()
+        # a worker not reaped here is one whose outcome will not be read
+        for pid, _ in workers[reaped:]:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        for _, pipe in workers:
+            pipe.close()
     for n, (items, (wall_s, cpu_s)) in enumerate(zip(runs, run_seconds), 1):
         logger.info("fan-out run %d of %d: items %d, cost %g, wall %.3f s, CPU %.3f s",
                     n, len(runs), len(items), sum(costs[i] for i in items), wall_s, cpu_s)

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,16 @@ def bundled_dict() -> DictionaryProvider:
 @pytest.fixture(scope="session")
 def wordnet_dict() -> DictionaryProvider:
     return load_dictionary(WORDNET_MINI)
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or exited and not
+    waited for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def snip(text: str, language: str = "python", id: str = "s"):

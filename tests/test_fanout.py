@@ -3,7 +3,9 @@ CPU count, with no worker left behind.
 
 The CPU count is what ``os.sched_getaffinity`` reports, so each test sets
 it with a stand-in: 1 runs everything in this process, more fork workers.
-A stand-in ``os.sched_setaffinity`` records where each run is placed.
+A stand-in ``os.sched_setaffinity`` records where each run is placed. A
+leftover worker is any child of this process that ``os.waitpid`` still
+finds, running or exited.
 """
 
 import io
@@ -23,7 +25,7 @@ from codereadability.cli import main
 from codereadability.fanout import fan_out, split_shares
 from codereadability.model import ReadabilityModel, ScalerParams
 from codereadability.vectorizer import N_FEATURES, featurize_corpus, write_feature_matrix
-from conftest import snip
+from conftest import no_child_left, snip
 from lexer_samples import fixture_snippets
 
 CPU_COUNTS = (1, 2, 3, 4)
@@ -44,7 +46,7 @@ def _cpus(monkeypatch, n):
 @pytest.fixture
 def no_leftover_workers():
     yield
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def _snippets():
@@ -132,6 +134,19 @@ class TestFanOut:
         _cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="could not send its results"):
             fan_out(work, [1, 1])
+
+    @pytest.mark.parametrize("exc,code", [(SystemExit(5), 5), (SystemExit(None), 0),
+                                          (SystemExit("bye"), 1), (KeyboardInterrupt(), 1)])
+    def test_a_worker_left_by_an_exception_reports_its_exit_code(
+            self, monkeypatch, no_leftover_workers, exc, code):
+        def work(i):
+            if i == 2:  # the last item, which the worker runs
+                raise exc
+            return i
+
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=f"exited with code {code} before it sent its results"):
+            fan_out(work, [1, 1, 1])
 
     def test_a_worker_that_dies_raises(self, monkeypatch, no_leftover_workers):
         def work(i):
@@ -240,17 +255,18 @@ class TestFanOut:
         assert all(f"KeyError: 'key {i}'" in line
                    for i, line in enumerate(caplog.text.split("WARNING")[1:]))
 
-    def test_a_daemonic_caller_runs_serially(self, monkeypatch, no_leftover_workers):
+    def test_a_daemonic_caller_fans_out_too(self, monkeypatch, no_leftover_workers):
         _cpus(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            # a pool worker is daemonic and may not have children
-            pids = pool.apply(_pids, (4,))
+            # a pool worker is daemonic, which does not stop it from forking
+            pool_pid, items, pids, childless = pool.apply(_fan_out_in_a_pool_worker, (4,))
         pool.join()
-        assert len(set(pids)) == 1 and os.getpid() not in pids
+        assert items == list(range(4)) and childless
+        assert pids[0] == pool_pid != os.getpid() and len(set(pids)) == 2
 
-    def test_no_multiprocessing_on_one_cpu(self, monkeypatch):
+    def test_no_fork_on_one_cpu(self, monkeypatch):
         _cpus(monkeypatch, 1)
-        monkeypatch.setattr(multiprocessing, "get_context", None)
+        monkeypatch.setattr(os, "fork", None)
         assert fan_out(lambda i: i, [1, 2, 3]) == [0, 1, 2]
 
     def test_without_sched_getaffinity_everything_is_serial(self, monkeypatch):
@@ -258,8 +274,11 @@ class TestFanOut:
         assert fan_out(lambda i: os.getpid(), [1, 1]) == [os.getpid()] * 2
 
 
-def _pids(n):
-    return fan_out(lambda i: os.getpid(), [1] * n)
+def _fan_out_in_a_pool_worker(n):
+    """This process's pid, the items and pids of ``fan_out`` over ``n``
+    items, and whether it left no child behind."""
+    items, pids = zip(*fan_out(lambda i: (i, os.getpid()), [1] * n))
+    return os.getpid(), list(items), list(pids), no_child_left()
 
 
 class TestOutputsAtEveryCpuCount:
@@ -273,7 +292,7 @@ class TestOutputsAtEveryCpuCount:
             path = tmp_path / f"out{cpus}.csv"
             write(path)
             outputs.append(path.read_bytes())
-            assert multiprocessing.active_children() == []
+            assert no_child_left()
         return outputs
 
     def test_feature_matrix(self, monkeypatch, tmp_path, bundled_dict):

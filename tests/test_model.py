@@ -30,6 +30,7 @@ from codereadability.model import (
     transform,
 )
 from codereadability.vectorizer import N_FEATURES
+from conftest import no_child_left
 
 
 def brute_force_auc(scores, labels):
@@ -324,7 +325,7 @@ class TestEvaluateFanOut:
         for cpus in (2, 3, 4):
             _cpus(monkeypatch, cpus)
             assert _report_json(X, y, **kwargs) == serial
-            assert multiprocessing.active_children() == []
+            assert no_child_left()
 
     def test_failing_fold_raises_the_serial_error(self, monkeypatch):
         X, y = _feature_matrix_61(n=40, seed=6)
@@ -344,7 +345,7 @@ class TestEvaluateFanOut:
             with pytest.raises(ValueError) as info:
                 evaluate(X, y, **kwargs)
             raised.append((type(info.value), str(info.value)))
-            assert multiprocessing.active_children() == []
+            assert no_child_left()
         assert raised == [(ValueError, "no selection for seed 2003")] * 4
 
     def test_fold_log_records_reach_the_caller_in_fold_order(self, monkeypatch, caplog):
@@ -389,26 +390,25 @@ class TestEvaluateFanOut:
             assert report.fold_selected[f] == list(trained.selected)
             probs = [predict(trained, x)[0] for x in X[test]]
             assert report.fold_accuracy[f] == accuracy(probs, y[test])
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_unknown_family_fails_before_any_fork(self, monkeypatch):
         X, y = _feature_matrix_61(n=40, seed=6)
         _cpus(monkeypatch, 2)
-        contexts = []
-        real_get_context = multiprocessing.get_context
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda *args: contexts.append(args) or real_get_context(*args))
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
         with pytest.raises(ValueError, match="unknown feature family 'NOPE'"):
             evaluate(X, y, family="nope", k=3)
-        assert contexts == []
-        assert multiprocessing.active_children() == []
+        assert forks == []
+        assert no_child_left()
 
-    def test_daemonic_caller_runs_the_folds_serially(self, monkeypatch):
+    def test_a_daemonic_caller_fans_the_folds_out(self, monkeypatch):
         X, y = _feature_matrix_61(n=40, seed=8)
         kwargs = dict(family="tf", k=3, seed=1, k_max=2, inner_cv=2)
         _cpus(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            # a pool worker is daemonic and may not start a pool of its own
+            # a pool worker is daemonic, and forks its fold runs like any other caller
             in_worker = pool.apply(_report_json, (X, y), kwargs)
         pool.join()
         assert in_worker == _report_json(X, y, **kwargs)

@@ -255,24 +255,32 @@ def test_stats_imports_numpy_and_the_standard_library_alone():
     assert set(_sites(tree, "stats", lambda node: _imports_beyond(node, NUMPY_AND_STDLIB))) == set()
 
 
-def _imports_scipy(node: ast.AST) -> bool:
-    """An import statement of scipy or a scipy submodule, or an
-    ``__import__`` or ``import_module`` call naming one."""
-    if isinstance(node, ast.Import):
-        return any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        return node.level == 0 and node.module.partition(".")[0] == "scipy"
-    if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "__import__"
-                                       or getattr(node.func, "attr", None) == "import_module"):
-        return any(isinstance(arg, ast.Constant) and str(arg.value).partition(".")[0] == "scipy"
-                   for arg in node.args[:1])
-    return False
+def _imports(package: str):
+    """Whether a node is an import statement of ``package`` or one of its
+    submodules, or an ``__import__`` or ``import_module`` call naming one."""
+    def imports(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.partition(".")[0] == package for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.level == 0 and node.module.partition(".")[0] == package
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "__import__"
+                                           or getattr(node.func, "attr", None) == "import_module"):
+            return any(isinstance(arg, ast.Constant) and str(arg.value).partition(".")[0] == package
+                       for arg in node.args[:1])
+        return False
+    return imports
 
 
 def test_no_module_imports_scipy():
     """scipy is a test dependency: no module of the package imports it,
     at module level or inside a function."""
-    assert _package_sites(_imports_scipy) == set()
+    assert _package_sites(_imports("scipy")) == set()
+
+
+def test_no_module_imports_multiprocessing():
+    """``fanout`` forks with ``os.fork`` and a pipe: no module of the
+    package imports multiprocessing, at module level or inside a function."""
+    assert _package_sites(_imports("multiprocessing")) == set()
 
 
 @pytest.mark.parametrize("source,imports", [
@@ -284,7 +292,20 @@ def test_no_module_imports_scipy():
     ("from . import scipy", False), ("import scipyish", False), ("scipy_version = 1", False),
 ])
 def test_the_scan_sees_each_scipy_import(source, imports):
-    assert any(map(_imports_scipy, ast.walk(ast.parse(source)))) is imports
+    assert any(map(_imports("scipy"), ast.walk(ast.parse(source)))) is imports
+
+
+@pytest.mark.parametrize("source,imports", [
+    ("import multiprocessing", True), ("import multiprocessing.connection", True),
+    ("from multiprocessing import get_context", True),
+    ("from multiprocessing.popen_fork import Popen", True),
+    ("def f():\n    import multiprocessing as mp", True),
+    ("importlib.import_module('multiprocessing.pool')", True),
+    ("import os", False), ("from .fanout import fan_out", False),
+    ("multiprocessing_start = 'fork'", False),
+])
+def test_the_scan_sees_each_multiprocessing_import(source, imports):
+    assert any(map(_imports("multiprocessing"), ast.walk(ast.parse(source)))) is imports
 
 
 @pytest.mark.parametrize("source,defined", [
@@ -335,9 +356,11 @@ import json, sys
 import codereadability.cli
 import codereadability
 print(json.dumps({
-    "modules": sorted(m for m in ("codereadability.model", "codereadability.analytics",
-                                  "multiprocessing") if m in sys.modules),
+    "modules": sorted(m for m in ("codereadability.model", "codereadability.analytics")
+                      if m in sys.modules),
     "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    "fork stack": sorted(m for m in sys.modules
+                         if m.partition(".")[0] in ("multiprocessing", "socket", "selectors")),
     "same": [getattr(codereadability, name) is getattr(getattr(codereadability, home), name)
              for home, name in (("model", "evaluate"), ("analytics", "paired_compare"))],
 }))
@@ -345,13 +368,14 @@ print(json.dumps({
 
 
 def test_the_cli_loads_every_module_and_no_scipy():
-    """In a fresh process, ``import codereadability.cli`` loads the model,
-    the analytics and the fork stack up front, each package name is its
-    module's object, and no scipy module is loaded."""
+    """In a fresh process, ``import codereadability.cli`` loads the model
+    and the analytics up front, and each package name is its module's
+    object. No scipy module is loaded, and none of ``multiprocessing``,
+    ``socket`` or ``selectors``: the fan-out forks with ``os``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", _LOADED], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "modules": ["codereadability.analytics", "codereadability.model", "multiprocessing"],
-        "scipy": [], "same": [True, True]}
+        "modules": ["codereadability.analytics", "codereadability.model"],
+        "scipy": [], "fork stack": [], "same": [True, True]}
