@@ -17,7 +17,9 @@ nothing, so ``fanout.fan_out`` cuts them into contiguous runs, one per
 available CPU at most, with the same bits at any CPU count. A model file
 carries the feature ``schema_version`` it was trained under, and
 ``load_model`` rejects any other. Everything is deterministic under a
-seed.
+seed, a non-negative int: the fold shuffle is the package's own port of
+numpy's ``default_rng(seed).shuffle``, bit for bit, so no fold depends on
+the ``Generator`` algorithms of the numpy installed.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from .config import check_lambda_l2
 from .corpus import read_utf8
@@ -210,20 +213,103 @@ def train_logreg(Xn: np.ndarray, y: np.ndarray, lambda_l2: float = 1.0) -> tuple
 # Cross-validation and feature selection
 # --------------------------------------------------------------------------
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` as PCG64 reads
+    it: ``(initstate, initseq)``, 128 bits each. ``seed`` must be an int
+    >= 0, the seeds that numpy and this port agree on."""
+    seed = operator.index(seed)  # TypeError for None, a float or a string
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _M32]  # 32-bit words, least significant first
+    while seed > _M32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    s0, s1, s2, s3 = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    return s0 << 64 | s1, s2 << 64 | s3
+
+
+def _pcg64_uint32(initstate: int, initseq: int) -> Iterator[int]:
+    """The 32-bit draws of numpy's PCG64 seeded with ``_seed_sequence``'s
+    pair: each 64-bit XSL-RR output gives its low half, then its high
+    half, as ``next_uint32`` buffers it."""
+    inc = (initseq << 1 | 1) & _M128
+    # seeding: a step from state 0 (which gives inc), add initstate, a step
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG64_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        out = (x >> rot | x << (64 - rot)) & _M64
+        yield out & _M32
+        yield out >> 32
+
+
+def _shuffle(items: list, draws: Iterator[int]) -> None:
+    """``Generator.shuffle`` of a 1-D array, in place: Fisher-Yates from
+    the last index down to 1, each swap partner drawn as numpy's
+    ``random_interval`` draws it, 32 bits masked to the smallest all-ones
+    mask >= i, values above i rejected. (numpy draws 64 bits once i passes
+    2**32 - 1; no class has that many rows.)"""
+    for i in range(len(items) - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(draws) & mask
+        while j > i:
+            j = next(draws) & mask
+        items[i], items[j] = items[j], items[i]
+
+
 def stratified_folds(labels, k: int, seed: int) -> np.ndarray:
-    """Fold id per sample; per-class counts across folds differ by <= 1."""
+    """Fold id per sample; per-class counts across folds differ by <= 1.
+
+    Each class's row indices are shuffled in turn, as by one numpy
+    ``default_rng(seed)``, and dealt out round-robin. ``seed`` is an int
+    >= 0; ``None`` (fresh entropy) is refused.
+    """
     labels = np.asarray(labels)
     if k < 2:
         raise ValueError("stratified CV needs k >= 2")
     assignment = np.empty(len(labels), dtype=np.int64)
-    rng = default_rng(seed)
+    draws = _pcg64_uint32(*_seed_sequence(seed))
     for cls in _classes(labels)[0]:
-        idx = np.flatnonzero(labels == cls)
-        if len(idx) < k:
-            raise ValueError(f"class {cls:g} has {len(idx)} members, fewer than k={k}")
-        rng.shuffle(idx)
-        for fold in range(k):
-            assignment[idx[fold::k]] = fold
+        order = np.flatnonzero(labels == cls).tolist()
+        if len(order) < k:
+            raise ValueError(f"class {cls:g} has {len(order)} members, fewer than k={k}")
+        _shuffle(order, draws)
+        assignment[order] = np.arange(len(order)) % k
     return assignment
 
 

@@ -807,26 +807,31 @@ def test_benchmark_tracer_hooks_resolve(tmp_path):
     assert result["tokenize_calls"] > 0
 
 
-_SCIPY_MODULES = """
+# the modules no command needs: scipy, a test dependency, and numpy.random
+# with the secrets -> hmac -> hashlib chain it imports
+_UNWANTED_MODULES = """
 import json, sys
 {preload}
 from codereadability.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({{"exit": code, "scipy": sorted(m for m in sys.modules
-                                                  if m.partition(".")[0] == "scipy")}}))
+print(json.dumps({{"exit": code, "unwanted": sorted(
+    m for m in sys.modules
+    if m.partition(".")[0] in ("scipy", "secrets", "hmac", "hashlib", "_hashlib")
+    or m == "numpy.random" or m.startswith("numpy.random."))}}))
 """
 
 
-def run_cli_reporting_scipy(*argv, preload=""):
-    """Exit code and loaded scipy modules of one CLI command in a fresh
-    process, after the import statement ``preload``."""
+def run_cli_reporting_unwanted(*argv, preload=""):
+    """Exit code and the loaded scipy, ``numpy.random``, ``secrets``,
+    ``hmac`` and ``hashlib`` modules of one CLI command in a fresh process,
+    after the statement ``preload``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(preload=preload),
+    proc = subprocess.run([sys.executable, "-c", _UNWANTED_MODULES.format(preload=preload),
                            *map(str, argv)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0, proc.stderr
-    return result["scipy"]
+    return result["unwanted"]
 
 
 def write_score_tables(root, n=40):
@@ -842,8 +847,8 @@ def write_score_tables(root, n=40):
 class TestImportFootprint:
     def test_featurize_loads_no_scipy(self, tmp_path):
         manifest = write_labeled_dataset(tmp_path / "data")
-        assert run_cli_reporting_scipy("featurize", "--in", manifest,
-                                       "--out", tmp_path / "m.csv") == []
+        assert run_cli_reporting_unwanted("featurize", "--in", manifest,
+                                          "--out", tmp_path / "m.csv") == []
 
     def test_model_and_compare_commands_load_no_scipy(self, tmp_path):
         manifest = write_labeled_dataset(tmp_path / "data")
@@ -852,18 +857,21 @@ class TestImportFootprint:
         report = tmp_path / "report.json"
         compare = ("compare", "--a", table_a, "--b", table_b, "--format", "json", "--out", report)
         loaded = {
-            "featurize": run_cli_reporting_scipy("featurize", "--in", manifest,
-                                                 "--out", tmp_path / "m.csv"),
-            "train": run_cli_reporting_scipy("train", "--data", manifest, "--kmax", "2",
-                                             "--out", model),
-            "evaluate": run_cli_reporting_scipy("evaluate", "--data", manifest, "--folds", "2",
-                                                "--kmax", "2"),
-            "score": run_cli_reporting_scipy("score", "--model", model, "--in", manifest,
-                                             "--out", scores),
-            "compare": run_cli_reporting_scipy(*compare),
+            "featurize": run_cli_reporting_unwanted("featurize", "--in", manifest,
+                                                    "--out", tmp_path / "m.csv"),
+            "train": run_cli_reporting_unwanted("train", "--data", manifest, "--kmax", "2",
+                                                "--out", model),
+            "evaluate": run_cli_reporting_unwanted("evaluate", "--data", manifest, "--folds", "2",
+                                                   "--kmax", "2"),
+            "score": run_cli_reporting_unwanted("score", "--model", model, "--in", manifest,
+                                                "--out", scores),
+            "compare": run_cli_reporting_unwanted(*compare),
         }
         # more than 25 nonzero pairs: the p-value takes the normal tail
         assert [r["method"] for r in json.loads(report.read_text(encoding="utf-8"))] == ["normal"]
         assert loaded == dict.fromkeys(loaded, [])
-        # the check can see scipy at all
-        assert "scipy.special" in run_cli_reporting_scipy(*compare, preload="import scipy.special")
+        # the check can see scipy at all, and numpy.random, which numpy 2
+        # loads on the first read of np.random
+        assert "scipy.special" in run_cli_reporting_unwanted(*compare, preload="import scipy.special")
+        assert {"numpy.random", "secrets"} <= set(run_cli_reporting_unwanted(
+            *compare, preload="import numpy as np; np.random"))

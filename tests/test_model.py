@@ -184,6 +184,14 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="fewer than k"):
             stratified_folds(labels, 3, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, [1, 2], (3,)])
+    def test_a_seed_that_is_not_one_int_is_refused(self, seed):
+        """numpy would draw fresh entropy for ``None``, so that no two
+        calls split alike, and would hash a sequence of ints; the fold
+        shuffle takes one int >= 0 alone."""
+        with pytest.raises(TypeError):
+            stratified_folds([0, 1] * 4, 2, seed)
+
     def test_proportionality_within_one(self):
         labels = np.array([0] * 17 + [1] * 29)
         folds = stratified_folds(labels, 4, seed=1)

@@ -255,19 +255,41 @@ def test_stats_imports_numpy_and_the_standard_library_alone():
     assert set(_sites(tree, "stats", lambda node: _imports_beyond(node, NUMPY_AND_STDLIB))) == set()
 
 
-def _imports(package: str):
-    """Whether a node is an import statement of ``package`` or one of its
-    submodules, or an ``__import__`` or ``import_module`` call naming one."""
+# the name the package binds numpy to
+_ALIASES = {"np": "numpy"}
+
+
+def _dotted(node: ast.AST) -> str:
+    """``a.b.c`` of an attribute chain on a name, ``np`` read as
+    ``numpy``; empty for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([_ALIASES.get(node.id, node.id), *reversed(parts)])
+
+
+def _imports(module: str):
+    """Whether a node imports ``module`` (a dotted name) or one of its
+    submodules: an import statement, an ``__import__`` or
+    ``import_module`` call naming one, or an attribute read such as
+    ``np.random``, which numpy 2 answers by importing ``numpy.random``."""
+    def within(name: str) -> bool:
+        return name == module or name.startswith(module + ".")
+
     def imports(node: ast.AST) -> bool:
         if isinstance(node, ast.Import):
-            return any(alias.name.partition(".")[0] == package for alias in node.names)
+            return any(within(alias.name) for alias in node.names)
         if isinstance(node, ast.ImportFrom):
-            return node.level == 0 and node.module.partition(".")[0] == package
+            return node.level == 0 and (within(node.module) or any(
+                within(f"{node.module}.{alias.name}") for alias in node.names))
         if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "__import__"
                                            or getattr(node.func, "attr", None) == "import_module"):
-            return any(isinstance(arg, ast.Constant) and str(arg.value).partition(".")[0] == package
+            return any(isinstance(arg, ast.Constant) and within(str(arg.value))
                        for arg in node.args[:1])
-        return False
+        return isinstance(node, ast.Attribute) and within(_dotted(node))
     return imports
 
 
@@ -281,6 +303,13 @@ def test_no_module_imports_multiprocessing():
     """``fanout`` forks with ``os.fork`` and a pipe: no module of the
     package imports multiprocessing, at module level or inside a function."""
     assert _package_sites(_imports("multiprocessing")) == set()
+
+
+def test_no_module_imports_numpy_random():
+    """The fold shuffle is the package's own port: no module of the
+    package imports ``numpy.random`` or reads ``np.random``, at module level
+    or inside a function."""
+    assert _package_sites(_imports("numpy.random")) == set()
 
 
 @pytest.mark.parametrize("source,imports", [
@@ -306,6 +335,23 @@ def test_the_scan_sees_each_scipy_import(source, imports):
 ])
 def test_the_scan_sees_each_multiprocessing_import(source, imports):
     assert any(map(_imports("multiprocessing"), ast.walk(ast.parse(source)))) is imports
+
+
+@pytest.mark.parametrize("source,imports", [
+    ("import numpy.random", True), ("import numpy.random as npr", True),
+    ("import os, numpy.random._pcg64", True), ("from numpy.random import default_rng", True),
+    ("from numpy import random", True), ("from numpy import linalg, random as r", True),
+    ("def f():\n    from numpy.random import Generator", True),
+    ("importlib.import_module('numpy.random')", True), ("__import__('numpy.random.mtrand')", True),
+    ("np.random.default_rng(0)", True), ("numpy.random.seed(1)", True), ("rng = np.random", True),
+    ("def f(a):\n    np.random.shuffle(a)", True),
+    ("import numpy as np", False), ("import numpy.linalg", False), ("from numpy import linalg", False),
+    ("np.linalg.solve(a, b)", False), ("import random", False), ("random.random()", False),
+    ("from .model import _shuffle", False), ("np.random_state", False),
+    ("__import__('numpy')", False), ("import numpy.randomx", False), ("rng.random()", False),
+])
+def test_the_scan_sees_each_numpy_random_import(source, imports):
+    assert any(map(_imports("numpy.random"), ast.walk(ast.parse(source)))) is imports
 
 
 @pytest.mark.parametrize("source,defined", [
@@ -361,6 +407,9 @@ print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
     "fork stack": sorted(m for m in sys.modules
                          if m.partition(".")[0] in ("multiprocessing", "socket", "selectors")),
+    "rng stack": sorted(m for m in sys.modules
+                        if m.partition(".")[0] in ("secrets", "hmac", "hashlib", "_hashlib")
+                        or m == "numpy.random" or m.startswith("numpy.random.")),
     "same": [getattr(codereadability, name) is getattr(getattr(codereadability, home), name)
              for home, name in (("model", "evaluate"), ("analytics", "paired_compare"))],
 }))
@@ -371,11 +420,13 @@ def test_the_cli_loads_every_module_and_no_scipy():
     """In a fresh process, ``import codereadability.cli`` loads the model
     and the analytics up front, and each package name is its module's
     object. No scipy module is loaded, and none of ``multiprocessing``,
-    ``socket`` or ``selectors``: the fan-out forks with ``os``."""
+    ``socket`` or ``selectors``: the fan-out forks with ``os``. No
+    ``numpy.random`` module is loaded either, nor ``secrets``, ``hmac`` or
+    ``hashlib``: the fold shuffle is the package's own."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", _LOADED], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "modules": ["codereadability.analytics", "codereadability.model"],
-        "scipy": [], "fork stack": [], "same": [True, True]}
+        "scipy": [], "fork stack": [], "rng stack": [], "same": [True, True]}
