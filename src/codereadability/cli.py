@@ -106,11 +106,10 @@ def cmd_evaluate(args, cfg: AnalysisConfig) -> int:
         X, y, family=args.family, k=args.folds, seed=args.seed,
         lambda_l2=cfg.lambda_l2, k_max=args.kmax, inner_cv=cfg.inner_cv,
     )
-    report.config = cfg.to_dict()
     print(model.render_evaluation_table([report]))
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                                  encoding="utf-8")
+        doc = {**report.to_dict(), "config": cfg.to_dict()}
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         log.info("report written to %s", args.out)
     return EXIT_OK
 

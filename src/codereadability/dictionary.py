@@ -11,13 +11,15 @@ Two interchangeable backends:
   empty synonym set.
 
 Terms absent from the backend get ``in_dictionary=False`` with all
-sense/depth quantities zero and no synonyms. A WordNet provider keeps
-each term's entry in a ``corpus.BoundedMemo`` of 8,192 terms.
+sense/depth quantities zero and no synonyms. A provider is one
+``lookup`` from a term to its entry: a ``corpus.BoundedMemo`` of 8,192
+terms over the WordNet database, or a test of the bundled word set.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,16 +156,11 @@ _load_fallback_words = BoundedMemo(lambda path: frozenset(read_utf8(path, Dictio
 
 
 class DictionaryProvider:
-    """Read-only lexical lookups; safe to share across threads after init."""
+    """Read-only lexical lookups through the instance attribute ``lookup``,
+    a term's :class:`LexEntry`; safe to share across threads after init."""
 
-    def __init__(self, wordnet: _WordNetDatabase | None, fallback: frozenset[str] | None):
-        self._fallback = fallback
-        self._entries = None if wordnet is None else BoundedMemo(wordnet.entry)
-
-    def lookup(self, term: str) -> LexEntry:
-        if self._entries is None:
-            return _LISTED if term in self._fallback else _ABSENT
-        return self._entries[term]
+    def __init__(self, lookup: Callable[[str], LexEntry]):
+        self.lookup = lookup
 
     def is_english(self, term: str) -> bool:
         return self.lookup(term).in_dictionary
@@ -180,8 +177,9 @@ def load_dictionary(path: str | Path | None = None) -> DictionaryProvider:
     """The WordNet database under the directory ``path``, or the bundled
     list (read once per process) when no path is given."""
     if path:
-        return DictionaryProvider(_WordNetDatabase(path), None)
-    return DictionaryProvider(None, _load_fallback_words(Path(__file__).parent / "data" / "wordlist.txt"))
+        return DictionaryProvider(BoundedMemo(_WordNetDatabase(path).entry).__getitem__)
+    words = _load_fallback_words(Path(__file__).parent / "data" / "wordlist.txt")
+    return DictionaryProvider(lambda term: _LISTED if term in words else _ABSENT)
 
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")

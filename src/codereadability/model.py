@@ -14,7 +14,9 @@ the batch. ``predict`` is the one way from a feature row to a score:
 each outer fold of ``evaluate`` is one ``train_model`` call on its
 training rows, with one ``predict`` per held-out row. The folds share
 nothing, so ``fanout.fan_out`` cuts them into contiguous runs, one per
-available CPU at most, with the same bits at any CPU count. A model file
+available CPU at most, with the same bits at any CPU count. The frozen
+``EvaluationReport`` holds only what ``evaluate`` computes; the CLI's
+JSON report appends the configuration as its last key. A model file
 carries the feature ``schema_version`` it was trained under, and
 ``load_model`` rejects any other. Everything is deterministic under a
 seed, a non-negative int: the fold shuffle is the package's own port of
@@ -345,7 +347,8 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
     smallest = int(_classes(y)[1].min())
     inner_cv = max(2, min(inner_cv, smallest))
     folds = stratified_folds(y, inner_cv, seed)
-    splits = [(folds != fold, folds == fold) for fold in range(inner_cv)]
+    tests = [folds == fold for fold in range(inner_cv)]
+    splits = [(Xn[~t], y[~t], Xn[t], y[t]) for t in tests]  # sliced once, used every step
 
     selected: list[int] = []
     score_path: list[float] = []
@@ -353,14 +356,14 @@ def sfs_path(Xn: np.ndarray, y: np.ndarray, k_max: int, inner_cv: int = 5,
     fits = unconverged = 0
     while len(selected) < k_max:
         total = np.zeros(len(remaining))
-        for train, test in splits:  # summed in fold order
-            params, missed = _newton(_candidate_stack(Xn[train], selected, remaining),
-                                     y[train], lambda_l2)
+        for X_train, y_train, X_test, y_test in splits:  # summed in fold order
+            params, missed = _newton(_candidate_stack(X_train, selected, remaining),
+                                     y_train, lambda_l2)
             fits += len(remaining)
             unconverged += missed
-            held_out = _candidate_stack(Xn[test], selected, remaining)
+            held_out = _candidate_stack(X_test, selected, remaining)
             total += auc_rows((held_out @ params[:, :-1, None])[:, :, 0] + params[:, -1:],
-                              y[test])
+                              y_test)
         scores = total / inner_cv
         best = int(np.argmax(scores))
         selected.append(remaining.pop(best))
@@ -434,7 +437,7 @@ def train_model(X: np.ndarray, y, family: str = "all", lambda_l2: float = 1.0,
 # Evaluation
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EvaluationReport:
     family: str
     k: int
@@ -447,23 +450,9 @@ class EvaluationReport:
     fold_auc: list[float] = field(default_factory=list)
     fold_selected: list[list[int]] = field(default_factory=list)
     fold_assignment: list[int] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _outer_fold(fold: int, X: np.ndarray, y: np.ndarray, folds: np.ndarray,
-                family: str, k_max: int | None, inner_cv: int, seed: int,
-                lambda_l2: float) -> tuple[float, float, list[int]]:
-    """``train_model`` on the training rows of one outer fold, then its
-    held-out ``(accuracy, auc, selected)``, each held-out row scored by
-    one :func:`predict`."""
-    test = folds == fold
-    trained = train_model(X[~test], y[~test], family, lambda_l2, k_max, inner_cv,
-                          seed=seed + 1000 * (fold + 1))
-    probs = [predict(trained, x)[0] for x in X[test]]
-    return accuracy(probs, y[test]), auc(probs, y[test]), list(trained.selected)
 
 
 def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
@@ -484,7 +473,11 @@ def evaluate(X: np.ndarray, y, family: str = "all", k: int = 10, seed: int = 42,
     folds = stratified_folds(y, k, seed)
 
     def run(fold: int) -> tuple[float, float, list[int]]:
-        return _outer_fold(fold, X, y, folds, family, k_max, inner_cv, seed, lambda_l2)
+        test = folds == fold
+        trained = train_model(X[~test], y[~test], family, lambda_l2, k_max, inner_cv,
+                              seed=seed + 1000 * (fold + 1))
+        probs = [predict(trained, x)[0] for x in X[test]]
+        return accuracy(probs, y[test]), auc(probs, y[test]), list(trained.selected)
 
     fold_accuracy, fold_auc, fold_selected = map(list, zip(*fan_out(run, [1] * k)))
     return EvaluationReport(family=family, k=k, seed=seed, lambda_l2=lambda_l2,
@@ -524,9 +517,11 @@ def save_model(model: ReadabilityModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ReadabilityModel:
+    text = read_utf8(path, ModelError)
     try:
-        doc = json.loads(read_utf8(path, ModelError))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        doc = json.loads(text)
+    # RecursionError: nested too deeply; ValueError: also an int of over 4,300 digits
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from None
 
     if not isinstance(doc, dict):
@@ -559,6 +554,8 @@ def load_model(path: str | Path) -> ReadabilityModel:
         raise ModelError(f"{len(weights)} weights for {len(selected)} selected features")
     if any(i < 0 or i >= N_FEATURES for i in selected):
         raise ModelError("selected feature index out of schema range")
+    if not isinstance(doc["provenance"], str):
+        raise ModelError(f"model file {path}: provenance must be a string")
     return ReadabilityModel(
         scaler=ScalerParams(mu=mu, sigma=sigma),
         selected=tuple(selected),
@@ -570,12 +567,16 @@ def load_model(path: str | Path) -> ReadabilityModel:
 
 
 def _model_numbers(doc: dict, name: str, path, ndim: int) -> np.ndarray:
-    """Field ``name`` as finite float64: a list for ``ndim`` 1, a number for 0."""
+    """Field ``name`` as finite float64: a list for ``ndim`` 1, a number for
+    0, of JSON numbers only (not a bool, an int to Python, nor a string)."""
+    value = doc[name]
+    items = value if ndim else [value]
     try:
-        value = np.asarray(doc[name], dtype=np.float64)
-    except (TypeError, ValueError):  # ragged lists, strings, objects
-        value = None
-    if value is None or value.ndim != ndim or not np.isfinite(value).all():
+        valid = (isinstance(items, list) and all(type(v) in (int, float) for v in items)
+                 and np.isfinite(np.asarray(items, dtype=np.float64)).all())
+    except OverflowError:  # an integer past the float64 range
+        valid = False
+    if not valid:
         shape = "a list of finite numbers" if ndim else "a finite number"
         raise ModelError(f"model file {path}: {name} must be {shape}")
-    return value
+    return np.asarray(value, dtype=np.float64)

@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codereadability import dictionary
+from codereadability.corpus import BoundedMemo, read_utf8
 from codereadability.dictionary import (
     DictionaryError,
+    _load_fallback_words,
     _WordNetDatabase,
     count_syllables,
     load_dictionary,
@@ -76,7 +79,8 @@ class TestWordNetBackend:
         many absent ones: the memo never passes its size, and every term
         looks up to the entry it had before."""
         provider = load_dictionary(WORDNET_MINI)
-        memo = provider._entries
+        memo = provider.lookup.__self__
+        assert isinstance(memo, BoundedMemo)
         terms = [*FIXTURE_TERMS, *(f"absent{i}" for i in range(memo.size + 100))]
         first = []
         for term in terms * 2:
@@ -153,8 +157,20 @@ class TestBundledFallback:
         terms = frozenset({"big", "value"})
         assert bundled_dict.expand_synonyms(terms) == terms
 
-    def test_providers_share_one_word_set(self):
-        assert load_dictionary()._fallback is load_dictionary()._fallback
+    def test_providers_share_one_word_set(self, monkeypatch):
+        """The bundled list is read once per process, however many
+        providers are made from it."""
+        reads = []
+
+        def counted(*args):
+            reads.append(args[0])
+            return read_utf8(*args)
+
+        monkeypatch.setattr(dictionary, "read_utf8", counted)
+        _load_fallback_words.__self__.clear()  # as in a fresh process
+        providers = [load_dictionary() for _ in range(3)]
+        assert [p.is_english("value") for p in providers] == [True] * 3
+        assert len(reads) == 1
 
 
 class TestSyllables:

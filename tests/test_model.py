@@ -304,6 +304,32 @@ class TestEvaluate:
         folds = np.asarray(report.fold_assignment)
         assert rows == [x.tobytes() for f in range(3) for x in X[folds == f]]
 
+    def test_each_fold_looks_up_train_model_and_auc_when_it_runs(self, monkeypatch):
+        """A tracer wraps ``model.train_model`` and ``model.auc``. The spies
+        go in only once ``fan_out`` is called, after the fold function is
+        made, so a fold that bound either name earlier (a default argument,
+        a local alias) calls the unwrapped one and the count falls short."""
+        X, y = _feature_matrix_61(n=60, seed=8)
+        calls = {"train_model": 0, "auc": 0}
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        real_fan_out = model.fan_out
+
+        def fan_out_with_spies(work, costs):
+            for name in calls:
+                monkeypatch.setattr(model, name, spy(name, getattr(model, name)))
+            return real_fan_out(work, costs)
+
+        monkeypatch.setattr(model, "fan_out", fan_out_with_spies)
+        _cpus(monkeypatch, 1)
+        evaluate(X, y, family="tf", k=3, seed=2, k_max=2, inner_cv=3)
+        assert calls == {"train_model": 3, "auc": 3}
+
 
 def _cpus(monkeypatch, n):
     """Make ``evaluate`` see ``n`` available CPUs: one runs the folds
@@ -512,6 +538,20 @@ class TestPredictAndPersistence:
         ({"selected": [3.0, 10]}, "selected"),
         ({"selected": [True, 10]}, "selected"),
         ({"selected": 3}, "selected"),
+        # a JSON bool is an int to Python, numpy parses a numeric string, and
+        # an integer past the float64 range overflows
+        ({"intercept": True}, "intercept"),
+        ({"weights": [True, -0.5]}, "weights"),
+        ({"mu": [True] + [0.0] * 60}, "mu"),
+        ({"sigma": [1.0] * 60 + [False]}, "sigma"),
+        ({"lambda_l2": False}, "lambda_l2"),
+        ({"intercept": "1.5"}, "intercept"),
+        ({"weights": ["1.5", "-0.5"]}, "weights"),
+        ({"intercept": 10 ** 400}, "intercept"),
+        ({"weights": [10 ** 400, 0]}, "weights"),
+        ({"provenance": 5}, "provenance"),
+        ({"provenance": ["x"]}, "provenance"),
+        ({"provenance": None}, "provenance"),
     ])
     def test_corrupt_fields_rejected_by_name(self, tmp_path, edit, field):
         path = tmp_path / "model.json"
@@ -520,6 +560,15 @@ class TestPredictAndPersistence:
         doc.update(edit)
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=rf"model file .*: {field} "):
+            load_model(path)
+
+    def test_an_integer_too_long_to_parse_names_the_file(self, tmp_path):
+        """CPython's json refuses an int of over 4,300 digits with a plain
+        ``ValueError``; where it has no such limit, the int overflows."""
+        path = tmp_path / "model.json"
+        save_model(self._tiny_model(), path)
+        path.write_text(path.read_text().replace('"intercept": 0.0', '"intercept": ' + "1" * 4301))
+        with pytest.raises(ModelError, match=r"model file .*model\.json"):
             load_model(path)
 
     def test_non_object_file_rejected(self, tmp_path):
