@@ -22,8 +22,10 @@ blocks or lines, but neither holds an m×m matrix:
   the same order, into the same ``sum``.
 * NOC counts DBSCAN clusters of valid lines under the token-overlap
   distance, i.e. the connected components among core lines. Lines with
-  the same token set are one point carrying their count. For
-  0 <= eps < 1 the pairs within reach feed one union-find
+  the same token set are one point carrying their count, keyed by the
+  sorted tuple of its distinct tokens (:func:`_line_key`): 40 + 8k bytes
+  for k tokens, where a frozenset takes 216 bytes up to 4 tokens and 728
+  up to 18. For 0 <= eps < 1 the pairs within reach feed one union-find
   (:func:`_cluster_count`) as they come; eps >= 1 (one neighbourhood)
   and eps < 0 (none) have closed forms. Below ``_JOIN_MIN_SETS``
   distinct line sets every pair is checked by the same all-pairs loop as
@@ -36,6 +38,12 @@ blocks or lines, but neither holds an m×m matrix:
   ``1.0 - inter / (la + lb - inter) <= eps``, whatever the order of
   tokens with equal counts, so NOC is the same integer. Memory grows with
   the number of distinct lines, not its square.
+
+:func:`compute_tf` runs TC before the other groups and then drops its
+reference to the block sets, which nothing else reads: when its caller
+holds none either (``vectorizer.featurize`` binds them to no name), they
+are freed before NOC and the other families run. That takes CPython 3.11
+or later, where a call moves its arguments off the caller's stack.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from operator import attrgetter, countOf
-from itertools import chain, count
+from operator import attrgetter, countOf, itemgetter
+from itertools import chain, count, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -202,7 +210,7 @@ def _set_pairs(sets: list[frozenset]) -> tuple[float, float, float]:
     return lo, total, hi
 
 
-def _token_counts(sets: list[frozenset]) -> tuple[Counter, int, int]:
+def _token_counts(sets: list[frozenset | tuple]) -> tuple[Counter, int, int]:
     """Each token's count over the sets; the number of tokens found in one
     set only; and the words of a bitset row with one bit for each other
     token."""
@@ -211,7 +219,7 @@ def _token_counts(sets: list[frozenset]) -> tuple[Counter, int, int]:
     return freq, singles, max(1, -(-(len(freq) - singles) // 64))
 
 
-def _ranked_tokens(sets: list[frozenset], freq: Counter) -> tuple[np.ndarray, np.ndarray]:
+def _ranked_tokens(sets: list[frozenset | tuple], freq: Counter) -> tuple[np.ndarray, np.ndarray]:
     """The set and the rank of every entry, set after set and ascending
     within a set. Tokens are ranked rarest first by ``freq``, equal counts
     in first-seen order, so the tokens found in one set only hold the
@@ -295,18 +303,19 @@ def _cluster_count(multiplicity: list[int], pairs, min_samples: int) -> int:
     return sum(1 for i, d in enumerate(degree) if d >= min_samples and find(i) == i)
 
 
-def _array_pairs(token_sets: list[frozenset], eps: float):
+def _array_pairs(token_sets: list[frozenset | tuple], eps: float):
     """Every pair ``(x, y)`` of non-empty sets with
     ``1.0 - inter / (la + lb - inter) <= eps``, for ``0 <= eps < 1``, as
-    chunks of two index arrays from one vectorized join.
+    chunks of two index arrays from one vectorized join. A set may be a
+    frozenset or a tuple of distinct tokens (a :func:`_line_key`).
 
     The candidates are those of :func:`_prefix_runs`, taken a chunk of
     probe sets at a time, about ``_BITSET_CHUNK_WORDS`` words of gathered
     rows. A sort drops the pairs found through several tokens, the size
     filter follows, and each pair left is checked exactly. Its overlap is
     counted by popcount over the packed token bitsets, or by set
-    intersection when they would exceed ``_BITSET_MAX_WORDS`` words, and
-    then nothing is packed.
+    intersection (:func:`_overlaps`) when they would exceed
+    ``_BITSET_MAX_WORDS`` words, and then nothing is packed.
     """
     n = len(token_sets)
     freq, singles, words = _token_counts(token_sets)
@@ -334,8 +343,7 @@ def _array_pairs(token_sets: list[frozenset], eps: float):
             fits = lb >= t * la
             xs, ys, la, lb = xs[fits], ys[fits], la[fits], lb[fits]
             if packed is None:
-                inter = np.array([len(token_sets[x] & token_sets[y]) for x, y in zip(xs.tolist(), ys.tolist())],
-                                 dtype=np.int64)
+                inter = np.fromiter(_overlaps(token_sets, xs.tolist(), ys.tolist()), dtype=np.int64, count=len(xs))
             else:
                 common = packed[xs]
                 common &= packed[ys]
@@ -344,6 +352,15 @@ def _array_pairs(token_sets: list[frozenset], eps: float):
             yield xs[near], ys[near]
 
     return chunks()
+
+
+def _overlaps(token_sets: list[frozenset | tuple], xs: list[int], ys: list[int]):
+    """The overlap of each pair ``(xs[k], ys[k])`` of sets, ``xs``
+    ascending: each probe set is made a set once for its run of pairs."""
+    for x, run in groupby(zip(xs, ys), key=itemgetter(0)):
+        common = set(token_sets[x]).intersection
+        for _, y in run:
+            yield len(common(token_sets[y]))
 
 
 def _prefix_runs(rows: np.ndarray, ranks: np.ndarray, singles: int, sizes: np.ndarray, t: float):
@@ -380,6 +397,12 @@ def _prefix_runs(rows: np.ndarray, ranks: np.ndarray, singles: int, sizes: np.nd
     return px, lo, found, by_visit[ikey % n]
 
 
+def _line_key(tokens: list[str]) -> tuple[str, ...]:
+    """A line's distinct tokens in sorted order: lines with the same token
+    set get equal keys, each a fraction of the size of a frozenset."""
+    return tuple(sorted(set(tokens)))
+
+
 def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 2) -> tuple[float, float]:
     """Cluster valid lines by token-set overlap; count non-noise clusters.
 
@@ -387,7 +410,7 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
     line's neighbourhood includes itself.
     """
     lines = Counter(
-        frozenset(toks)
+        _line_key(toks)
         for stats, toks in zip(profile.per_line, profile.line_tokens)
         if not stats.is_blank and not stats.is_comment_only and toks
     )
@@ -401,6 +424,7 @@ def concept_count(profile: LexicalProfile, eps: float = 0.5, min_samples: int = 
     else:
         sets = list(lines)
         if len(sets) < _JOIN_MIN_SETS:
+            sets = list(map(frozenset, sets))
             pairs = ((i, j) for i, row in enumerate(_jaccard_rows(sets))
                      for j, v in enumerate(row, i + 1) if 1.0 - v <= eps)
         else:
@@ -417,16 +441,22 @@ def compute_tf(profile: LexicalProfile, blocks: list[frozenset[str]],
 
     ``groups`` names the groups of :data:`TF_GROUPS` that run (all of them
     for None); the fields of every other group are NaN. ``blocks`` is
-    read only by ``text_coherence``.
+    read only by ``text_coherence``, which runs first: from then on this
+    call holds no reference to the block sets, so when the caller holds
+    none either they are freed before the other groups run.
     """
+    groups = TF_GROUPS if groups is None else groups
+    values = dict.fromkeys(TfFeatures._fields, math.nan)
+    if "text_coherence" in groups:
+        values.update(zip(TF_GROUPS["text_coherence"], text_coherence(blocks)))
+    del blocks
     work = {
         "cic": lambda: cic(profile, dictionary),
         "identifier_semantics": lambda: identifier_semantics(profile, dictionary),
         "comment_readability": lambda: (comment_readability(profile),),
-        "text_coherence": lambda: text_coherence(blocks),
         "concept_count": lambda: concept_count(profile, dbscan_eps, dbscan_min_samples),
     }
-    values = dict.fromkeys(TfFeatures._fields, math.nan)
-    for group in TF_GROUPS if groups is None else groups:
-        values.update(zip(TF_GROUPS[group], work[group]()))
+    for group in groups:
+        if group != "text_coherence":
+            values.update(zip(TF_GROUPS[group], work[group]()))
     return TfFeatures._make(values.values())

@@ -538,6 +538,10 @@ def load_model(path: str | Path) -> ReadabilityModel:
         )
     mu, sigma, weights = (_model_numbers(doc, name, path, 1) for name in ("mu", "sigma", "weights"))
     intercept, lambda_l2 = (_model_numbers(doc, name, path, 0) for name in ("intercept", "lambda_l2"))
+    try:  # the penalty train_model accepts, and no other
+        check_lambda_l2(float(lambda_l2))
+    except ValueError as exc:
+        raise ModelError(f"model file {path}: {str(exc).removeprefix('[model] ')}") from None
     if mu.shape != (N_FEATURES,) or sigma.shape != (N_FEATURES,):
         raise ModelError(
             f"scaler length {len(mu)}/{len(sigma)} does not match "

@@ -132,10 +132,9 @@ def featurize(s: Snippet, p: LanguageProfile, d: DictionaryProvider,
     if s.lines and layers:
         profile = tokenize(s, p, tab_width=config.tab_width)
         groups = [group for group in TF_GROUPS if f"tf.{group}" in layers]
-        if groups:
-            blocks = extract_blocks(profile) if "extract_blocks" in layers else []
-            values[_TF] = compute_tf(profile, blocks, d, config.dbscan_eps,
-                                     config.dbscan_min_samples, groups)
+        if groups:  # the block sets are bound to no name here: compute_tf frees them after TC
+            values[_TF] = compute_tf(profile, extract_blocks(profile) if "extract_blocks" in layers else [],
+                                     d, config.dbscan_eps, config.dbscan_min_samples, groups)
         if "bwf" in layers:
             values[_BWF] = compute_bwf(profile)
         if "pf" in layers:
@@ -183,7 +182,7 @@ def write_feature_matrix(path: str | Path, ids: list[str], matrix: np.ndarray) -
     if matrix.shape != (len(ids), N_FEATURES):
         raise ValueError(f"matrix must be ({len(ids)}, {N_FEATURES}) for {len(ids)} ids, "
                          f"got {matrix.shape}")
-    write_table(path, _MATRIX_COLUMNS, ([sid, *row] for sid, row in zip(ids, matrix.tolist())))
+    write_table(path, _MATRIX_COLUMNS, ([sid, *row.tolist()] for sid, row in zip(ids, matrix)))
 
 
 def read_feature_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:

@@ -311,7 +311,8 @@ class TestScoreCompareCommands:
         ({"selected": [0], "weights": [[1.0]]}, "weights"),
         ({"selected": [0, 0], "weights": [1.0, 1.0]}, "selected"),
         ({"selected": [0.5], "weights": [1.0]}, "selected"),
-    ], ids=["sigma=0,intercept=nan", "sigma=0", "weights=2d", "selected=dup", "selected=0.5"])
+        ({"lambda_l2": -3.0}, "lambda_l2"),
+    ], ids=["sigma=0,intercept=nan", "sigma=0", "weights=2d", "selected=dup", "selected=0.5", "lambda_l2=-3"])
     def test_score_rejects_a_corrupt_model_exit_3(self, trained_model, tmp_path, capsys,
                                                  edit, field):
         doc = json.loads(trained_model.read_text())

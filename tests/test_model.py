@@ -552,6 +552,9 @@ class TestPredictAndPersistence:
         ({"provenance": 5}, "provenance"),
         ({"provenance": ["x"]}, "provenance"),
         ({"provenance": None}, "provenance"),
+        # a penalty train_model refuses
+        ({"lambda_l2": -3.0}, "lambda_l2"),
+        ({"lambda_l2": -1e-300}, "lambda_l2"),
     ])
     def test_corrupt_fields_rejected_by_name(self, tmp_path, edit, field):
         path = tmp_path / "model.json"

@@ -17,7 +17,9 @@ intersection over it.
 """
 
 import math
+import sys
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codereadability import vectorizer
 from codereadability.corpus import load_snippet, preprocess
 from codereadability.dictionary import load_dictionary
 from codereadability.features import tf
@@ -234,14 +237,16 @@ def test_generated_lines_match_reference(lines, eps, min_samples):
 
 def assert_join_finds_brute_pairs(token_sets, eps):
     """The array join finds every pair within reach, once, checked by
-    popcount under the packed cap and by set intersection over it."""
+    popcount under the packed cap and by set intersection over it, from
+    frozensets and from the sorted-tuple keys of ``concept_count`` alike."""
     brute = brute_pairs(token_sets, eps)
     with pytest.MonkeyPatch.context() as mp:
         for cap in (tf._BITSET_MAX_WORDS, 0):
             mp.setattr(tf, "_BITSET_MAX_WORDS", cap)
-            found = array_join_pairs(token_sets, eps)
-            assert len(found) == len(set(found))
-            assert set(found) == brute
+            for keys in (token_sets, list(map(tf._line_key, token_sets))):
+                found = array_join_pairs(keys, eps)
+                assert len(found) == len(set(found))
+                assert set(found) == brute
 
 
 class TestJaccardProperties:
@@ -306,6 +311,41 @@ def test_compute_tf_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"compute_tf peaked at {peak / 2**20:.1f} MB"
+
+
+class _Blocks(list):
+    """A list of block sets that a weak reference can follow."""
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller holds the arguments of a call until it returns")
+def test_no_block_set_is_alive_after_text_coherence(monkeypatch):
+    """featurize binds the block sets to no name and compute_tf drops them
+    once text coherence is done: none is alive while the concept count,
+    BWF, PF or DF runs."""
+    refs, alive = [], []
+    extract = vectorizer.extract_blocks
+
+    def blocks_of(profile):
+        blocks = _Blocks(extract(profile))
+        refs.append(weakref.ref(blocks))
+        return blocks
+
+    def watched(module, name):
+        layer = getattr(module, name)
+
+        def spy(*args):
+            alive.append((name, refs[-1]() is not None))
+            return layer(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    monkeypatch.setattr(vectorizer, "extract_blocks", blocks_of)
+    for module, name in ((tf, "concept_count"), (vectorizer, "compute_bwf"),
+                         (vectorizer, "compute_pf"), (vectorizer, "compute_df")):
+        watched(module, name)
+    vectorizer.featurize(repo_snippet(0, 300), PY, load_dictionary())
+    assert alive == [(name, False) for name in ("concept_count", "compute_bwf", "compute_pf", "compute_df")]
 
 
 # --------------------------------------------------------------------------
@@ -508,6 +548,22 @@ def test_generated_many_lines_match_reference(lines, eps, min_samples):
         assert_join_finds_brute_pairs(distinct_line_sets(prof), eps)
 
 
+@pytest.mark.parametrize("n_sets", [10, tf._JOIN_MIN_SETS - 1, tf._JOIN_MIN_SETS, 40])
+def test_lines_with_the_same_distinct_tokens_are_one_point(n_sets):
+    """Each token set spelled three ways (in another order, and with a
+    repeat) is one point of multiplicity 3, on the sorted-tuple keys made
+    frozensets for the set loop (10 and 31 sets) and on the join."""
+    lines = [line for i in range(n_sets)
+             for line in (f"a{i} = b{i} + c", f"c + b{i} = a{i}", f"a{i} = a{i} + b{i} + c")]
+    prof = tokenize(snip("\n".join(lines)), PY)
+    assert len(distinct_line_sets(prof)) == n_sets
+    with spy_on("_cluster_count") as points, spy_on("_array_pairs") as joins:
+        for eps, min_samples in ((e, k) for e in JOIN_EPS for k in MIN_SAMPLES):
+            assert concept_count(prof, eps, min_samples) == ref_concept_count(prof, eps, min_samples)
+    assert points == [n_sets] * len(JOIN_EPS) * len(MIN_SAMPLES)
+    assert joins == (points if n_sets >= tf._JOIN_MIN_SETS else [])
+
+
 def test_array_join_chunks_bound_the_gathered_rows(monkeypatch):
     """A small word budget splits the join into many chunks with the same pairs."""
     token_sets = distinct_line_sets(tokenize(repo_snippet(0, 1000), PY))
@@ -521,7 +577,8 @@ def test_array_join_chunks_bound_the_gathered_rows(monkeypatch):
 
 def test_concept_count_memory_is_bounded(join_calls):
     """20k lines on the array join: chunks of words keep the gathered rows
-    small (the whole candidate set at once peaked near 60 MB here)."""
+    small (the whole candidate set at once peaked near 60 MB here), and the
+    sorted-tuple line keys hold the peak near 2.5 MB (4.2 MB on frozensets)."""
     prof = tokenize(repo_snippet(0, 20_000), PY)
     tracemalloc.start()
     try:
@@ -530,7 +587,7 @@ def test_concept_count_memory_is_bounded(join_calls):
     finally:
         tracemalloc.stop()
     assert join_calls
-    assert peak <= 6 * 2**20, f"concept_count peaked at {peak / 2**20:.1f} MB"
+    assert peak <= 3 * 2**20, f"concept_count peaked at {peak / 2**20:.2f} MB"
 
 
 def test_lines_over_the_packed_cap_join_by_set_intersection(join_calls, monkeypatch):
