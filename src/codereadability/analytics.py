@@ -94,12 +94,14 @@ class ComparisonReport:
 
 
 def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
-    """Compare two score tables over their shared snippet ids."""
-    for side, table in (("a", a), ("b", b)):
+    """Compare two score tables over their shared snippet ids. A score or a
+    paired difference that is not finite, or an average that overflows,
+    raises ``ValueError``: a report holds only finite numbers."""
+    labels = (a.corpus_label or "a", b.corpus_label or "b")
+    for label, table in zip(labels, (a, b)):
         repeated = [sid for sid, count in Counter(table.ids).items() if count > 1]
         if repeated:
-            raise ValueError(f"score table {table.corpus_label or side}: "
-                             f"duplicate id {repeated[0]!r}")
+            raise ValueError(f"score table {label}: duplicate id {repeated[0]!r}")
     ids_a = set(a.ids)
     index_b = {sid: i for i, sid in enumerate(b.ids)}
     missing_in_b = [sid for sid in a.ids if sid not in index_b]
@@ -113,7 +115,16 @@ def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
     scores_a = np.asarray(a.linear_scores)
     scores_b = np.asarray([b.linear_scores[index_b[sid]] for sid in a.ids])
     n = len(scores_a)
-    diffs = scores_a - scores_b
+    for label, scores in zip(labels, (scores_a, scores_b)):
+        _require_finite(scores, a.ids, f"score table {label}: non-finite score")
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        diffs = scores_a - scores_b
+        avg_a = float(scores_a.mean()) if n else 0.0
+        avg_b = float(scores_b.mean()) if n else 0.0
+    _require_finite(diffs, a.ids, "paired difference overflows to")
+    for label, avg in zip(labels, (avg_a, avg_b)):
+        if not np.isfinite(avg):
+            raise ValueError(f"score table {label}: average score overflows")
     result = wilcoxon_signed_rank(diffs)
 
     w_max = result.n_nonzero * (result.n_nonzero + 1) / 2.0
@@ -122,8 +133,8 @@ def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
         label_b=b.corpus_label,
         n_pairs=n,
         n_nonzero=result.n_nonzero,
-        avg_a=float(scores_a.mean()) if n else 0.0,
-        avg_b=float(scores_b.mean()) if n else 0.0,
+        avg_a=avg_a,
+        avg_b=avg_b,
         win_rate_a=float(np.mean(diffs > 0)) if n else 0.0,
         wilcoxon_w=result.w,
         w_over_wmax=result.w / w_max if w_max > 0 else 0.0,
@@ -132,6 +143,14 @@ def paired_compare(a: ScoreTable, b: ScoreTable) -> ComparisonReport:
         degenerate=result.method == "degenerate",
         method=result.method,
     )
+
+
+def _require_finite(values: np.ndarray, ids, message: str) -> None:
+    """Raise ``ValueError`` with ``message``, the first value that is NaN or
+    ±inf and its id."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(f"{message} {float(values[bad[0]])} (id {ids[bad[0]]!r})")
 
 
 # --------------------------------------------------------------------------

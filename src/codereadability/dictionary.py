@@ -13,7 +13,9 @@ Two interchangeable backends:
 Terms absent from the backend get ``in_dictionary=False`` with all
 sense/depth quantities zero and no synonyms. A provider is one
 ``lookup`` from a term to its entry: a ``corpus.BoundedMemo`` of 8,192
-terms over the WordNet database, or a test of the bundled word set.
+terms over the WordNet database, or a substring search of the bundled
+list's text. That text is held as one newline-framed run per first three
+letters, so no object is kept per word.
 """
 
 from __future__ import annotations
@@ -150,9 +152,22 @@ def _parse_records(path: Path, parse, pos: str) -> None:
             raise DictionaryError(f"{path}, line {lineno}: malformed WordNet record: {exc}") from None
 
 
+# One run of the bundled list: its words that share their first three
+# letters (a shorter word alone), each line framed by newlines. The list is
+# sorted and unique with one lowercase word per line and a final newline
+# (tests/test_dictionary.py pins that), so a run is one stretch of its text.
+_RUN_RE = re.compile(r"\n(?:([^\n]{3})[^\n]*(?:\n\1[^\n]*)*|([^\n]{1,2})(?=\n))")
+
+
+def _word_runs(path: Path) -> dict[str, str]:
+    """First three letters of a word (or the whole of a shorter one) -> the
+    run ``"\nword\n...\nword\n"`` of the list's words that start so."""
+    text = "\n" + read_utf8(path, DictionaryError)
+    return {m[1] or m[2]: text[m.start():m.end() + 1] for m in _RUN_RE.finditer(text)}
+
+
 # the bundled list never changes: read it once per process, by its path
-_load_fallback_words = BoundedMemo(lambda path: frozenset(read_utf8(path, DictionaryError).split()),
-                                   1).__getitem__
+_load_fallback_words = BoundedMemo(_word_runs, 1).__getitem__
 
 
 class DictionaryProvider:
@@ -175,11 +190,14 @@ class DictionaryProvider:
 
 def load_dictionary(path: str | Path | None = None) -> DictionaryProvider:
     """The WordNet database under the directory ``path``, or the bundled
-    list (read once per process) when no path is given."""
+    list (read once per process) when no path is given. A term is listed
+    iff it is a whole line of the list: it holds no newline, and framed by
+    newlines it occurs in the run of its first three letters."""
     if path:
         return DictionaryProvider(BoundedMemo(_WordNetDatabase(path).entry).__getitem__)
-    words = _load_fallback_words(Path(__file__).parent / "data" / "wordlist.txt")
-    return DictionaryProvider(lambda term: _LISTED if term in words else _ABSENT)
+    runs = _load_fallback_words(Path(__file__).parent / "data" / "wordlist.txt")
+    return DictionaryProvider(
+        lambda term: _LISTED if "\n" not in term and f"\n{term}\n" in runs.get(term[:3], "") else _ABSENT)
 
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")

@@ -28,6 +28,11 @@ def table(ids, scores, label=""):
                       tuple(1 / (1 + np.exp(-s)) for s in scores), corpus_label=label)
 
 
+def extreme_table(ids, scores, label=""):
+    """A table of scores near the float range, whose sigmoid would overflow."""
+    return ScoreTable(tuple(ids), tuple(scores), (0.5,) * len(ids), corpus_label=label)
+
+
 def enumeration_p(diffs):
     """Literal 2^n sign-assignment enumeration, independent of the
     implementation's distribution recursion."""
@@ -214,6 +219,41 @@ class TestPairedCompare:
         assert shifted.effect_size_r == pytest.approx(base.effect_size_r, abs=1e-12)
         # averages move with the shift
         assert shifted.avg_a == pytest.approx(base.avg_a + 7.5)
+
+    @pytest.mark.parametrize("side,value", [("a", np.inf), ("b", -np.inf), ("a", np.nan)])
+    def test_a_non_finite_score_names_the_table_and_the_id(self, side, value):
+        scores = {"a": [1.0, 2.0, 3.0], "b": [0.5, 2.5, 1.0]}
+        scores[side][1] = value
+        a = table(["x", "y", "z"], scores["a"], "llm")
+        b = table(["z", "y", "x"], scores["b"][::-1])
+        label = "llm" if side == "a" else "b"
+        with pytest.raises(ValueError, match=rf"^score table {label}: non-finite score "
+                                             rf"{value} \(id 'y'\)$"):
+            paired_compare(a, b)
+
+    @pytest.mark.parametrize("big", [1.5e308, -1.5e308, 1e308])
+    def test_an_overflowing_difference_names_the_id(self, big):
+        a = extreme_table(["x", "y"], [1.0, big], "llm")
+        b = extreme_table(["x", "y"], [0.0, -big], "human")
+        with pytest.raises(ValueError, match=rf"^paired difference overflows to "
+                                             rf"{np.sign(big) * np.inf} \(id 'y'\)$"):
+            paired_compare(a, b)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_an_overflowing_average_names_the_table(self, side):
+        overflowing = extreme_table(["x", "y", "z"], [1.5e308, 1.5e308, 1.0], "llm")
+        finite = extreme_table(["x", "y", "z"], [1.5e308, -1.0, 2.0])  # every difference finite
+        a, b = (overflowing, finite) if side == "a" else (finite, overflowing)
+        with pytest.raises(ValueError, match=r"^score table llm: average score overflows$"):
+            paired_compare(a, b)
+
+    def test_extreme_finite_scores_that_do_not_overflow_pass(self):
+        a = extreme_table(["x", "y"], [1.5e308, -1.5e308])
+        b = extreme_table(["x", "y"], [1e308, -1e308])
+        report = paired_compare(a, b)
+        assert report.avg_a == 0.0 and report.avg_b == 0.0
+        assert report.win_rate_a == 0.5
+        assert json.loads(render_report(report, format="json")) == [report.to_dict()]
 
     def test_effect_size_uses_all_pairs(self):
         # half the pairs are ties: N stays in the denominator

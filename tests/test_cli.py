@@ -351,6 +351,37 @@ class TestScoreCompareCommands:
         err = capsys.readouterr().err
         assert f"ERROR codereadability: {tmp_path / 'a.csv'}, line 3: NaN value (id 'y')" in err
 
+    @pytest.mark.parametrize("cell_a,cell_b,message", [
+        ("inf", "0.5", "score table a: non-finite score inf (id 'y')"),
+        ("0.5", "-inf", "score table b: non-finite score -inf (id 'y')"),
+        ("1.5e308", "-1.5e308", "paired difference overflows to inf (id 'y')"),
+        ("-1e308", "1e308", "paired difference overflows to -inf (id 'y')"),
+    ])
+    def test_compare_json_never_writes_infinity(self, tmp_path, capsys, cell_a, cell_b, message):
+        """A JSON report holds no ``Infinity``: an infinite score, or finite
+        scores whose difference overflows, exits 3 (a RuntimeWarning on the
+        way would fail the test too, as pytest makes it an error)."""
+        for name, score in (("a.csv", cell_a), ("b.csv", cell_b)):
+            (tmp_path / name).write_text(f"id,linear_score,probability\nx,0.1,0.5\ny,{score},0.5\n",
+                                         encoding="utf-8")
+        report = tmp_path / "cmp.json"
+        assert main(["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--format", "json", "--out", str(report)]) == 3
+        assert f"ERROR codereadability: {message}\n" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_compare_an_overflowing_average_exits_3(self, tmp_path, capsys):
+        for name, scores in (("a.csv", ("1.5e308", "1.5e308")), ("b.csv", ("1.4e308", "1.6e308"))):
+            (tmp_path / name).write_text(
+                "id,linear_score,probability\n"
+                + "".join(f"{sid},{score},0.5\n" for sid, score in zip("xy", scores)),
+                encoding="utf-8")
+        assert main(["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert "ERROR codereadability: score table a: average score overflows\n" in captured.err
+        assert captured.out == ""
+
     def test_compare_empty_score_table_exit_3_names_the_file(self, tmp_path, capsys):
         empty, one = tmp_path / "empty.csv", tmp_path / "one.csv"
         empty.write_bytes(b"")
